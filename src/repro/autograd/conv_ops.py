@@ -6,6 +6,20 @@ available in pure numpy.  The backward pass uses the exact adjoint
 (col2im scatter-add), and is validated against finite differences in the
 test suite.
 
+The unfold is the paper's dummy-tensor view of convolution (Eq. 2) stored
+as indices rather than as a 0/1 tensor.  For each geometry
+``(C, H, W, kh, kw, stride, padding)`` an integer index, independent of
+the batch size, says which flattened input element lands at each
+``(out_h, out_w, C, kh, kw)`` patch position.  Every image is copied into
+a fresh ``(N, C*H*W + 1)`` array whose last slot is zero, and every
+padded position points at that slot, so the whole unfold — padding
+included — is one ``np.take``.  The result is the C-contiguous patch
+matrix a strided im2col view would give once copied, bit for bit.
+
+No mutable scratch is shared between calls: the index cache holds
+read-only arrays and the patch cache is guarded by a lock, so the kernels
+may run on several threads at once.
+
 Layout convention: activations are ``(N, C, H, W)`` and convolution
 weights are ``(K_h, K_w, C_in, C_out)`` — the latter matches the paper's
 ``W ∈ R^{K×K×I×O}`` notation for Conv-LoRA (Eq. 5).
@@ -13,6 +27,8 @@ weights are ``(K_h, K_w, C_in, C_out)`` — the latter matches the paper's
 
 from __future__ import annotations
 
+import functools
+import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -33,30 +49,15 @@ def _out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def _im2col(
-    x: np.ndarray,
-    kh: int,
-    kw: int,
-    stride: int,
-    padding: int,
-    _use_workspace: bool = False,
-) -> tuple[np.ndarray, int, int]:
-    """Unfold ``(N, C, H, W)`` into ``(N, out_h, out_w, C, kh, kw)`` patches.
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> tuple[np.ndarray, int, int]:
+    """Unpadded ``(N, C, H, W)`` windows as a zero-copy strided view.
 
-    The returned array is a zero-copy strided view.  With
-    ``_use_workspace`` the padded input is written into a pooled scratch
-    buffer instead of a fresh allocation — only safe when the caller copies
-    the patches out before the next convolution (conv2d's path does; the
-    view must not escape the call).
+    Returns ``(N, out_h, out_w, C, kh, kw)`` patches; the pooling kernels
+    reduce over the last two axes without ever materializing them.
     """
     n, c, h, w = x.shape
-    out_h = _out_size(h, kh, stride, padding)
-    out_w = _out_size(w, kw, stride, padding)
-    if padding:
-        if _use_workspace and FLAGS.conv_pad_workspace:
-            x = _padded_workspace(x, padding)
-        else:
-            x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out_h = _out_size(h, kh, stride, 0)
+    out_w = _out_size(w, kw, stride, 0)
     stride_n, stride_c, stride_h, stride_w = x.strides
     patches = np.lib.stride_tricks.as_strided(
         x,
@@ -67,18 +68,39 @@ def _im2col(
     return patches, out_h, out_w
 
 
-# -- workspace + patch caches --------------------------------------------------
+@functools.lru_cache(maxsize=64)
+def _gather_index(
+    c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int
+) -> tuple[np.ndarray, int, int]:
+    """Eq. 2's dummy tensor as a flat gather index, built once per geometry.
+
+    Entry ``((i*out_w + j)*C + ch)*kh*kw + a*kw + b`` is the flattened
+    position of input ``(ch, i*stride + a - padding, j*stride + b -
+    padding)``, or ``C*H*W`` — the zero slot — where that lands in the
+    padding.  Read-only, so cached arrays can be shared across threads.
+    """
+    out_h = _out_size(h, kh, stride, padding)
+    out_w = _out_size(w, kw, stride, padding)
+    # Input row (column) read at each (output row, kernel row) pair,
+    # broadcast to (out_h, out_w, C, kh, kw).
+    r = (np.arange(out_h) * stride - padding)[:, None] + np.arange(kh)
+    q = (np.arange(out_w) * stride - padding)[:, None] + np.arange(kw)
+    r = r[:, None, None, :, None]
+    q = q[None, :, None, None, :]
+    ch = np.arange(c)[None, None, :, None, None]
+    inside = (r >= 0) & (r < h) & (q >= 0) & (q < w)
+    idx = np.where(inside, (ch * h + r) * w + q, c * h * w).astype(np.intp).reshape(-1)
+    idx.flags.writeable = False
+    return idx, out_h, out_w
+
+
+# -- patch cache ---------------------------------------------------------------
 #
-# Two flag-gated reuse layers sit in front of im2col:
-#
-# * a padded-input scratch buffer pooled by (shape, dtype), so repeated
-#   same-shape convolutions stop reallocating (and re-zeroing) the pad
-#   frame every call;
-# * a small LRU of materialized patch matrices keyed on the *identity* of
-#   the input array plus the convolution geometry.  MetaLoRA's conv
-#   adapters convolve the same activations twice per layer (frozen base
-#   conv + adapter conv, same kernel/stride/padding), so the second conv
-#   reuses the first one's unfolded patches.
+# A small LRU of materialized patch matrices keyed on the *identity* of the
+# input array plus the convolution geometry.  MetaLoRA's conv adapters
+# convolve the same activations twice per layer (frozen base conv + adapter
+# conv, same kernel/stride/padding), so the second conv reuses the first
+# one's unfolded patches.
 #
 # Cache entries hold a strong reference to the keyed input array, so its
 # ``id`` cannot be recycled while the entry is alive; entries are immutable
@@ -87,42 +109,46 @@ def _im2col(
 # array object between forwards — so each entry also stores a cheap
 # content fingerprint (sum, sum-of-squares) that must match exactly for a
 # hit.  Both reductions are single read passes, far cheaper than the
-# kh*kw-amplified patch copy they guard.
+# kh*kw-amplified patch copy they guard.  The lookup/promote and
+# insert/evict sequences run under a lock, so a concurrent eviction cannot
+# pull an entry out between them.
 
-_PAD_POOL: dict[tuple[tuple[int, ...], np.dtype], np.ndarray] = {}
 _PATCH_CACHE: "OrderedDict[tuple, tuple[np.ndarray, tuple[float, float], np.ndarray, int, int]]" = (
     OrderedDict()
 )
 _PATCH_CACHE_CAPACITY = 8
 _PATCH_CACHE_STATS = {"hits": 0, "misses": 0}
+_PATCH_CACHE_LOCK = threading.Lock()
 
 
 def conv_patch_cache_stats() -> dict[str, int]:
     """Hit/miss counters plus current size of the patches cache."""
-    return dict(_PATCH_CACHE_STATS, size=len(_PATCH_CACHE))
+    with _PATCH_CACHE_LOCK:
+        return dict(_PATCH_CACHE_STATS, size=len(_PATCH_CACHE))
 
 
 def clear_conv_caches() -> None:
-    """Drop pooled pad buffers and cached patch matrices (frees memory)."""
-    _PAD_POOL.clear()
-    _PATCH_CACHE.clear()
-    _PATCH_CACHE_STATS["hits"] = 0
-    _PATCH_CACHE_STATS["misses"] = 0
+    """Drop cached patch matrices and gather indices (frees memory)."""
+    with _PATCH_CACHE_LOCK:
+        _PATCH_CACHE.clear()
+        _PATCH_CACHE_STATS["hits"] = 0
+        _PATCH_CACHE_STATS["misses"] = 0
+    _gather_index.cache_clear()
 
 
-def _padded_workspace(x: np.ndarray, padding: int) -> np.ndarray:
+def _unfold(
+    x: np.ndarray, kh: int, kw: int, stride: int, padding: int
+) -> tuple[np.ndarray, int, int]:
+    """C-contiguous ``(N, out_h, out_w, C, kh, kw)`` patches via one gather."""
     n, c, h, w = x.shape
-    shape = (n, c, h + 2 * padding, w + 2 * padding)
-    key = (shape, x.dtype)
-    buffer = _PAD_POOL.get(key)
-    if buffer is None:
-        buffer = _PAD_POOL[key] = np.zeros(shape, dtype=x.dtype)
-    else:
-        # Interior is overwritten below; only the pad frame must be zero,
-        # and it already is (nothing ever writes into it).
-        pass
-    buffer[:, :, padding : padding + h, padding : padding + w] = x
-    return buffer
+    idx, out_h, out_w = _gather_index(c, h, w, kh, kw, stride, padding)
+    ext = np.empty((n, c * h * w + 1), dtype=x.dtype)
+    # Copy each image into its row through a (N, C, H, W) view of the rows,
+    # so any input strides (NHWC-storage GEMM outputs) take one pass.
+    np.copyto(ext[:, :-1].reshape(n, c, h, w), x)
+    ext[:, -1] = 0
+    cols = np.take(ext, idx, axis=1).reshape(n, out_h, out_w, c, kh, kw)
+    return cols, out_h, out_w
 
 
 def _im2col_contiguous(
@@ -133,22 +159,25 @@ def _im2col_contiguous(
     if use_cache:
         key = (id(x), kh, kw, stride, padding)
         fingerprint = _fingerprint(x)
-        entry = _PATCH_CACHE.get(key)
-        if entry is not None and entry[0] is x and entry[1] == fingerprint:
-            _PATCH_CACHE_STATS["hits"] += 1
-            _PATCH_CACHE.move_to_end(key)
+        with _PATCH_CACHE_LOCK:
+            entry = _PATCH_CACHE.get(key)
+            hit = entry is not None and entry[0] is x and entry[1] == fingerprint
+            if hit:
+                _PATCH_CACHE_STATS["hits"] += 1
+                _PATCH_CACHE.move_to_end(key)
+        if hit:
             if OBS.enabled:
                 OBS.inc("conv2d.patches_cache.hit")
             return entry[2], entry[3], entry[4]
-    patches, out_h, out_w = _im2col(x, kh, kw, stride, padding, _use_workspace=True)
-    cols = np.ascontiguousarray(patches)
+    cols, out_h, out_w = _unfold(x, kh, kw, stride, padding)
     if use_cache:
-        _PATCH_CACHE_STATS["misses"] += 1
         if OBS.enabled:
             OBS.inc("conv2d.patches_cache.miss", bytes=cols.nbytes)
-        _PATCH_CACHE[key] = (x, fingerprint, cols, out_h, out_w)
-        if len(_PATCH_CACHE) > _PATCH_CACHE_CAPACITY:
-            _PATCH_CACHE.popitem(last=False)
+        with _PATCH_CACHE_LOCK:
+            _PATCH_CACHE_STATS["misses"] += 1
+            _PATCH_CACHE[key] = (x, fingerprint, cols, out_h, out_w)
+            if len(_PATCH_CACHE) > _PATCH_CACHE_CAPACITY:
+                _PATCH_CACHE.popitem(last=False)
     return cols, out_h, out_w
 
 
@@ -206,8 +235,8 @@ def conv2d_forward(
     :func:`fold_conv_weight`.  Returns ``(out, cols, out_h, out_w)`` —
     ``cols`` is the flattened patch matrix the backward pass (and nothing
     else) needs.  Both :func:`conv2d` and the serve compiler call this, so
-    the two paths are bit-identical by construction and share the padded
-    workspace / patch caches.
+    the two paths are bit-identical by construction and share the gather
+    index and patch caches.
     """
     n, c_in = x.shape[0], x.shape[1]
     patches, out_h, out_w = _im2col_contiguous(x, kh, kw, stride, padding)
@@ -227,7 +256,7 @@ def max_pool2d_forward(
     x: np.ndarray, kernel: int, stride: int
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Graph-free max-pool forward; returns ``(out, argmax, out_h, out_w)``."""
-    patches, out_h, out_w = _im2col(x, kernel, kernel, stride, padding=0)
+    patches, out_h, out_w = _im2col(x, kernel, kernel, stride)
     n, c = x.shape[0], x.shape[1]
     windows = patches.reshape(n, out_h, out_w, c, kernel * kernel)
     arg = windows.argmax(axis=-1)
@@ -237,7 +266,7 @@ def max_pool2d_forward(
 
 def avg_pool2d_forward(x: np.ndarray, kernel: int, stride: int) -> tuple[np.ndarray, int, int]:
     """Graph-free average-pool forward; returns ``(out, out_h, out_w)``."""
-    patches, out_h, out_w = _im2col(x, kernel, kernel, stride, padding=0)
+    patches, out_h, out_w = _im2col(x, kernel, kernel, stride)
     n, c = x.shape[0], x.shape[1]
     out = patches.reshape(n, out_h, out_w, c, kernel * kernel).mean(axis=-1)
     return out.transpose(0, 3, 1, 2), out_h, out_w

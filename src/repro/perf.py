@@ -11,9 +11,8 @@ Flags initialize from the environment:
 
 - ``REPRO_PERF=off`` (or ``reference``) disables every optimization;
 - ``REPRO_EINSUM_PLAN_CACHE=0``, ``REPRO_EINSUM_OPTIMIZE=0``,
-  ``REPRO_CONV_PATCHES_CACHE=0``, ``REPRO_CONV_PAD_WORKSPACE=0``,
-  ``REPRO_BATCHED_SEEDS=0``, ``REPRO_BACKWARD_INPLACE_ACCUM=0`` disable
-  individual paths;
+  ``REPRO_CONV_PATCHES_CACHE=0``, ``REPRO_BATCHED_SEEDS=0``,
+  ``REPRO_BACKWARD_INPLACE_ACCUM=0`` disable individual paths;
 - ``REPRO_BACKWARD_RELEASE=1`` opts in to the backward memory diet
   (graph metadata is dropped as ``backward()`` consumes it; see
   :meth:`repro.autograd.tensor.Tensor.backward`).  Off by default because
@@ -102,7 +101,6 @@ class PerfFlags:
     einsum_plan_cache: bool = True
     einsum_optimize: bool = True
     conv_patches_cache: bool = True
-    conv_pad_workspace: bool = True
     batched_seeds: bool = True
     backward_inplace_accum: bool = True
     backward_release: bool = False
@@ -116,7 +114,6 @@ def _from_env() -> PerfFlags:
         einsum_plan_cache=_env_bool("REPRO_EINSUM_PLAN_CACHE", True),
         einsum_optimize=_env_bool("REPRO_EINSUM_OPTIMIZE", True),
         conv_patches_cache=_env_bool("REPRO_CONV_PATCHES_CACHE", True),
-        conv_pad_workspace=_env_bool("REPRO_CONV_PAD_WORKSPACE", True),
         batched_seeds=_env_bool("REPRO_BATCHED_SEEDS", True),
         backward_inplace_accum=_env_bool("REPRO_BACKWARD_INPLACE_ACCUM", True),
         backward_release=_env_bool("REPRO_BACKWARD_RELEASE", False),

@@ -16,8 +16,8 @@ into a flat list of steps over raw ``numpy`` arrays:
   (:func:`repro.autograd.conv_ops.conv2d_forward`,
   :func:`repro.autograd.ops.einsum_forward`, …), so compiled outputs are
   bit-identical to the reference ``features()`` under the same
-  ``repro.perf.FLAGS`` — including the shared einsum plan cache and conv
-  patch/pad workspaces.
+  ``repro.perf.FLAGS`` — including the shared einsum plan cache and the
+  conv gather-index and patch caches.
 
 On top of lowering sit the :mod:`repro.serve.optimize` passes — all
 selected per program at compile time:
@@ -731,9 +731,19 @@ def _lower_batchnorm2d(module: BatchNorm2d, b: ProgramBuilder, x: int) -> int:
         np.multiply(out, gamma4, out=out)
         np.add(out, beta4, out=out)
 
+    def kernel(x: np.ndarray) -> np.ndarray:
+        # (x - mean4) / denom * gamma4 + beta4, allocating a new array only
+        # where the dtype promotes (f32 params against the f64 denom);
+        # every other step runs in place on the fresh temporary.
+        out = x - mean4
+        for ufunc, operand in ((np.divide, denom), (np.multiply, gamma4), (np.add, beta4)):
+            inplace = np.result_type(out, operand) == out.dtype
+            out = ufunc(out, operand, out=out if inplace else None)
+        return out
+
     return b.emit(
         "batchnorm2d",
-        lambda x: (x - mean4) / denom * gamma4 + beta4,
+        kernel,
         x,
         fn_out=fn_out,
         out_spec=lambda x: (x.shape, np.result_type(x.dtype, cdtype)),

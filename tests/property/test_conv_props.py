@@ -1,9 +1,12 @@
 """Property-based tests for the convolution operator."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.autograd import Tensor, conv2d
+from repro.autograd import conv_ops
+from repro.errors import ShapeError
 
 SETTINGS = dict(max_examples=25, deadline=None)
 seeds = st.integers(0, 2**31 - 1)
@@ -75,3 +78,65 @@ class TestConvProperties:
         for n in range(3):
             single = _conv(x[n : n + 1], w, stride=stride, padding=padding)
             assert np.allclose(full[n : n + 1], single, atol=1e-10)
+
+
+def _strided_unfold(x, kh, kw, stride, padding):
+    """Oracle: pad, take a strided ``(N, oh, ow, C, kh, kw)`` view, copy it."""
+    n, c, h, w = x.shape
+    out_h = conv_ops._out_size(h, kh, stride, padding)
+    out_w = conv_ops._out_size(w, kw, stride, padding)
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    stride_n, stride_c, stride_h, stride_w = x.strides
+    patches = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, out_h, out_w, c, kh, kw),
+        strides=(stride_n, stride_h * stride, stride_w * stride, stride_c, stride_h, stride_w),
+        writeable=False,
+    )
+    return np.ascontiguousarray(patches), out_h, out_w
+
+
+class TestGatherUnfold:
+    """The gather-index unfold equals the strided-view unfold bit for bit."""
+
+    @given(
+        seeds,
+        st.integers(1, 5),
+        st.integers(1, 8),
+        st.integers(1, 9),
+        st.integers(1, 9),
+        st.integers(1, 3),
+        st.integers(1, 2),
+        st.integers(0, 2),
+        st.sampled_from([np.float32, np.float64]),
+        st.booleans(),
+    )
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_matches_strided_oracle(
+        self, seed, n, c, h, w, kernel, stride, padding, dtype, nhwc
+    ):
+        rng = np.random.default_rng(seed)
+        if nhwc:
+            # GEMM outputs reach the next conv as transposed NHWC views.
+            x = rng.normal(size=(n, h, w, c)).astype(dtype).transpose(0, 3, 1, 2)
+        else:
+            x = rng.normal(size=(n, c, h, w)).astype(dtype)
+        if (min(h, w) + 2 * padding - kernel) // stride + 1 <= 0:
+            with pytest.raises(ShapeError) as oracle_error:
+                _strided_unfold(x, kernel, kernel, stride, padding)
+            with pytest.raises(ShapeError) as gather_error:
+                conv_ops._unfold(x, kernel, kernel, stride, padding)
+            assert str(gather_error.value) == str(oracle_error.value)
+            return
+        expected, out_h, out_w = _strided_unfold(x, kernel, kernel, stride, padding)
+        got, got_h, got_w = conv_ops._unfold(x, kernel, kernel, stride, padding)
+        assert (got_h, got_w) == (out_h, out_w)
+        assert got.dtype == expected.dtype
+        assert got.shape == expected.shape
+        # Both C-contiguous; strides of length-1 axes carry no layout.
+        assert got.flags.c_contiguous and expected.flags.c_contiguous
+        assert [step for step, size in zip(got.strides, got.shape) if size > 1] == [
+            step for step, size in zip(expected.strides, expected.shape) if size > 1
+        ]
+        assert got.tobytes() == expected.tobytes()

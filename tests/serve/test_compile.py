@@ -11,12 +11,15 @@ tier-sized closeness instead (see conftest's ``assert_serving_match``).
 import numpy as np
 import pytest
 
+from repro.autograd import Tensor
 from repro.errors import ServeError
 from repro.eval.embeddings import extract_embeddings
 from repro.models import FeatureExtractor, mixer_small, resnet_small
+from repro.nn import BatchNorm2d
 from repro.peft import MetaLoRAModel, attach
 from repro.perf import perf_overrides
 from repro.serve import build_engine, compile_features
+from repro.serve.compile import ProgramBuilder
 
 BACKBONES = {
     "resnet": lambda rng: resnet_small(4, rng),
@@ -160,3 +163,30 @@ class TestProgramStructure:
         model.stem.weight.data[...] += 1.0
         assert np.array_equal(program.run(x), before)
         assert not np.array_equal(compile_features(model).run(x), before)
+
+
+class TestBatchNormKernel:
+    """The compiled batchnorm2d step allocates only where the dtype promotes;
+    its bits, dtype and strides must still match the Tensor path."""
+
+    def test_mixed_dtype_matches_tensor_path(self, rng):
+        channels = 6
+        bn = BatchNorm2d(channels)
+        bn.gamma.data[...] = rng.normal(size=channels).astype(np.float32)
+        bn.beta.data[...] = rng.normal(size=channels).astype(np.float32)
+        bn._buffers["running_mean"][...] = rng.normal(size=channels)
+        bn._buffers["running_var"][...] = rng.uniform(0.5, 2.0, size=channels)
+        bn.eval()
+        builder = ProgramBuilder(precision="f64")
+        builder.lower(bn, builder.new_slot())
+        (step,) = builder.steps
+        contiguous = rng.normal(size=(3, channels, 5, 4)).astype(np.float32)
+        # Conv outputs reach batch norm as transposed NHWC-storage views.
+        nhwc = np.ascontiguousarray(contiguous.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        for x in (contiguous, nhwc):
+            reference = bn(Tensor(x)).data
+            got = step.fn(x)
+            assert bn.gamma.data.dtype == x.dtype == np.float32
+            assert got.dtype == reference.dtype == np.float64
+            assert got.strides == reference.strides
+            assert got.tobytes() == reference.tobytes()
