@@ -195,18 +195,26 @@ def _col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Adjoint of :func:`_im2col`: scatter-add patches back into an image."""
+    """Adjoint of :func:`_im2col`: scatter-add patches back into an image.
+
+    Scatters into a channels-last ``(N, H+2p, W+2p, C)`` buffer, so each
+    of the ``kh*kw`` strided adds writes whole contiguous channel rows,
+    then copies the crop out as a C-contiguous ``(N, C, H, W)`` array.
+    Each element receives the same terms in the same ``(i, j)`` order as
+    an NCHW scatter, so the values are bit for bit those of one; the
+    NCHW layout keeps them so downstream, where numpy's reductions sum
+    in memory order.
+    """
     n, c, h, w = x_shape
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
     out_h, out_w = cols.shape[1], cols.shape[2]
     for i in range(kh):
         for j in range(kw):
             padded[
-                :, :, i : i + out_h * stride : stride, j : j + out_w * stride : stride
-            ] += cols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-    if padding:
-        return padded[:, :, padding : padding + h, padding : padding + w]
-    return padded
+                :, i : i + out_h * stride : stride, j : j + out_w * stride : stride, :
+            ] += cols[:, :, :, :, i, j]
+    cropped = padded[:, padding : padding + h, padding : padding + w, :]
+    return np.ascontiguousarray(cropped.transpose(0, 3, 1, 2))
 
 
 def fold_conv_weight(weight: np.ndarray) -> np.ndarray:
@@ -379,6 +387,6 @@ def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
             (g.transpose(0, 2, 3, 1) * scale)[..., None, None],
             (n, out_h, out_w, c, kernel, kernel),
         )
-        return _col2im(np.ascontiguousarray(g_spread), x_shape, kernel, kernel, stride, 0)
+        return _col2im(g_spread, x_shape, kernel, kernel, stride, 0)
 
     return Tensor._result(out, (x,), (grad_fn,))

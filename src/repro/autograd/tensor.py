@@ -83,7 +83,7 @@ class Tensor:
         _grad_fns: tuple[GradFn, ...] = (),
     ) -> None:
         array = np.asarray(data)
-        if not np.issubdtype(array.dtype, np.floating):
+        if array.dtype.kind != "f":
             array = array.astype(np.float32)
         self.data: np.ndarray = array
         self.grad: np.ndarray | None = None

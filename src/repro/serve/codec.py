@@ -19,6 +19,12 @@ the ``.npy`` header is rendered directly and the array's buffer is
 joined in without the ``np.save``-into-``BytesIO`` round trip (which
 copies the data twice — once into the stream, once out of it).
 Non-contiguous or otherwise unusual arrays fall back to ``np.save``.
+``decode_payload`` mirrors it without ``np.load``: it parses the version
+1.0 header of a numeric or boolean array strictly, with a regular
+expression, and copies the data out with ``np.frombuffer``.  Any other
+payload is rejected with a ``ValueError``.  (``np.load`` parses headers
+with ``ast.literal_eval``, which CPython 3.11 does not support on two
+threads at once.)
 
 Control messages that carry *several* arrays (shard registry sync,
 recorded-batch shipping) use :func:`encode_arrays` — a flat sequence of
@@ -31,6 +37,8 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import math
+import re
 import socket
 import struct
 from typing import Mapping
@@ -82,11 +90,51 @@ def encode_payload(array: np.ndarray | None) -> bytes:
     return buffer.getvalue()
 
 
+_NPY_MAGIC = b"\x93NUMPY\x01\x00"
+_NPY_HEADER_LEN = struct.Struct("<H")
+#: np.load's default ``max_header_size``; longer headers are rejected.
+_NPY_MAX_HEADER = 10000
+#: The header ``np.lib.format`` writes for a numeric or boolean dtype.
+_NPY_HEADER = re.compile(
+    r"\{'descr': '([<>|][biufc]\d+)', 'fortran_order': (True|False), "
+    r"'shape': (\(\)|\(\d+,\)|\(\d+(?:, \d+)+\)), \} *\n"
+)
+
+
 def decode_payload(payload: bytes) -> np.ndarray | None:
-    """Inverse of :func:`encode_payload` (lossless round trip)."""
+    """Inverse of :func:`encode_payload` for numeric and boolean arrays.
+
+    Raises ``ValueError`` for anything else: a bad magic string, an
+    oversized or unparsable header, a non-numeric dtype (object dtypes
+    included), or data that is truncated or runs past the array.
+    """
     if not payload:
         return None
-    return np.load(io.BytesIO(payload), allow_pickle=False)
+    start = len(_NPY_MAGIC) + _NPY_HEADER_LEN.size
+    if len(payload) < start or not payload.startswith(_NPY_MAGIC):
+        raise ValueError("payload is not a version 1.0 .npy array")
+    (header_len,) = _NPY_HEADER_LEN.unpack_from(payload, len(_NPY_MAGIC))
+    if header_len > _NPY_MAX_HEADER:
+        raise ValueError(f".npy header of {header_len} bytes is too long")
+    match = _NPY_HEADER.fullmatch(payload[start : start + header_len].decode("latin-1"))
+    if match is None:
+        raise ValueError(".npy header is not that of a numeric array")
+    descr, fortran_order, shape_text = match.groups()
+    try:
+        dtype = np.dtype(descr)
+    except TypeError as exc:
+        raise ValueError(f"unknown .npy dtype {descr!r}") from exc
+    shape = tuple(int(dim) for dim in shape_text[1:-1].split(",") if dim)
+    count = math.prod(shape)
+    offset = start + header_len
+    if len(payload) != offset + count * dtype.itemsize:
+        raise ValueError(
+            f".npy data is {len(payload) - offset} bytes, "
+            f"expected {count * dtype.itemsize}"
+        )
+    # Copied so the array owns writable memory, as np.load returns it.
+    flat = np.frombuffer(payload, dtype, count=count, offset=offset).copy()
+    return flat.reshape(shape, order="F" if fortran_order == "True" else "C")
 
 
 def encode_arrays(arrays: "Mapping[str, np.ndarray]") -> bytes:

@@ -140,3 +140,68 @@ class TestGatherUnfold:
             step for step, size in zip(expected.strides, expected.shape) if size > 1
         ]
         assert got.tobytes() == expected.tobytes()
+
+
+def _nchw_col2im(cols, x_shape, kh, kw, stride, padding):
+    """Oracle: scatter-add patches into an NCHW ``(N, C, H+2p, W+2p)`` buffer."""
+    n, c, h, w = x_shape
+    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    out_h, out_w = cols.shape[1], cols.shape[2]
+    for i in range(kh):
+        for j in range(kw):
+            padded[
+                :, :, i : i + out_h * stride : stride, j : j + out_w * stride : stride
+            ] += cols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+    if padding:
+        return padded[:, :, padding : padding + h, padding : padding + w]
+    return padded
+
+
+class TestChannelsLastCol2im:
+    """The channels-last col2im equals the NCHW scatter bit for bit."""
+
+    @given(
+        seeds,
+        st.integers(1, 4),
+        st.integers(1, 6),
+        st.integers(1, 9),
+        st.integers(1, 9),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(0, 2),
+        st.sampled_from([np.float32, np.float64]),
+        st.sampled_from(["contiguous", "nhwc", "pool_spread"]),
+    )
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_matches_nchw_oracle(
+        self, seed, n, c, h, w, kernel, stride, padding, dtype, layout
+    ):
+        if layout == "pool_spread":
+            padding = 0  # pooling windows are unpadded
+        out_h = (h + 2 * padding - kernel) // stride + 1
+        out_w = (w + 2 * padding - kernel) // stride + 1
+        if min(out_h, out_w) <= 0:
+            return
+        rng = np.random.default_rng(seed)
+        shape = (n, out_h, out_w, c, kernel, kernel)
+        if layout == "contiguous":
+            # conv's grad_x: a reshaped (N, oh, ow, C*kh*kw) GEMM output.
+            cols = rng.normal(size=shape).astype(dtype)
+        elif layout == "nhwc":
+            g = rng.normal(size=(n, out_h, out_w, kernel, kernel, c)).astype(dtype)
+            cols = g.transpose(0, 1, 2, 5, 3, 4)
+        else:
+            # avg_pool2d's backward: one value per window, broadcast over it.
+            g = rng.normal(size=(n, out_h, out_w, c)).astype(dtype)
+            cols = np.broadcast_to(g[..., None, None], shape)
+        x_shape = (n, c, h, w)
+        expected = _nchw_col2im(
+            np.ascontiguousarray(cols), x_shape, kernel, kernel, stride, padding
+        )
+        got = conv_ops._col2im(cols, x_shape, kernel, kernel, stride, padding)
+        assert got.dtype == expected.dtype
+        assert got.shape == expected.shape
+        # NCHW-ordered, as the oracle's (possibly cropped) buffer is, so
+        # downstream reductions sum in the same order.
+        assert got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()

@@ -1,11 +1,14 @@
 """The serving wire codec: round trips, bounds, truncation hardening."""
 
+import ast
 import asyncio
 import io
 import socket
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.errors import ServeError
 from repro.serve.codec import (
@@ -59,6 +62,90 @@ class TestPayloadRoundTrip:
             buffer = io.BytesIO()
             np.save(buffer, array, allow_pickle=False)
             assert encode_payload(array) == buffer.getvalue()
+
+
+PLAIN_DTYPES = [
+    np.dtype(code).newbyteorder(order)
+    for code in ("f2", "f4", "f8", "i1", "i2", "i4", "i8", "u1", "u2", "u4", "u8", "c8", "c16")
+    for order in "<>"
+] + [np.dtype(bool)]
+
+
+class TestStrictHeaderDecode:
+    """The strict header parse matches np.load and never calls ast."""
+
+    @given(
+        hnp.arrays(
+            st.sampled_from(PLAIN_DTYPES),
+            hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=5),
+        ),
+        st.booleans(),
+    )
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_round_trip_matches_np_load(self, array, fortran):
+        if fortran:
+            array = np.asfortranarray(array)
+        payload = encode_payload(array)
+        want = np.load(io.BytesIO(payload), allow_pickle=False)
+        got = decode_payload(payload)
+        assert got.dtype == want.dtype == array.dtype
+        assert got.shape == want.shape == array.shape
+        assert got.strides == want.strides
+        assert got.flags.writeable
+        assert got.tobytes(order="A") == want.tobytes(order="A")
+        assert got.tobytes() == array.tobytes()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"garbage",
+            b"\x93NUMPY\x01\x00\x10\x00{not a dict}   \n",
+            # An object dtype: np.load refuses it without allow_pickle.
+            b"\x93NUMPY\x01\x00\x46\x00"
+            + b"{'descr': '|O', 'fortran_order': False, 'shape': (1,), }"
+            + b" " * 11
+            + b"\n"
+            + b"\0" * 8,
+            # A header longer than np.load's max_header_size.
+            b"\x93NUMPY\x01\x00\x30\x75"
+            + b"{'descr': '<f8', 'fortran_order': False, 'shape': (1,), }".ljust(29999)
+            + b"\n"
+            + b"\0" * 8,
+        ],
+    )
+    def test_garbage_headers_raise(self, payload):
+        with pytest.raises(ValueError):
+            decode_payload(payload)
+
+    def test_truncated_payloads_raise(self):
+        payload = encode_payload(np.arange(6, dtype=np.float32).reshape(2, 3))
+        for cut in (3, 9, 20, 70, len(payload) - 1):
+            with pytest.raises(ValueError):
+                decode_payload(payload[:cut])
+
+    def test_trailing_data_raises(self):
+        payload = encode_payload(np.arange(6, dtype=np.float32))
+        with pytest.raises(ValueError):
+            decode_payload(payload + b"\0")
+
+    @pytest.mark.parametrize(
+        "array",
+        [np.array(["ab", "c"]), np.array(["2026-01-01"], dtype="datetime64[D]")],
+    )
+    def test_non_numeric_dtypes_raise(self, array):
+        with pytest.raises(ValueError):
+            decode_payload(encode_payload(array))
+
+    def test_batch_decode_does_not_parse_with_ast(self, monkeypatch, rng):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ast.literal_eval called")
+
+        monkeypatch.setattr(ast, "literal_eval", refuse)
+        batch = rng.normal(size=(4, 3, 16, 16)).astype(np.float32)
+        out = decode_payload(encode_payload(batch))
+        assert np.array_equal(out, batch)
+        arrays = decode_arrays(encode_arrays({"x": batch, "y": np.arange(3)}))
+        assert np.array_equal(arrays["x"], batch)
 
 
 class TestArraysPayload:
