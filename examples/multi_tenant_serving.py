@@ -4,12 +4,12 @@ Three tenants share one ``MultiTenantEngine``: a merged static-LoRA
 tenant and two MetaLoRA seed-slot tenants that share a backbone but
 carry tenant-specific mapping networks.  The walkthrough covers the
 full lifecycle — register, heterogeneous ``serve`` (seed-slot tenants
-stack into shared extractor/body runs), the queued ``enqueue`` path,
-hot-swapping a retrained tenant, checkpoint-based registration, and
+stack into shared extractor/body runs), the queued path through a
+``BatchScheduler``, hot-swapping a retrained tenant, checkpoint-based registration, and
 the per-tenant metrics the engine exports.  Everything speaks the typed
 ``ServeRequest``/``ServeResult`` surface (see docs/serving.md).
 
-Run:  python examples/multi_tenant_serving.py   (~30 s)
+Run:  python examples/multi_tenant_serving.py   (a few seconds)
 """
 
 import tempfile
@@ -18,7 +18,12 @@ import numpy as np
 
 from repro.models import FeatureExtractor, resnet_small
 from repro.peft import MetaLoRAModel, attach, save_adapter
-from repro.serve import MultiTenantEngine, ServeRequest, build_engine
+from repro.serve import (
+    BatchScheduler,
+    MultiTenantEngine,
+    ServeRequest,
+    build_engine,
+)
 from repro.utils.rng import new_rng
 
 NUM_CLASSES = 4
@@ -73,7 +78,7 @@ def main() -> None:
     # why the multi-tenant engine runs it per-tenant rather than stacked.
     reference = {}
     for name, source in (("acme", static), ("globex", meta_a), ("initech", meta_b)):
-        with build_engine(source, cache_size=0) as single:
+        with build_engine(source) as single:
             reference[name] = np.stack(
                 [
                     single.serve(ServeRequest(sample=sample)).require()
@@ -103,17 +108,19 @@ def main() -> None:
         assert result.ok and np.array_equal(result.require(), reference[name][index])
     print("serve: grouped rows bit-identical to per-tenant engines")
 
-    # The queued path: enqueue() resolves each request to a future
-    # ServeResult and coalesces requests across tenants into
-    # heterogeneous micro-batches.
-    futures = [
-        engine.enqueue(ServeRequest(sample=images[index], adapter=name))
-        for index, name in enumerate(tenants)
-    ]
-    for index, (name, future) in enumerate(zip(tenants, futures)):
-        result = future.result(timeout=10.0)
-        assert np.array_equal(result.require(), reference[name][index])
-    print("enqueue: queued rows bit-identical too")
+    # The queued path: a BatchScheduler admits each request, resolves it
+    # to a future ServeResult, and hands the heterogeneous micro-batches
+    # it forms to engine.serve().  Each meta tenant sends one row, so its
+    # mapping net sees one row whatever the batch boundaries.
+    with BatchScheduler(engine) as scheduler:
+        futures = [
+            scheduler.submit(ServeRequest(sample=images[index], adapter=name))
+            for index, name in enumerate(tenants)
+        ]
+        for index, (name, future) in enumerate(zip(tenants, futures)):
+            result = future.result(timeout=10.0)
+            assert np.array_equal(result.require(), reference[name][index])
+    print("scheduler: queued rows bit-identical too")
 
     # Hot swap: retrain globex (new mapping weights), swap it in live.
     probe = ServeRequest(sample=images[0], adapter="globex")

@@ -49,7 +49,7 @@ test round-trips it)::
 
 ``counters`` holds the :data:`repro.obs.OBS` snapshot of the optimized
 run (cache hit/miss counts, op calls, bytes) in the unified
-metrics-snapshot schema — the same shape ``EmbeddingEngine.stats()``
+metrics-snapshot schema — the same shape ``MultiTenantEngine.stats()``
 returns, with histograms carrying ``buckets`` and gauges ``value``.
 
 The ``table1`` record optionally carries a ``parallel`` section (when the
@@ -126,7 +126,7 @@ def _measure(
         opt_seconds, opt_out = time_calls(fn, repeats=repeats)
     finally:
         OBS.disable()
-    counters = OBS.as_dict()
+    counters = OBS.snapshot()
     diff = float(np.max(np.abs(np.asarray(ref_out) - np.asarray(opt_out))))
     fields = {
         "reference_seconds": float(ref_seconds),
@@ -672,10 +672,6 @@ def _time_per_sample(fn: Callable[[int], object], count: int, repeats: int) -> t
     return best_total, best_latencies
 
 
-def _percentile_ms(latencies: list[float], q: float) -> float:
-    return float(np.percentile(np.asarray(latencies) * 1e3, q))
-
-
 def _multi_tenant_models(tenants: int) -> tuple[object, list[object]]:
     """One merged-LoRA static tenant plus ``tenants - 1`` MetaLoRA tenants.
 
@@ -747,7 +743,7 @@ def build_shard_tenant(kind: str, index: int = 0) -> object:
 
 
 def _embed_chunked(engine, images: np.ndarray, batch_size: int) -> np.ndarray:
-    """Bulk embeddings through the typed API, chunked like the old ``embed``.
+    """Bulk embeddings through the typed API.
 
     Chunk boundaries match ``extract_embeddings``, so rows stay
     bit-identical to the reference path.
@@ -814,11 +810,11 @@ def run_multi_tenant_bench(
     # path serves one row at a time, the grouped path ``per_tenant`` rows.
     reference_serial, reference_grouped = {}, {}
     for name in names:
-        with build_engine(sources[name], cache_size=0) as single:
+        with build_engine(sources[name]) as single:
             reference_serial[name] = _embed_chunked(single, images[name], 1)
             reference_grouped[name] = _embed_chunked(single, images[name], per_tenant)
 
-    engine = MultiTenantEngine(cache_size=0)
+    engine = MultiTenantEngine()
     try:
         for name in names:
             engine.register(name, sources[name])
@@ -1120,10 +1116,9 @@ def run_precision_bench(
                     "arena": bool(arena),
                     "seconds": float(seconds),
                     "throughput": float(samples / max(seconds, 1e-12)),
-                    "latency_ms": {
-                        "p50": _percentile_ms(latencies, 50),
-                        "p99": _percentile_ms(latencies, 99),
-                    },
+                    "latency_ms": _percentiles_ms(
+                        np.multiply(latencies, 1e3), (50, 99)
+                    ),
                     "max_abs_err_vs_f64": err,
                     "speedup_vs_f64": speedup,
                     "fusion_steps_eliminated": int(counters["fusion_eliminated"]),
@@ -1204,7 +1199,7 @@ def run_serve_bench(scale: str = "tiny", repeats: int = 3, tenants: int = 4) -> 
 
     entries = []
     for name, model in _serve_models():
-        engine = build_engine(model, cache_size=0, precision="f64")
+        engine = build_engine(model, precision="f64")
         reference = extract_embeddings(model, images, batch_size=batch)
 
         _clear_caches()
@@ -1214,7 +1209,7 @@ def run_serve_bench(scale: str = "tiny", repeats: int = 3, tenants: int = 4) -> 
             compiled = _embed_chunked(engine, images, batch)
         finally:
             OBS.disable()
-        counters = OBS.as_dict()
+        counters = OBS.snapshot()
         diff = float(np.max(np.abs(reference - compiled)))
         if diff != 0.0:
             raise ValueError(
@@ -1254,10 +1249,12 @@ def run_serve_bench(scale: str = "tiny", repeats: int = 3, tenants: int = 4) -> 
                     "compiled": float(samples / max(compiled_seconds, 1e-12)),
                 },
                 "latency_ms": {
-                    "naive_p50": _percentile_ms(naive_latencies, 50),
-                    "naive_p99": _percentile_ms(naive_latencies, 99),
-                    "compiled_p50": _percentile_ms(compiled_latencies, 50),
-                    "compiled_p99": _percentile_ms(compiled_latencies, 99),
+                    **_percentiles_ms(
+                        np.multiply(naive_latencies, 1e3), (50, 99), "naive_"
+                    ),
+                    **_percentiles_ms(
+                        np.multiply(compiled_latencies, 1e3), (50, 99), "compiled_"
+                    ),
                 },
                 "counters": counters,
             }
@@ -1273,12 +1270,14 @@ def run_serve_bench(scale: str = "tiny", repeats: int = 3, tenants: int = 4) -> 
     return record
 
 
-def _percentiles_ms(latencies_ms: list[float]) -> dict[str, float]:
+def _percentiles_ms(
+    latencies_ms, quantiles: tuple[float, ...] = (50, 99, 99.9), prefix: str = ""
+) -> dict[str, float]:
+    """``{prefix}p50``-style keys (99.9 -> ``p999``) over millisecond values."""
     values = np.asarray(latencies_ms, dtype=float)
     return {
-        "p50": float(np.percentile(values, 50)),
-        "p99": float(np.percentile(values, 99)),
-        "p999": float(np.percentile(values, 99.9)),
+        f"{prefix}p{q:g}".replace(".", ""): float(np.percentile(values, q))
+        for q in quantiles
     }
 
 
@@ -1359,7 +1358,7 @@ def run_load_bench(
         for name in names
     }
 
-    engine = MultiTenantEngine(cache_size=0)
+    engine = MultiTenantEngine()
     frontend = None
     try:
         for name, source in zip(names, [static, *metas]):
@@ -1388,6 +1387,7 @@ def run_load_bench(
             target_batch_seconds=0.05,
         )
         host, port = frontend.start_in_thread()
+        max_batch = frontend.scheduler.max_batch
 
         levels = []
         for index, factor in enumerate(load_factors):
@@ -1492,7 +1492,7 @@ def run_load_bench(
         "capacity_estimate_rps": float(capacity),
         "server": {
             "queue_limit": int(queue_limit),
-            "max_batch": int(engine.max_batch),
+            "max_batch": int(max_batch),
             "target_batch_seconds": 0.05,
             "deadline_seconds": float(deadline),
         },
@@ -1522,6 +1522,11 @@ def _shard_counts(shards: int) -> list[int]:
     return counts
 
 
+#: Timed probe batches per shard in the scaling sweep; the shard's
+#: capacity is read from their median.
+SCALING_PROBE_BATCHES = 9
+
+
 def _run_scaling_sweep(
     models: list,
     names: list[str],
@@ -1538,9 +1543,10 @@ def _run_scaling_sweep(
 
     For each shard count: register every tenant on a
     :class:`~repro.serve.shard.ShardedEngine`, probe each shard's
-    capacity in isolation (the sum is the fleet-sizing estimate — on a
-    single-core host the shards time-slice, which is why ``host_cpus``
-    is part of the record), drive the offered-load curve through the
+    capacity in isolation (the median of :data:`SCALING_PROBE_BATCHES`
+    timed batches after a warm one; the sum is the fleet-sizing
+    estimate — on a single-core host the shards time-slice, which is why
+    ``host_cpus`` is part of the record), drive the offered-load curve through the
     real sharded frontend, then pull every shard's recorded
     micro-batches and replay them through a direct single-process
     engine — each shard must serve bit-identically to direct dispatch,
@@ -1560,7 +1566,7 @@ def _run_scaling_sweep(
             return ("static", 0)
         return ("meta", int(name.rsplit("_", 1)[1]))
 
-    reference = MultiTenantEngine(cache_size=0)
+    reference = MultiTenantEngine()
     entries = []
     try:
         for name, model in zip(names, models):
@@ -1591,12 +1597,18 @@ def _run_scaling_sweep(
                 for shard_id in range(count):
                     for result in sharded.serve_on(shard_id, probe_requests()):
                         result.require()  # warm the shard's compiled programs
-                    start = time.perf_counter()
-                    served = sharded.serve_on(shard_id, probe_requests())
-                    elapsed = time.perf_counter() - start
-                    for result in served:
-                        result.require()
-                    per_shard.append(len(served) / max(elapsed, 1e-6))
+                    # One batch takes ~20 ms, so a single timing is at the
+                    # mercy of the host scheduler; the median of nine is not.
+                    timings = []
+                    for __ in range(SCALING_PROBE_BATCHES):
+                        requests = probe_requests()
+                        start = time.perf_counter()
+                        served = sharded.serve_on(shard_id, requests)
+                        timings.append(time.perf_counter() - start)
+                        for result in served:
+                            result.require()
+                    elapsed = float(np.median(timings))
+                    per_shard.append(len(requests) / max(elapsed, 1e-6))
 
                 frontend = ServingFrontend(scheduler=sharded)
                 host, port = frontend.start_in_thread()

@@ -57,8 +57,8 @@ class ServeError(ReproError):
     """The serving layer was misused or asked to compile the uncompilable.
 
     Raised when the serve compiler meets a module type it has no lowering
-    rule for, or when an :class:`~repro.serve.engine.EmbeddingEngine` is
-    used after ``close()`` / constructed with invalid batching limits.
+    rule for, or when a :class:`~repro.serve.registry.MultiTenantEngine`
+    is used after ``close()`` or a scheduler is built with invalid limits.
     """
 
 

@@ -13,14 +13,14 @@ from repro.obs import TRACER
 from repro.perf import FLAGS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.serve.engine import EmbeddingEngine
+    from repro.serve.registry import MultiTenantEngine
 
 
 def extract_embeddings(
     model: Module,
     images: np.ndarray,
     batch_size: int = 64,
-    engine: "EmbeddingEngine | None" = None,
+    engine: "MultiTenantEngine | None" = None,
 ) -> np.ndarray:
     """Run ``model.features`` over ``images`` in eval mode, without grads.
 
@@ -28,11 +28,13 @@ def extract_embeddings(
     models regenerate their per-sample seeds inside ``features``.  The
     model's prior train/eval mode is restored afterwards.
 
-    With ``engine`` given — or ``FLAGS.serve_embeddings`` set (env
-    ``REPRO_SERVE_EMBEDDINGS=1``) — extraction routes through the compiled
-    ``repro.serve`` engine instead of the autograd path.  The engine chunks
-    identically, so the result is bit-identical; it also returns freshly
-    allocated buffers, so no defensive copy is needed on that path.
+    With ``engine`` given (an engine from ``repro.serve.build_engine``,
+    whose default tenant is ``model``) — or ``FLAGS.serve_embeddings`` set
+    (env ``REPRO_SERVE_EMBEDDINGS=1``) — extraction routes through the
+    compiled ``repro.serve`` engine instead of the autograd path.  The
+    engine chunks identically, so the result is bit-identical; it also
+    returns freshly allocated buffers, so no defensive copy is needed on
+    that path.
     """
     if not hasattr(model, "features"):
         raise EvaluationError(

@@ -1,23 +1,19 @@
 """``repro.obs`` — the unified observability layer: metrics + tracing.
 
-One subsystem replaces the three reporting surfaces that grew up around
-the flat profiler (``PROFILER.snapshot()``, ``EmbeddingEngine.stats()``
-and the per-bench JSON ``counters`` sections):
+One subsystem serves every reporting surface — engine and scheduler
+``stats()``, the per-bench JSON ``counters`` sections and ``trace.jsonl``:
 
 - :data:`OBS` (:class:`~repro.obs.metrics.MetricsRegistry`) — the typed
   metrics registry (counter / timer / gauge / histogram, dotted names,
   optional labels).  Hot paths guard with ``if OBS.enabled:`` — a single
-  attribute check while disabled, the same contract the legacy profiler
-  guaranteed.
+  attribute check while disabled.
 - :data:`TRACER` (:class:`~repro.obs.trace.Tracer`) — hierarchical
   context-manager spans with events and per-span metric deltas,
   exported as ``trace.jsonl`` into run directories and rendered by
   ``repro trace``.
 - :func:`observed` — enable both for a block, restoring prior state.
 
-The legacy ``repro.utils.profiling.PROFILER`` still works as a thin
-shim over :data:`OBS`; new code should import from here.  See
-``docs/observability.md`` for the API, the naming conventions, and the
+See ``docs/observability.md`` for the API, the naming conventions, and the
 snapshot / trace schemas.
 """
 

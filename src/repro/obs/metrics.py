@@ -15,15 +15,14 @@ string *labels*.  Four metric kinds cover the reporting surfaces:
 - **histogram** — exact-value occurrence buckets
   (``serve.batch.size`` → ``{"8": 3, "32": 1}``).
 
-The registry preserves the contract the legacy flat profiler
-guaranteed: **disabled reads cost a single attribute check**.  Hot
-paths guard with ``if OBS.enabled:`` (or the short-circuit form
-``OBS.enabled and OBS.inc(...)``) and never construct names, labels or
-payloads when observability is off — a contract pinned by
-``tests/obs/test_metrics.py``.
+The registry's one performance contract: **disabled reads cost a single
+attribute check**.  Hot paths guard with ``if OBS.enabled:`` (or the
+short-circuit form ``OBS.enabled and OBS.inc(...)``) and never construct
+names, labels or payloads when observability is off — a contract pinned
+by ``tests/obs/test_metrics.py``.
 
 Snapshots serialize to the *unified metrics-snapshot schema* shared by
-``EmbeddingEngine.stats()``, the ``counters`` sections of every
+``MultiTenantEngine.stats()``, the ``counters`` sections of every
 ``BENCH_*.json`` record, and the per-span metric deltas in
 ``trace.jsonl``::
 
@@ -42,11 +41,6 @@ Snapshots serialize to the *unified metrics-snapshot schema* shared by
 registry — the cross-process aggregation the experiment runtime uses to
 merge worker counters into the parent, working even while the parent's
 registry is disabled (the events were already gated in the worker).
-
-The legacy ``repro.utils.profiling.PROFILER`` API survives as a shim
-over this registry; see :meth:`MetricsRegistry.legacy_counters` for the
-flat ``{name: {calls, seconds, bytes}}`` view it exposes (histogram
-buckets flattened to the historical ``name.<bucket>`` dotted names).
 """
 
 from __future__ import annotations
@@ -143,18 +137,14 @@ class MetricsRegistry:
     # -- series resolution ----------------------------------------------------
 
     def _series_for(
-        self,
-        name: str,
-        labels: dict[str, object],
-        kind: str,
-        strict: bool = True,
+        self, name: str, labels: dict[str, object], kind: str
     ) -> MetricSeries:
         key = (name, _label_key(labels))
         series = self._series.get(key)
         if series is None:
             series = self._series[key] = MetricSeries(kind=kind)
             return series
-        if series.kind != kind and strict:
+        if series.kind != kind:
             raise ObsError(
                 f"metric {render_name(*key)!r} is a {series.kind}, "
                 f"not a {kind}; pick a distinct name per kind"
@@ -220,25 +210,6 @@ class MetricsRegistry:
         finally:
             self.observe(name, time.perf_counter() - start, **labels)
 
-    # -- legacy-profiler entry points (untyped) -------------------------------
-
-    def record_legacy(
-        self,
-        name: str,
-        calls: int = 1,
-        seconds: float = 0.0,
-        bytes: int = 0,
-        kind: str = "counter",
-    ) -> None:
-        """Untyped fold for the ``PROFILER`` shim: reuse the series'
-        existing kind if it differs (the legacy API had no kinds)."""
-        if not self.enabled or calls <= 0:
-            return
-        series = self._series_for(name, {}, kind, strict=False)
-        series.calls += calls
-        series.seconds += seconds
-        series.bytes += bytes
-
     # -- snapshots / merging --------------------------------------------------
 
     def snapshot(self) -> dict[str, dict]:
@@ -247,9 +218,6 @@ class MetricsRegistry:
             render_name(name, labels): series.as_dict()
             for (name, labels), series in sorted(self._series.items())
         }
-
-    #: Alias kept so callers migrating off ``PROFILER.as_dict()`` read well.
-    as_dict = snapshot
 
     def merge(self, snapshot: dict[str, dict]) -> None:
         """Fold a :meth:`snapshot` back into this registry.
@@ -276,14 +244,6 @@ class MetricsRegistry:
             for bucket, count in (stats.get("buckets") or {}).items():
                 series.buckets[bucket] = series.buckets.get(bucket, 0) + int(count)
 
-    def merge_legacy(self, counters: dict[str, dict]) -> None:
-        """Fold an old flat ``{name: {calls, seconds, bytes}}`` snapshot."""
-        for name, stats in counters.items():
-            series = self._series_for(name, {}, "counter", strict=False)
-            series.calls += int(stats.get("calls", 0))
-            series.seconds += float(stats.get("seconds", 0.0))
-            series.bytes += int(stats.get("bytes", 0))
-
     def totals(self) -> dict[str, tuple[int, float, int]]:
         """Cheap per-series ``(calls, seconds, bytes)`` totals, used by the
         tracer to compute per-span metric deltas."""
@@ -291,33 +251,6 @@ class MetricsRegistry:
             render_name(name, labels): (series.calls, series.seconds, series.bytes)
             for (name, labels), series in self._series.items()
         }
-
-    def legacy_counters(self) -> dict[str, dict[str, float]]:
-        """The pre-redesign flat profiler format, derived from the registry.
-
-        Counters/timers/gauges keep their dotted name with
-        ``calls/seconds/bytes``; histograms flatten to one
-        ``name.<bucket>`` entry per bucket — exactly the shape the old
-        ``PROFILER.as_dict()`` produced (``serve.batch.size.<n>`` et al).
-        """
-        flat: dict[str, dict[str, float]] = {}
-        for (name, labels), series in self._series.items():
-            rendered = render_name(name, labels)
-            if series.kind == "histogram":
-                for bucket, count in series.buckets.items():
-                    entry = flat.setdefault(
-                        f"{rendered}.{bucket}",
-                        {"calls": 0, "seconds": 0.0, "bytes": 0},
-                    )
-                    entry["calls"] += count
-            else:
-                entry = flat.setdefault(
-                    rendered, {"calls": 0, "seconds": 0.0, "bytes": 0}
-                )
-                entry["calls"] += series.calls
-                entry["seconds"] += series.seconds
-                entry["bytes"] += series.bytes
-        return dict(sorted(flat.items()))
 
 
 #: The process-wide registry every instrumented layer reports into.

@@ -241,7 +241,7 @@ def _execute_cell(
         finally:
             if profile:
                 OBS.disable()
-                counters = OBS.as_dict()
+                counters = OBS.snapshot()
             if trace:
                 TRACER.disable()
                 spans = TRACER.drain()

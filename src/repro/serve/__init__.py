@@ -2,18 +2,18 @@
 
 ``compile_features`` lowers a model's ``features()`` into a flat program
 of raw-numpy kernels (no Tensor wrapping, no autograd bookkeeping);
-``EmbeddingEngine`` serves one program with micro-batching and an LRU
-result cache, while ``AdapterRegistry`` + ``MultiTenantEngine`` serve a
-fleet of *named* adapters — hot register/swap/evict, a shared LRU of
-compiled programs, and cross-tenant micro-batching.  ``optimize``
-supplies the compile-time pass pipeline: precision tiers
-(f64/f32/int8), elementwise-chain fusion, the per-run arena allocator
-and the thread-parallel slot scheduler.
+``AdapterRegistry`` + ``MultiTenantEngine`` serve *named* adapters —
+hot register/swap/evict, a shared LRU of compiled programs, and
+cross-tenant grouping inside one synchronous ``serve`` call —
+and ``build_engine`` mounts one compiled model as such an engine's
+default tenant.  ``optimize`` supplies the compile-time pass pipeline:
+precision tiers (f64/f32/int8), elementwise-chain fusion, the per-run
+arena allocator and the thread-parallel slot scheduler.
 
 Every path speaks one typed surface (``api``): ``ServeRequest`` in,
-``ServeResult`` out — the engines' ``serve``/``enqueue``, the asyncio
-TCP ``frontend`` with its continuous-batching ``scheduler``, and the
-open-loop ``loadgen``.  See docs/serving.md and
+``ServeResult`` out — the engine's ``serve``, the continuous-batching
+``scheduler`` (the one queued path), the asyncio TCP ``frontend`` and
+the open-loop ``loadgen``.  See docs/serving.md and
 docs/serving_frontend.md.
 """
 
@@ -44,12 +44,7 @@ from repro.serve.compile import (
     compiles,
     compiles_features,
 )
-from repro.serve.engine import (
-    ENGINES,
-    EmbeddingEngine,
-    Engines,
-    build_engine,
-)
+from repro.serve.engine import ENGINES, Engines, build_engine
 from repro.serve.registry import (
     AdapterEntry,
     AdapterRegistry,
@@ -71,7 +66,6 @@ __all__ = [
     "BatchScheduler",
     "CompiledProgram",
     "DEADLINE_MISSED",
-    "EmbeddingEngine",
     "ENGINES",
     "ERROR",
     "Engines",

@@ -4,19 +4,14 @@ One typed pair — :class:`ServeRequest` in, :class:`ServeResult` out —
 is the contract for *every* way work reaches the serving layer:
 
 - ``MultiTenantEngine.serve(request)`` / ``serve([requests])`` — the
-  synchronous path (replaces ``embed`` and ``dispatch``);
-- ``MultiTenantEngine.enqueue(request)`` — the micro-batched queue path
-  (replaces ``submit``), resolving to a ``Future[ServeResult]``;
+  synchronous path;
+- ``BatchScheduler.submit(request)`` — the queued, micro-batched path
+  (:mod:`repro.serve.scheduler`), resolving to a ``Future[ServeResult]``;
 - the asyncio TCP frontend (:mod:`repro.serve.frontend`) decodes each
   wire frame into a ``ServeRequest`` and encodes the ``ServeResult``
   back;
 - the load generator (:mod:`repro.serve.loadgen`) emits the same
   requests it would send over the wire.
-
-The old call forms (``embed(images, adapter)``, ``submit(sample,
-adapter)``, ``dispatch(pairs)``) survive as thin shims that emit
-``DeprecationWarning`` and delegate — pinned bit-identical by
-``tests/serve/test_api.py``.
 
 Requests carry the scheduling contract, not just the payload:
 
@@ -28,7 +23,7 @@ Requests carry the scheduling contract, not just the payload:
   break earliest-deadline-first, then arrival order.
 
 Results never raise from inside the serving loop: kernel failures,
-evicted tenants and missed deadlines come back as a ``ServeResult``
+unknown or evicted tenants and missed deadlines come back as a ``ServeResult``
 whose ``status`` says what happened.  ``ServeResult.require()`` is the
 one-liner for callers that want the old raise-on-failure behavior.
 """
@@ -111,9 +106,9 @@ class ServeRequest:
     """One unit of serving work plus its scheduling contract.
 
     ``sample`` is one image ``(C, H, W)`` or a batch ``(N, C, H, W)``
-    (the bulk form; queue paths accept singles only, since batching is
-    *their* job).  ``adapter`` names the tenant; ``None`` is allowed
-    only where a default tenant exists (``EmbeddingEngine``).
+    (the bulk form; the scheduler accepts singles only, since batching
+    is *its* job).  ``adapter`` names the tenant; ``None`` is allowed
+    only where a default tenant exists (an engine from ``build_engine``).
     """
 
     sample: np.ndarray

@@ -1,188 +1,38 @@
-"""The single-tenant embedding service, as a wrapper over the tenant core.
+"""One model, one engine: the single-tenant entry points.
 
-:class:`EmbeddingEngine` speaks the unified typed API —
-``serve(ServeRequest(...))`` for synchronous work, ``enqueue(...)`` for
-micro-batched singles, an LRU result cache, ``stats()`` in the unified
-metrics-snapshot schema — as a thin single-tenant view over
-:class:`~repro.serve.registry.MultiTenantEngine`: the program it is
-handed is mounted as the sole registry entry (and as the core's
-``default_adapter``, so requests may leave ``adapter`` unset) and every
-call delegates.  Metric names are unchanged (bare ``serve.*`` series;
-the wrapper turns tenant labels off), so existing dashboards and tests
-read identically.
-
-The pre-redesign calls — ``embed(images)`` and ``submit(sample)`` —
-remain as shims that emit ``DeprecationWarning`` and delegate to the
-typed path, bit-identically.  Engine caching lives on an explicit
-:class:`Engines` handle (the old module-level ``shared_engine`` /
-``clear_shared_engines`` pair is gone).
+:func:`build_engine` compiles a model (or an ``AttachResult``) into a
+:class:`~repro.serve.registry.MultiTenantEngine` serving that one
+program, mounted as the engine's ``default_adapter`` so requests may
+leave ``adapter`` unset.  Engine caching lives on an explicit
+:class:`Engines` handle, which ``extract_embeddings`` uses when
+``FLAGS.serve_embeddings`` routes it through the compiled path.
 """
 
 from __future__ import annotations
 
-import warnings
 import weakref
-from concurrent.futures import Future
-from typing import Sequence
-
-import numpy as np
 
 from repro.errors import ServeError
 from repro.nn.module import Module
-from repro.serve.api import ServeRequest, ServeResult, ingest_sample
-from repro.serve.compile import CompiledProgram, compile_features
-from repro.serve.registry import MultiTenantEngine, _legacy_future
+from repro.serve.compile import compile_features
+from repro.serve.registry import MultiTenantEngine
 
 __all__ = [
-    "EmbeddingEngine",
     "Engines",
     "ENGINES",
     "build_engine",
 ]
 
-
-class EmbeddingEngine:
-    """Serve embeddings from one compiled ``features()`` program.
-
-    A single-tenant wrapper over :class:`MultiTenantEngine`: the program
-    is registered under one internal name and all traffic routes to it.
-    Output is bit-identical to serving the program directly — the core
-    runs the same program on the same batches.
-
-    Parameters
-    ----------
-    program:
-        The compiled program (see :func:`build_engine` for the usual
-        model → program path).
-    max_batch:
-        Largest micro-batch the worker will coalesce.
-    max_delay:
-        Seconds the worker waits after the first queued sample for more
-        to arrive before flushing the batch.
-    cache_size:
-        LRU result-cache capacity in entries; ``0`` disables caching.
-    drain_timeout:
-        Seconds :meth:`close` waits for queued work before failing the
-        remainder with typed errors (see the core engine).
-    """
-
-    _TENANT = "default"
-
-    def __init__(
-        self,
-        program: CompiledProgram,
-        *,
-        max_batch: int = 32,
-        max_delay: float = 0.002,
-        cache_size: int = 256,
-        drain_timeout: float = 10.0,
-    ) -> None:
-        self._core = MultiTenantEngine(
-            max_batch=max_batch,
-            max_delay=max_delay,
-            cache_size=cache_size,
-            tenant_labels=False,
-            drain_timeout=drain_timeout,
-        )
-        self._core.registry.register_program(self._TENANT, program)
-        self._core.default_adapter = self._TENANT
-        self.program = program
-
-    @property
-    def precision(self) -> str:
-        """The mounted program's precision tier (``f64``/``f32``/``int8``)."""
-        return self.program.precision
-
-    @property
-    def max_batch(self) -> int:
-        return self._core.max_batch
-
-    @property
-    def max_delay(self) -> float:
-        return self._core.max_delay
-
-    @property
-    def cache_size(self) -> int:
-        return self._core.cache_size
-
-    def serve(
-        self, requests: "ServeRequest | Sequence[ServeRequest]"
-    ) -> "ServeResult | list[ServeResult]":
-        """The canonical synchronous path (see the core engine's ``serve``).
-
-        Requests may leave ``adapter`` unset — the wrapper's sole tenant
-        is the core's default.  Batched (rank-4) samples each run
-        standalone; chunk like ``extract_embeddings`` (``batch_size``
-        slices) to stay bit-identical to the reference path.
-        """
-        return self._core.serve(requests)
-
-    def enqueue(self, request: ServeRequest) -> "Future[ServeResult]":
-        """Queue one single-sample request; resolves to a ``ServeResult``."""
-        return self._core.enqueue(request)
-
-    def embed(self, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
-        """Deprecated: wrap chunks in :class:`ServeRequest` and ``serve()``.
-
-        Chunk boundaries match the reference path's, so the result is
-        bit-identical to it.  Rows are freshly allocated, so callers may
-        mutate the result freely.
-        """
-        warnings.warn(
-            "EmbeddingEngine.embed() is deprecated; build batched "
-            "ServeRequest objects and call serve()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        images = ingest_sample(images)
-        requests = [
-            ServeRequest(sample=images[start : start + batch_size])
-            for start in range(0, images.shape[0], batch_size)
-        ]
-        results = self._core.serve(requests)
-        return np.concatenate([result.require() for result in results], axis=0)
-
-    def submit(self, sample: np.ndarray) -> "Future[np.ndarray]":
-        """Deprecated: ``enqueue(ServeRequest(sample))`` is the queue path now."""
-        warnings.warn(
-            "EmbeddingEngine.submit() is deprecated; use "
-            "enqueue(ServeRequest(sample)) and read the ServeResult",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _legacy_future(self._core.enqueue(ServeRequest(sample=sample)))
-
-    def stats(self) -> dict[str, dict]:
-        """The engine's counters in the unified metrics-snapshot schema.
-
-        Keys are the ``serve.*`` metric names; each value carries
-        ``kind`` / ``calls`` / ``seconds`` / ``bytes`` plus ``buckets``
-        for the batch-size histogram and ``value`` for the
-        ``serve.cache.size`` occupancy gauge (set at snapshot time).
-        See ``docs/observability.md``.
-        """
-        return self._core.stats()
-
-    def close(self, drain_timeout: float | None = None) -> None:
-        """Stop the worker and answer every pending request (see the core)."""
-        self._core.close(drain_timeout=drain_timeout)
-
-    def __enter__(self) -> "EmbeddingEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+#: Registry name of the one program a :func:`build_engine` engine serves.
+DEFAULT_TENANT = "default"
 
 
 def build_engine(
     model_or_result: object,
     *,
     merge: bool = True,
-    max_batch: int = 32,
-    max_delay: float = 0.002,
-    cache_size: int = 256,
     precision: str | None = None,
-) -> EmbeddingEngine:
+) -> MultiTenantEngine:
     """Compile a model (or an ``AttachResult``) into a ready engine.
 
     Given an :class:`~repro.peft.api.AttachResult` holding static adapters,
@@ -191,6 +41,10 @@ def build_engine(
     contains no adapter ops at all.  Meta adapters cannot merge; they
     compile to their pre-planned einsum fast paths instead.  ``precision``
     picks the tier (explicit, else ``REPRO_SERVE_PRECISION``, else ``f64``).
+
+    The program is registered as :data:`DEFAULT_TENANT` and set as the
+    engine's ``default_adapter``; read it back with
+    ``engine.registry.get(engine.default_adapter).program``.
     """
     model = model_or_result
     if not isinstance(model, Module):
@@ -212,45 +66,37 @@ def build_engine(
                 f"{type(model_or_result).__name__} returned "
                 f"{type(model).__name__}, not a Module"
             )
-    program = compile_features(model, precision=precision)
-    return EmbeddingEngine(
-        program, max_batch=max_batch, max_delay=max_delay, cache_size=cache_size
+    engine = MultiTenantEngine(precision=precision)
+    engine.registry.register_program(
+        DEFAULT_TENANT, compile_features(model, precision=precision)
     )
+    engine.default_adapter = DEFAULT_TENANT
+    return engine
 
 
 class Engines:
     """An explicit handle over per-model cached engines.
 
-    One lazily-built :class:`EmbeddingEngine` per model, weakly keyed:
-    dropping the model drops its engine.  Weights mutated after
-    compilation are not picked up — :meth:`clear` (or dropping the
-    model) forces recompilation.  A handle callers can own, scope and
-    close, rather than module-level global state.
+    One lazily-built engine per model, weakly keyed: dropping the model
+    drops its engine.  Weights mutated after compilation are not picked
+    up — :meth:`clear` (or dropping the model) forces recompilation.  A
+    handle callers can own, scope and close, rather than module-level
+    global state.
     """
 
-    def __init__(
-        self,
-        *,
-        cache_size: int = 0,
-        max_batch: int = 32,
-        max_delay: float = 0.002,
-        precision: str | None = None,
-    ) -> None:
-        self._engines: "weakref.WeakKeyDictionary[Module, EmbeddingEngine]" = (
+    def __init__(self, *, precision: str | None = None) -> None:
+        self._engines: "weakref.WeakKeyDictionary[Module, MultiTenantEngine]" = (
             weakref.WeakKeyDictionary()
         )
-        self._build_kwargs = {
-            "cache_size": cache_size,
-            "max_batch": max_batch,
-            "max_delay": max_delay,
-            "precision": precision,
-        }
+        self._precision = precision
 
-    def get(self, model: Module) -> EmbeddingEngine:
+    def get(self, model: Module) -> MultiTenantEngine:
         """The cached engine for ``model``, compiling on first use."""
         engine = self._engines.get(model)
         if engine is None:
-            engine = self._engines[model] = build_engine(model, **self._build_kwargs)
+            engine = self._engines[model] = build_engine(
+                model, precision=self._precision
+            )
         return engine
 
     def clear(self) -> None:
@@ -267,8 +113,8 @@ class Engines:
 
 
 #: Default handle for the flag-gated protocol path
-#: (``FLAGS.serve_embeddings``); result caching off, as before.  The
-#: tier is pinned to f64 — routing ``extract_embeddings`` through the
-#: engine is contracted bit-identical to the autograd path, and must
-#: stay so even when ``REPRO_SERVE_PRECISION`` relaxes serving tiers.
-ENGINES = Engines(cache_size=0, precision="f64")
+#: (``FLAGS.serve_embeddings``).  The tier is pinned to f64 — routing
+#: ``extract_embeddings`` through the engine is contracted bit-identical
+#: to the autograd path, and must stay so even when
+#: ``REPRO_SERVE_PRECISION`` relaxes serving tiers.
+ENGINES = Engines(precision="f64")

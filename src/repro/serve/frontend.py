@@ -93,9 +93,9 @@ class ServingFrontend:
         port: int = 0,
         scheduler: object | None = None,
         queue_limit: int = 256,
-        max_batch: int | None = None,
+        max_batch: int = 32,
         target_batch_seconds: float = 0.025,
-        drain_timeout: float | None = None,
+        drain_timeout: float = 10.0,
         record_batches: int = 0,
     ) -> None:
         if scheduler is None and engine is None:

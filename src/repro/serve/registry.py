@@ -3,10 +3,10 @@
 One serving process, many tasks: :class:`AdapterRegistry` manages *named*
 adapters — register, hot-swap, evict at runtime — on top of
 ``peft.attach`` / ``AttachResult.serving_model()``, and
-:class:`MultiTenantEngine` serves them behind the unified typed API
-(``serve(ServeRequest(...))`` synchronously, ``enqueue(...)`` through
-the micro-batcher; the pre-redesign ``submit``/``embed``/``dispatch``
-forms survive as deprecated shims).
+:class:`MultiTenantEngine` serves them synchronously behind the typed
+API (``serve(ServeRequest(...))``).  Queueing and micro-batching live in
+:class:`~repro.serve.scheduler.BatchScheduler`, the one batcher, which
+hands each batch it forms to ``serve``.
 
 Three design points carry the throughput story:
 
@@ -24,31 +24,26 @@ Three design points carry the throughput story:
   keyed independently, so tenants sharing a backbone+extractor but
   trained to different mapping weights share two of the three.
 
-- **Heterogeneous micro-batching.**  The dispatcher groups queued
-  requests by adapter: static tenants sharing a program are stacked into
-  one run, and seed-slot tenants sharing a body are stacked *across
-  tenants* — extractor once over the union, mapping per tenant (its
-  float64 GEMMs are the one stage whose BLAS results depend on row
-  count, so per-tenant batches keep rows bit-identical to single-tenant
-  serving), then one body run consuming every tenant's seeds.
+- **Heterogeneous batches.**  ``serve`` groups a batch's requests by
+  adapter: static tenants sharing a program are stacked into one run,
+  and seed-slot tenants sharing a body are stacked *across tenants* —
+  extractor once over the union, mapping per tenant (its float64 GEMMs
+  are the one stage whose BLAS results depend on row count, so
+  per-tenant batches keep rows bit-identical to single-tenant serving),
+  then one body run consuming every tenant's seeds.
 
-Metrics mirror :class:`~repro.serve.engine.EmbeddingEngine`'s
-(``serve.requests``, ``serve.batches``, ``serve.batch.size``,
-``serve.queue_wait``, ``serve.cache.*``, ``serve.run``), with two
-additions: a ``serve.batch.tenants`` histogram (distinct adapters per
-dispatch group) and — when ``tenant_labels`` is on — a ``{tenant=name}``
-labeled twin of each per-request series next to the bare aggregate.
+Metrics: ``serve.requests`` (with a ``{tenant=name}`` labeled twin next
+to the bare aggregate), ``serve.request.deadline_missed``, ``serve.run``
+(per program execution) and a ``serve.batch.tenants`` histogram
+(distinct adapters per dispatch group).
 """
 
 from __future__ import annotations
 
 import hashlib
-import queue
 import threading
 import time
-import warnings
 from collections import OrderedDict
-from concurrent.futures import Future
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -64,7 +59,6 @@ from repro.serve.api import (
     ServeRequest,
     ServeResult,
     Timings,
-    ingest_sample as _ingest,
 )
 from repro.serve.compile import (
     CompiledProgram,
@@ -80,65 +74,14 @@ SHARED_TENANT = "(shared)"
 
 #: ``serve.*`` series the engines promise to expose even at zero, so
 #: dashboards and ``BENCH_*.json`` counter sections never miss a name.
-#: ``serve.request.rejected`` is recorded by admission control (the
-#: frontend scheduler); the other two by the engine's queue path.
+#: ``serve.request.rejected`` and ``serve.queue.depth`` are recorded by
+#: :class:`~repro.serve.scheduler.BatchScheduler`; deadline misses by
+#: both the scheduler and ``serve``.
 ZERO_SERIES = {
     "serve.request.rejected": {"kind": "counter", "calls": 0},
     "serve.request.deadline_missed": {"kind": "counter", "calls": 0},
     "serve.queue.depth": {"kind": "histogram", "calls": 0, "buckets": {}},
 }
-
-
-def _digest(array: np.ndarray) -> bytes:
-    """Content digest for the result cache (shape + dtype + bytes)."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(repr((array.shape, array.dtype.str)).encode())
-    h.update(np.ascontiguousarray(array).tobytes())
-    return h.digest()
-
-
-class _Request:
-    """One queued unit of work: the typed request plus engine bookkeeping.
-
-    ``adapter`` is the *resolved* tenant name (``request.adapter`` may be
-    ``None`` when a default adapter filled it in); ``future`` resolves to
-    a :class:`~repro.serve.api.ServeResult` — the queue path never sets
-    exceptions for serving outcomes, only results with a status.
-    """
-
-    __slots__ = ("request", "adapter", "key", "future", "enqueued_at")
-
-    def __init__(
-        self,
-        request: ServeRequest,
-        adapter: str,
-        key: tuple | None,
-        future: "Future[ServeResult]",
-    ) -> None:
-        self.request = request
-        self.adapter = adapter
-        self.key = key
-        self.future = future
-        self.enqueued_at = time.perf_counter()
-
-
-def _legacy_future(result_future: "Future[ServeResult]") -> "Future[np.ndarray]":
-    """Adapt ``Future[ServeResult]`` to the old ``Future[np.ndarray]`` contract.
-
-    Pre-redesign futures resolved to the raw embedding row and carried
-    serving failures as exceptions; the adapter re-raises any non-``ok``
-    result as the typed :class:`ServeError` that ``require()`` produces.
-    """
-    legacy: "Future[np.ndarray]" = Future()
-
-    def _transfer(done: "Future[ServeResult]") -> None:
-        try:
-            legacy.set_result(done.result().require())
-        except BaseException as exc:
-            legacy.set_exception(exc)
-
-    result_future.add_done_callback(_transfer)
-    return legacy
 
 
 # -- program identity ---------------------------------------------------------
@@ -335,8 +278,7 @@ class AdapterEntry:
 
     ``kind`` is ``"static"`` (one ``program``) or ``"seeded"`` (the
     extractor / mapping / body triple).  ``version`` bumps on every
-    hot-swap, which is what invalidates result-cache rows keyed under
-    the old weights.
+    hot-swap.
     """
 
     __slots__ = (
@@ -385,8 +327,9 @@ class AdapterRegistry:
     """Named adapters plus the shared :class:`ProgramCache`.
 
     ``register`` compiles (or cache-hits) the adapter's programs;
-    ``swap`` replaces an existing name's weights hot — queued requests
-    resolve their entry at dispatch time, so they serve the new weights;
+    ``swap`` replaces an existing name's weights hot — requests resolve
+    their entry when ``serve`` runs them, so queued ones serve the new
+    weights;
     ``evict`` removes a name.  All three are safe under concurrent
     serving.
     """
@@ -490,8 +433,8 @@ class AdapterRegistry:
     ) -> AdapterEntry:
         """Install a pre-compiled program under ``name`` (bypasses the cache).
 
-        This is how the single-tenant :class:`~repro.serve.engine.EmbeddingEngine`
-        wrapper mounts the program it was handed.
+        This is how :func:`~repro.serve.engine.build_engine` mounts the
+        one program it compiled.
         """
         with self._lock:
             previous = self._entries.get(name)
@@ -637,81 +580,43 @@ class AdapterRegistry:
 class MultiTenantEngine:
     """Serve many named adapters behind one typed request/response API.
 
-    The canonical surface is :meth:`serve` (synchronous, single request
-    or heterogeneous batch) and :meth:`enqueue` (the micro-batched queue
-    path), both speaking :class:`~repro.serve.api.ServeRequest` /
-    :class:`~repro.serve.api.ServeResult`.  The pre-redesign call forms
-    — ``embed(images, adapter)``, ``submit(sample, adapter)``,
-    ``dispatch(pairs)`` — survive as deprecated shims pinned
-    bit-identical to the typed path.
+    A synchronous core: :meth:`serve` takes one
+    :class:`~repro.serve.api.ServeRequest` or a heterogeneous batch of
+    them and returns :class:`~repro.serve.api.ServeResult` objects.
+    Queueing, admission control and micro-batching belong to
+    :class:`~repro.serve.scheduler.BatchScheduler`, which the frontend
+    and every shard put in front of this engine.
 
     Parameters
     ----------
     registry:
         An :class:`AdapterRegistry` to serve from; omitted, the engine
         owns a fresh one (``program_cache_size`` sizes its LRU).
-    max_batch / max_delay / cache_size:
-        Micro-batcher and result-cache limits, exactly as on
-        :class:`~repro.serve.engine.EmbeddingEngine`.  The result cache
-        is keyed by ``(adapter, version, sample digest)``, so hot-swaps
-        never serve stale rows.
-    tenant_labels:
-        When true (default), per-request metrics also record a
-        ``{tenant=name}`` labeled series next to the bare aggregate.
     precision:
         Default tier for ``register``/``swap`` calls that don't pick one
         (explicit, else ``REPRO_SERVE_PRECISION``, else ``f64``).
-    drain_timeout:
-        Seconds :meth:`close` waits for the worker to finish queued work
-        before abandoning the drain and failing the remaining requests
-        with a typed error (``close(drain_timeout=...)`` overrides per
-        call).
     """
 
     def __init__(
         self,
         registry: AdapterRegistry | None = None,
         *,
-        max_batch: int = 32,
-        max_delay: float = 0.002,
-        cache_size: int = 256,
-        tenant_labels: bool = True,
         program_cache_size: int = 64,
         precision: str | None = None,
-        drain_timeout: float = 10.0,
     ) -> None:
-        if max_batch < 1:
-            raise ServeError(f"max_batch must be >= 1, got {max_batch}")
-        if max_delay < 0:
-            raise ServeError(f"max_delay must be >= 0, got {max_delay}")
-        if cache_size < 0:
-            raise ServeError(f"cache_size must be >= 0, got {cache_size}")
-        if drain_timeout < 0:
-            raise ServeError(f"drain_timeout must be >= 0, got {drain_timeout}")
         self.precision = resolve_precision(precision)
         self.registry = (
             registry
             if registry is not None
             else AdapterRegistry(program_cache_size=program_cache_size)
         )
-        self.max_batch = int(max_batch)
-        self.max_delay = float(max_delay)
-        self.cache_size = int(cache_size)
-        self.tenant_labels = bool(tenant_labels)
-        self.drain_timeout = float(drain_timeout)
         #: Tenant a ``ServeRequest`` with ``adapter=None`` resolves to
-        #: (the single-tenant wrapper sets it; bare engines require an
-        #: explicit adapter on every request).
+        #: (``build_engine`` sets it; bare engines require an explicit
+        #: adapter on every request).
         self.default_adapter: str | None = None
-        self._cache: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
         self._metrics = MetricsRegistry(enabled=True)
         self._stats_lock = threading.Lock()
         self._run_lock = threading.Lock()
-        self._queue: "queue.Queue[_Request]" = queue.Queue()
-        self._worker: threading.Thread | None = None
-        self._worker_lock = threading.Lock()
-        self._stop = threading.Event()
-        self._abort = threading.Event()
         self._closed = False
 
     # -- registry passthroughs ------------------------------------------------
@@ -732,34 +637,29 @@ class MultiTenantEngine:
 
     # -- metric recording -----------------------------------------------------
 
-    def _inc(
-        self, name: str, n: int = 1, *, seconds: float = 0.0, tenant: str | None = None
-    ) -> None:
+    def _inc(self, name: str, n: int = 1, *, tenant: str | None = None) -> None:
+        """Bare counter plus, given ``tenant``, its ``{tenant=name}`` twin."""
         with self._stats_lock:
-            self._metrics.inc(name, n, seconds=seconds)
-            if self.tenant_labels and tenant is not None:
-                self._metrics.inc(name, n, seconds=seconds, tenant=tenant)
-        OBS.enabled and OBS.inc(name, n, seconds=seconds)
-        if self.tenant_labels and tenant is not None:
-            OBS.enabled and OBS.inc(name, n, seconds=seconds, tenant=tenant)
+            self._metrics.inc(name, n)
+            if tenant is not None:
+                self._metrics.inc(name, n, tenant=tenant)
+        OBS.enabled and OBS.inc(name, n)
+        if tenant is not None:
+            OBS.enabled and OBS.inc(name, n, tenant=tenant)
 
     def _hist(self, name: str, value: object) -> None:
         with self._stats_lock:
             self._metrics.hist(name, value)
         OBS.enabled and OBS.hist(name, value)
 
-    def _observe(
-        self, name: str, seconds: float, nbytes: int = 0, *, tenant: str | None = None
-    ) -> None:
+    def _observe(self, name: str, seconds: float, nbytes: int, *, tenant: str) -> None:
         with self._stats_lock:
             self._metrics.observe(name, seconds, bytes=nbytes)
-            if self.tenant_labels and tenant is not None:
-                self._metrics.observe(name, seconds, bytes=nbytes, tenant=tenant)
+            self._metrics.observe(name, seconds, bytes=nbytes, tenant=tenant)
         OBS.enabled and OBS.observe(name, seconds, bytes=nbytes)
-        if self.tenant_labels and tenant is not None:
-            OBS.enabled and OBS.observe(name, seconds, bytes=nbytes, tenant=tenant)
+        OBS.enabled and OBS.observe(name, seconds, bytes=nbytes, tenant=tenant)
 
-    # -- canonical typed surface ----------------------------------------------
+    # -- the typed surface ----------------------------------------------------
 
     def _resolve_adapter(self, request: ServeRequest) -> str:
         name = request.adapter if request.adapter is not None else self.default_adapter
@@ -773,16 +673,16 @@ class MultiTenantEngine:
     def serve(
         self, requests: "ServeRequest | Sequence[ServeRequest]"
     ) -> "ServeResult | list[ServeResult]":
-        """The canonical synchronous path: typed requests in, results out.
+        """Serve typed requests synchronously; returns the matching shape.
 
         Accepts one :class:`~repro.serve.api.ServeRequest` or a
-        heterogeneous sequence of them; returns the matching shape.
-        Single-sample requests are grouped across tenants exactly like
-        the micro-batcher (stacked static runs, shared seeded bodies);
-        batched requests (rank-4 ``sample``) each run standalone, with
-        chunking left to the caller.  Unknown adapters raise up front
-        (nothing is served); per-request failures — lapsed deadlines,
-        kernel errors — come back as non-``ok`` results instead.
+        heterogeneous sequence of them.  Single-sample requests are
+        grouped across tenants (stacked static runs, shared seeded
+        bodies); batched requests (rank-4 ``sample``) each run
+        standalone, with chunking left to the caller.  Every outcome is
+        per request: an unknown or evicted tenant, a lapsed deadline or
+        a kernel error comes back as that request's non-``ok`` result,
+        and the rest of the batch is served.
         """
         if self._closed:
             raise ServeError("serve() on a closed MultiTenantEngine")
@@ -791,22 +691,26 @@ class MultiTenantEngine:
         for request in batch:
             if not isinstance(request, ServeRequest):
                 raise ServeError(
-                    f"serve() takes ServeRequest objects, got "
-                    f"{type(request).__name__} (migrating from embed/dispatch? "
-                    f"wrap samples in ServeRequest)"
+                    f"serve() takes ServeRequest objects, got {type(request).__name__}"
                 )
         results = self._serve_batch(batch)
         return results[0] if single else results
 
     def _serve_batch(self, requests: list[ServeRequest]) -> list[ServeResult]:
-        names = [self._resolve_adapter(request) for request in requests]
-        entries = [self.registry.get(name) for name in names]  # fail-fast
         results: list[ServeResult | None] = [None] * len(requests)
+        entries: list[AdapterEntry | None] = [None] * len(requests)
         now = time.perf_counter()
         live: list[int] = []
         for i, request in enumerate(requests):
+            # Resolve at serve time: a swap() since submission serves the
+            # new weights; an unknown or evicted tenant fails this request.
+            try:
+                entries[i] = self.registry.get(self._resolve_adapter(request))
+            except ServeError as exc:
+                results[i] = ServeResult.failure(ERROR, str(exc))
+                continue
             if request.expired(now):
-                self._inc("serve.request.deadline_missed", tenant=names[i])
+                self._inc("serve.request.deadline_missed", tenant=entries[i].name)
                 elapsed = now - request.created_at
                 results[i] = ServeResult.failure(
                     DEADLINE_MISSED,
@@ -833,7 +737,10 @@ class MultiTenantEngine:
                         )
                     continue
                 done = time.perf_counter()
+                tenants: dict[str, int] = {}
                 for i, row in zip(group, rows):
+                    name = entries[i].name
+                    tenants[name] = tenants.get(name, 0) + 1
                     results[i] = ServeResult(
                         embedding=row,
                         timings=Timings(
@@ -842,23 +749,28 @@ class MultiTenantEngine:
                             total_seconds=done - requests[i].created_at,
                         ),
                     )
+                for name, count in tenants.items():
+                    self._inc("serve.requests", count, tenant=name)
+                self._hist("serve.batch.tenants", len(tenants))
         for i in live:
             request = requests[i]
             if not request.batched:
                 continue
+            entry = entries[i]
             started = time.perf_counter()
             try:
                 with TRACER.span(
                     "serve.request",
                     kind="bulk",
-                    tenant=names[i],
+                    tenant=entry.name,
                     samples=int(request.sample.shape[0]),
                 ):
-                    out = self._run_entry(entries[i], request.sample)
+                    out = self._run_entry(entry, request.sample)
             except BaseException as exc:
                 results[i] = ServeResult.failure(ERROR, f"serving failed: {exc}")
                 continue
             done = time.perf_counter()
+            self._inc("serve.requests", tenant=entry.name)
             results[i] = ServeResult(
                 embedding=out,
                 timings=Timings(
@@ -868,31 +780,6 @@ class MultiTenantEngine:
                 ),
             )
         return results  # type: ignore[return-value]
-
-    # -- deprecated pre-redesign call forms -----------------------------------
-
-    def embed(self, images: np.ndarray, adapter: str, batch_size: int = 64) -> np.ndarray:
-        """Deprecated: wrap chunks in :class:`ServeRequest` and ``serve()``.
-
-        Chunk boundaries match ``extract_embeddings``, so rows stay
-        bit-identical to the reference path under that adapter's model.
-        """
-        warnings.warn(
-            "MultiTenantEngine.embed() is deprecated; build batched "
-            "ServeRequest objects and call serve()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if self._closed:
-            raise ServeError("embed() on a closed MultiTenantEngine")
-        self.registry.get(adapter)  # fail unknown names before ingesting
-        images = _ingest(images)
-        requests = [
-            ServeRequest(sample=images[start : start + batch_size], adapter=adapter)
-            for start in range(0, images.shape[0], batch_size)
-        ]
-        results = self.serve(requests)
-        return np.concatenate([result.require() for result in results], axis=0)
 
     def _run_program(
         self,
@@ -915,76 +802,7 @@ class MultiTenantEngine:
         seeds = self._run_program(entry.mapping, (features,), entry.name)
         return self._run_program(entry.body, (batch, seeds), entry.name)
 
-    # -- request path: heterogeneous micro-batching ---------------------------
-
-    def enqueue(self, request: ServeRequest) -> "Future[ServeResult]":
-        """Queue one single-sample request; resolves to a :class:`ServeResult`.
-
-        The future never carries serving failures as exceptions — lapsed
-        deadlines, evicted tenants and kernel errors resolve to results
-        whose ``status`` says what happened (``require()`` re-raises).
-        """
-        if self._closed:
-            raise ServeError("enqueue() on a closed MultiTenantEngine")
-        if not isinstance(request, ServeRequest):
-            raise ServeError(
-                f"enqueue() takes a ServeRequest, got {type(request).__name__}"
-            )
-        if request.batched:
-            raise ServeError(
-                "enqueue() takes single-sample requests (batching is the "
-                "queue's job); use serve() for pre-batched samples"
-            )
-        name = self._resolve_adapter(request)
-        entry = self.registry.get(name)  # fail unknown names fast
-        key = (name, entry.version, _digest(request.sample)) if self.cache_size else None
-        future: "Future[ServeResult]" = Future()
-        if key is not None:
-            cached = self._cache_get(key)
-            if cached is not None:
-                self._inc("serve.requests", tenant=name)
-                self._inc("serve.cache.hit", tenant=name)
-                future.set_result(ServeResult(embedding=cached))
-                return future
-            self._inc("serve.cache.miss", tenant=name)
-        self._ensure_worker()
-        self._queue.put(_Request(request, name, key, future))
-        return future
-
-    def submit(self, sample: np.ndarray, adapter: str) -> "Future[np.ndarray]":
-        """Deprecated: ``enqueue(ServeRequest(...))`` is the queue path now.
-
-        The returned future keeps the old contract — it resolves to the
-        raw embedding row and carries serving failures as exceptions.
-        """
-        warnings.warn(
-            "MultiTenantEngine.submit() is deprecated; use "
-            "enqueue(ServeRequest(sample, adapter=...)) and read the "
-            "ServeResult",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if self._closed:
-            raise ServeError("submit() on a closed MultiTenantEngine")
-        return _legacy_future(self.enqueue(ServeRequest(sample=sample, adapter=adapter)))
-
-    def dispatch(self, batch: Sequence[tuple[str, np.ndarray]]) -> list[np.ndarray]:
-        """Deprecated: build :class:`ServeRequest` lists and ``serve()``.
-
-        ``batch`` is ``(adapter_name, sample)`` pairs; the result is one
-        embedding row per pair, in request order, with the same
-        cross-tenant grouping the micro-batcher applies.
-        """
-        warnings.warn(
-            "MultiTenantEngine.dispatch() is deprecated; build a list of "
-            "ServeRequest objects and call serve()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if self._closed:
-            raise ServeError("dispatch() on a closed MultiTenantEngine")
-        requests = [ServeRequest(sample=sample, adapter=name) for name, sample in batch]
-        return [result.require() for result in self.serve(requests)]
+    # -- heterogeneous grouping -----------------------------------------------
 
     @staticmethod
     def _group_indices(entries: Sequence[AdapterEntry]) -> list[list[int]]:
@@ -1046,146 +864,13 @@ class MultiTenantEngine:
         )
         return [np.ascontiguousarray(out[i]) for i in range(count)]
 
-    # -- worker ---------------------------------------------------------------
-
-    def _ensure_worker(self) -> None:
-        with self._worker_lock:
-            if self._worker is not None and self._worker.is_alive():
-                return
-            self._stop.clear()
-            self._worker = threading.Thread(
-                target=self._worker_loop, name="repro-serve-batcher", daemon=True
-            )
-            self._worker.start()
-
-    def _worker_loop(self) -> None:
-        while True:
-            try:
-                first = self._queue.get(timeout=0.05)
-            except queue.Empty:
-                if self._stop.is_set():
-                    return
-                continue
-            self._process(self._gather(first))
-
-    def _gather(self, first: _Request) -> list[_Request]:
-        """Coalesce queued requests after ``first``, bounded by
-        ``max_batch`` and by ``max_delay`` seconds since the first."""
-        batch = [first]
-        deadline = time.perf_counter() + self.max_delay
-        while len(batch) < self.max_batch:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                break
-            try:
-                batch.append(self._queue.get(timeout=remaining))
-            except queue.Empty:
-                break
-        return batch
-
-    def _process(self, requests: list[_Request]) -> None:
-        queued = time.perf_counter()
-        if self._abort.is_set():
-            # close() gave up on the drain: answer, never hang a caller.
-            for item in requests:
-                item.future.set_result(
-                    ServeResult.failure(
-                        ERROR, "MultiTenantEngine closed before serving this request"
-                    )
-                )
-            return
-        self._hist("serve.queue.depth", self._queue.qsize())
-        live: list[_Request] = []
-        for item in requests:
-            if item.request.expired(queued):
-                self._inc("serve.request.deadline_missed", tenant=item.adapter)
-                elapsed = queued - item.request.created_at
-                item.future.set_result(
-                    ServeResult.failure(
-                        DEADLINE_MISSED,
-                        f"SLO budget of {item.request.deadline}s lapsed in queue",
-                        Timings(queue_seconds=elapsed, total_seconds=elapsed),
-                    )
-                )
-            else:
-                live.append(item)
-        # Resolve entries at dispatch time: a swap() between enqueue and
-        # dispatch serves the *new* weights; an evict fails the request.
-        resolved: list[tuple[_Request, AdapterEntry]] = []
-        for item in live:
-            try:
-                resolved.append((item, self.registry.get(item.adapter)))
-            except ServeError as exc:
-                item.future.set_result(ServeResult.failure(ERROR, str(exc)))
-        if not resolved:
-            return
-        entries = [entry for __, entry in resolved]
-        with TRACER.span("serve.batch", size=len(resolved)):
-            for indices in self._group_indices(entries):
-                group = [resolved[i] for i in indices]
-                group_entries = [entry for __, entry in group]
-                run_started = time.perf_counter()
-                try:
-                    rows = self._serve_group(
-                        group_entries, [item.request.sample for item, __ in group]
-                    )
-                except BaseException as exc:  # surface kernel errors to callers
-                    for item, __ in group:
-                        item.future.set_result(
-                            ServeResult.failure(ERROR, f"serving failed: {exc}")
-                        )
-                    continue
-                run_done = time.perf_counter()
-                for item, __ in group:
-                    self._inc("serve.requests", tenant=item.adapter)
-                self._inc("serve.batches")
-                self._hist("serve.batch.size", len(group))
-                self._hist(
-                    "serve.batch.tenants", len({entry.name for entry in group_entries})
-                )
-                waited = sum(queued - item.enqueued_at for item, __ in group)
-                self._inc("serve.queue_wait", len(group), seconds=waited)
-                for (item, __), row in zip(group, rows):
-                    if item.key is not None:
-                        self._cache_put(item.key, row)
-                        row = row.copy()
-                    item.future.set_result(
-                        ServeResult(
-                            embedding=row,
-                            timings=Timings(
-                                queue_seconds=run_started - item.request.created_at,
-                                run_seconds=run_done - run_started,
-                                total_seconds=run_done - item.request.created_at,
-                            ),
-                        )
-                    )
-
-    # -- LRU result cache -----------------------------------------------------
-
-    def _cache_get(self, key: tuple) -> np.ndarray | None:
-        with self._stats_lock:
-            row = self._cache.get(key)
-            if row is None:
-                return None
-            self._cache.move_to_end(key)
-            return row.copy()
-
-    def _cache_put(self, key: tuple, row: np.ndarray) -> None:
-        with self._stats_lock:
-            self._cache[key] = row
-            self._cache.move_to_end(key)
-            while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
-                self._metrics.inc("serve.cache.evict")
-                OBS.enabled and OBS.inc("serve.cache.evict")
-
     # -- lifecycle ------------------------------------------------------------
 
     def stats(self) -> dict[str, dict]:
         """Engine + registry counters in the unified snapshot schema.
 
         The engine's own series (bare names, plus ``{tenant=...}``
-        labeled twins when ``tenant_labels`` is on) are merged with its
+        labeled twins) are merged with its
         registry's (``serve.program_cache.*``, ``serve.registry.*``) and
         with the optimizer counters summed over every in-use compiled
         program (``serve.fusion.steps_eliminated``, ``serve.arena.*``,
@@ -1193,7 +878,6 @@ class MultiTenantEngine:
         appear even at zero.
         """
         with self._stats_lock:
-            self._metrics.gauge("serve.cache.size", len(self._cache))
             snapshot = self._metrics.snapshot()
         merged = MetricsRegistry(enabled=True)
         merged.merge(ZERO_SERIES)
@@ -1231,36 +915,13 @@ class MultiTenantEngine:
         )
         return merged.snapshot()
 
-    def close(self, drain_timeout: float | None = None) -> None:
-        """Stop the worker and answer every pending request — never hang.
+    def close(self) -> None:
+        """Mark the engine closed: later ``serve`` calls raise.
 
-        Waits up to ``drain_timeout`` seconds (default: the constructor
-        knob) for the worker to finish queued work.  If the drain times
-        out — a stalled program, a flooded queue — the engine aborts:
-        every request still queued (or picked up after the abort)
-        resolves to an ``error`` :class:`ServeResult`, so callers
-        blocked on futures get a typed failure instead of a hang.
+        The engine holds no thread or queue; a scheduler in front of it
+        drains its own queue on its own ``close``.
         """
-        if self._closed:
-            return
         self._closed = True
-        timeout = self.drain_timeout if drain_timeout is None else float(drain_timeout)
-        self._stop.set()
-        worker = self._worker
-        if worker is not None and worker.is_alive():
-            worker.join(timeout=timeout)
-            if worker.is_alive():
-                self._abort.set()
-        while True:  # belt and braces: fail anything the worker left behind
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            item.future.set_result(
-                ServeResult.failure(
-                    ERROR, "MultiTenantEngine closed before serving this request"
-                )
-            )
 
     def __enter__(self) -> "MultiTenantEngine":
         return self

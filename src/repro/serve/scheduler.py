@@ -1,11 +1,12 @@
 """Continuous batching over :class:`~repro.serve.registry.MultiTenantEngine`.
 
-:class:`BatchScheduler` is the serving frontend's brain: a bounded
-admission queue drained by one scheduler thread into micro-batches.
-Unlike the engine's own micro-batcher (which coalesces on a fixed
-``max_delay`` window), the scheduler batches *continuously* — the next
-batch forms from whatever arrived while the current batch was running,
-so the batch size adapts to load with no idle waiting:
+:class:`BatchScheduler` is the one queued serving path — the
+frontend's and every shard's brain: a bounded admission queue drained
+by one scheduler thread into micro-batches, each handed to the engine's
+synchronous ``serve``.  It batches *continuously*, with no fixed
+coalescing window — the next batch forms from whatever arrived while
+the current batch was running, so the batch size adapts to load with no
+idle waiting:
 
 - **Admission control.**  ``submit`` is non-blocking; when the queue
   holds ``queue_limit`` requests the new arrival is answered immediately
@@ -99,14 +100,13 @@ class BatchScheduler:
     queue_limit:
         Admission bound; arrival ``queue_limit + 1`` is rejected.
     max_batch:
-        Largest micro-batch (default: the engine's ``max_batch``).
+        Largest micro-batch.
     target_batch_seconds:
         Cost budget one batch aims for; the packer stops adding requests
         once predicted cost crosses it.  Also the upper bound one
         admitted request waits when the queue is otherwise empty.
     drain_timeout:
-        Default ``close()`` drain budget (seconds); ``None`` adopts the
-        engine's ``drain_timeout``.
+        Default ``close()`` drain budget (seconds).
     record_batches:
         Keep the first N dispatched batches — ``(requests, results)``
         pairs — on :attr:`recorded` for bit-identity replay against
@@ -118,27 +118,24 @@ class BatchScheduler:
         engine: MultiTenantEngine,
         *,
         queue_limit: int = 256,
-        max_batch: int | None = None,
+        max_batch: int = 32,
         target_batch_seconds: float = 0.025,
-        drain_timeout: float | None = None,
+        drain_timeout: float = 10.0,
         record_batches: int = 0,
     ) -> None:
         if queue_limit < 1:
             raise ServeError(f"queue_limit must be >= 1, got {queue_limit}")
-        resolved_max = engine.max_batch if max_batch is None else int(max_batch)
-        if resolved_max < 1:
-            raise ServeError(f"max_batch must be >= 1, got {resolved_max}")
+        if max_batch < 1:
+            raise ServeError(f"max_batch must be >= 1, got {max_batch}")
         if target_batch_seconds <= 0:
             raise ServeError(
                 f"target_batch_seconds must be > 0, got {target_batch_seconds}"
             )
         self.engine = engine
         self.queue_limit = int(queue_limit)
-        self.max_batch = resolved_max
+        self.max_batch = int(max_batch)
         self.target_batch_seconds = float(target_batch_seconds)
-        self.drain_timeout = (
-            engine.drain_timeout if drain_timeout is None else float(drain_timeout)
-        )
+        self.drain_timeout = float(drain_timeout)
         self.record_batches = int(record_batches)
         #: First ``record_batches`` dispatched batches, as
         #: ``(list[ServeRequest], list[ServeResult])`` pairs.

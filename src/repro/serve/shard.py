@@ -193,17 +193,13 @@ def _shard_worker_main(shard_id: int, host: str, port: int, token: str, config: 
         with write_lock:
             conn.sendall(encode_frame(header, payload))
 
-    engine = MultiTenantEngine(
-        cache_size=int(config.get("cache_size", 0)),
-        max_batch=int(config.get("max_batch", 32)),
-        precision=config.get("precision"),
-        drain_timeout=float(config.get("drain_timeout", 10.0)),
-    )
+    engine = MultiTenantEngine(precision=config.get("precision"))
     scheduler = BatchScheduler(
         engine,
         queue_limit=int(config.get("queue_limit", 256)),
-        max_batch=int(config.get("scheduler_max_batch") or config.get("max_batch", 32)),
+        max_batch=int(config.get("max_batch", 32)),
         target_batch_seconds=float(config.get("target_batch_seconds", 0.025)),
+        drain_timeout=float(config.get("drain_timeout", 10.0)),
         record_batches=int(config.get("record_batches", 0)),
     )
 
@@ -311,7 +307,7 @@ def _shard_worker_main(shard_id: int, host: str, port: int, token: str, config: 
                 elif op == "close":
                     closing = True
                     scheduler.close(header.get("drain"))
-                    engine.close(0.0)
+                    engine.close()
                     send(
                         {
                             "id": request_id,
@@ -333,7 +329,7 @@ def _shard_worker_main(shard_id: int, host: str, port: int, token: str, config: 
     finally:
         if not closing:
             scheduler.close(0.0)
-            engine.close(0.0)
+            engine.close()
         try:
             conn.close()
         except OSError:
@@ -381,11 +377,11 @@ class ShardedEngine:
         ``fork`` | ``spawn`` | ``forkserver`` (default: the
         ``REPRO_SHARD_START`` environment variable, else ``fork`` where
         available).
-    queue_limit / max_batch / target_batch_seconds / record_batches:
-        Forwarded to each shard's :class:`BatchScheduler`.
-    cache_size / precision / drain_timeout:
-        Forwarded to each shard's :class:`MultiTenantEngine`;
+    queue_limit / max_batch / target_batch_seconds / record_batches / drain_timeout:
+        Forwarded to each shard's :class:`BatchScheduler`;
         ``drain_timeout`` is also the default ``close()`` budget.
+    precision:
+        Forwarded to each shard's :class:`MultiTenantEngine`.
     heartbeat_interval:
         Seconds between monitor sweeps (process liveness + restart).
     spill_margin:
@@ -402,7 +398,6 @@ class ShardedEngine:
         max_batch: int | None = None,
         target_batch_seconds: float = 0.025,
         record_batches: int = 0,
-        cache_size: int = 0,
         precision: str | None = None,
         drain_timeout: float = 10.0,
         heartbeat_interval: float = 0.25,
@@ -423,7 +418,6 @@ class ShardedEngine:
             "max_batch": 32 if max_batch is None else int(max_batch),
             "target_batch_seconds": float(target_batch_seconds),
             "record_batches": int(record_batches),
-            "cache_size": int(cache_size),
             "precision": precision,
             "drain_timeout": float(drain_timeout),
         }

@@ -1,4 +1,4 @@
-"""Shared utilities: seeded RNG, registries, serialization, timing, profiling."""
+"""Shared utilities: seeded RNG, registries, serialization, timing, logging."""
 
 from repro.utils.rng import RngMixin, new_rng, spawn_rngs
 from repro.utils.registry import Registry
@@ -11,14 +11,10 @@ from repro.utils.serialization import (
     save_artifact,
 )
 from repro.utils.timing import Timer, time_calls
-from repro.utils.profiling import PROFILER, OpStats, Profiler, profiled
 from repro.utils.logging import enable_console_logging, get_logger
 
 __all__ = [
     "ARTIFACT_VERSION",
-    "OpStats",
-    "PROFILER",
-    "Profiler",
     "Registry",
     "RngMixin",
     "Timer",
@@ -27,7 +23,6 @@ __all__ = [
     "load_arrays",
     "load_artifact",
     "new_rng",
-    "profiled",
     "read_manifest",
     "save_arrays",
     "save_artifact",

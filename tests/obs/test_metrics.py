@@ -60,14 +60,6 @@ class TestKinds:
         with pytest.raises(ObsError, match="is a counter, not a gauge"):
             reg.gauge("name", 1.0)
 
-    def test_legacy_record_reuses_existing_kind(self):
-        reg = registry()
-        reg.observe("op", 0.5)
-        reg.record_legacy("op", calls=2, seconds=0.25)  # untyped: no conflict
-        entry = reg.snapshot()["op"]
-        assert entry["kind"] == "timer"
-        assert entry["calls"] == 3
-
 
 class TestLabels:
     def test_labels_render_sorted_and_parse_back(self):
@@ -108,7 +100,6 @@ class TestDisabledFastPath:
         reg.observe("op2", 0.5)
         reg.gauge("g", 1.0)
         reg.hist("h", 3)
-        reg.record_legacy("l")
         with reg.time("t"):
             pass
         assert reg.snapshot() == {}
@@ -154,30 +145,10 @@ class TestSnapshotsAndMerge:
         with pytest.raises(ObsError, match="unknown kind"):
             registry().merge({"op": {"kind": "meter", "calls": 1}})
 
-    def test_merge_legacy_folds_flat_counters(self):
-        target = MetricsRegistry(enabled=False)
-        target.merge_legacy({"op": {"calls": 2, "seconds": 0.5, "bytes": 8}})
-        assert target.snapshot()["op"] == {
-            "kind": "counter",
-            "calls": 2,
-            "seconds": 0.5,
-            "bytes": 8,
-        }
-
     def test_totals_reports_calls_seconds_bytes(self):
         reg = registry()
         reg.inc("op", 2, seconds=0.5, bytes=4)
         assert reg.totals() == {"op": (2, 0.5, 4)}
-
-    def test_legacy_counters_flatten_histograms(self):
-        reg = registry()
-        reg.hist("serve.batch.size", 8)
-        reg.hist("serve.batch.size", 8)
-        reg.inc("serve.batches", 2)
-        flat = reg.legacy_counters()
-        assert flat["serve.batch.size.8"]["calls"] == 2
-        assert "serve.batch.size" not in flat
-        assert flat["serve.batches"]["calls"] == 2
 
     def test_reset_clears_series(self):
         reg = registry()
@@ -200,3 +171,31 @@ class TestObservedContext:
 
         with observed(trace=False):
             assert OBS.enabled and not TRACER.enabled
+
+
+class TestInstrumentedOps:
+    """The autograd hot paths report into :data:`OBS` while it is enabled."""
+
+    def test_einsum_counters_fire(self, rng):
+        from repro.autograd import Tensor, ops
+
+        ops.clear_einsum_plan_cache()
+        with observed(trace=False):
+            a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+            b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+            ops.einsum("ij,jk->ik", a, b).sum().backward()
+        counters = OBS.snapshot()
+        assert counters["einsum.forward"]["calls"] >= 1
+        assert counters["einsum.backward"]["calls"] >= 1
+
+    def test_conv_counters_fire(self, rng):
+        from repro.autograd import Tensor, conv_ops
+
+        conv_ops.clear_conv_caches()
+        with observed(trace=False):
+            x = Tensor(rng.normal(size=(1, 2, 6, 6)))
+            w = Tensor(rng.normal(size=(3, 3, 2, 2)), requires_grad=True)
+            conv_ops.conv2d(x, w, None, stride=1, padding=1).sum().backward()
+        counters = OBS.snapshot()
+        assert counters["conv2d.forward"]["calls"] >= 1
+        assert counters["conv2d.backward"]["calls"] >= 1

@@ -25,7 +25,7 @@ from repro.perf import (
     render_fault_key,
 )
 from repro.runtime.pool import raise_failures, run_cells
-from repro.utils.profiling import PROFILER, profiled
+from repro.obs import observed
 
 
 def _double(cell):
@@ -118,10 +118,10 @@ class TestRetry:
 
     def test_retry_counters(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "crash:3:1; crash:4")
-        with profiled() as profiler:
-            profiler.reset()
+        with observed(trace=False) as (metrics, __):
+            metrics.reset()
             run_cells(_double, [3, 4], max_retries=2, retry_backoff=0.0)
-            counters = profiler.as_dict()
+            counters = metrics.snapshot()
         # Round 1 retries both failed cells, round 2 retries the permanent one.
         assert counters["retry.attempt"]["calls"] == 3
         assert counters["retry.backoff"]["calls"] == 2
@@ -137,10 +137,10 @@ class TestRetry:
 
     def test_backoff_is_exponential(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "crash:3")
-        with profiled() as profiler:
-            profiler.reset()
+        with observed(trace=False) as (metrics, __):
+            metrics.reset()
             run_cells(_double, [3], max_retries=3, retry_backoff=0.001)
-            counters = profiler.as_dict()
+            counters = metrics.snapshot()
         # 0.001 + 0.002 + 0.004 between the four attempts.
         assert counters["retry.backoff"]["seconds"] == pytest.approx(0.007)
 
@@ -154,10 +154,10 @@ class TestRetry:
 class TestTimeout:
     def test_stalled_cell_becomes_a_cell_failure(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "stall:3:-1:30")
-        with profiled() as profiler:
-            profiler.reset()
+        with observed(trace=False) as (metrics, __):
+            metrics.reset()
             results = run_cells(_double, [2, 3], cell_timeout=0.2)
-            counters = profiler.as_dict()
+            counters = metrics.snapshot()
         ok, stalled = results
         assert ok.value == 4
         assert not stalled.ok

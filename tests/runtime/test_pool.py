@@ -20,7 +20,7 @@ from repro.runtime import (
     resolve_jobs,
     run_cells,
 )
-from repro.utils.profiling import PROFILER
+from repro.obs import OBS, observed
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="platform has no fork start method"
@@ -46,7 +46,7 @@ def _flags(_):
 
 
 def _marker(_):
-    PROFILER.record("pooltest.marker", 0.5, nbytes=10)
+    OBS.observe("pooltest.marker", 0.5, bytes=10)
     return True
 
 
@@ -135,18 +135,17 @@ class TestPerfAndProfiler:
 
     @needs_fork
     def test_worker_profiler_counters_merge_into_parent(self):
-        PROFILER.reset()
-        PROFILER.enable()
+        OBS.reset()
         try:
-            run_cells(_marker, [1, 2], jobs=2)
-            counters = PROFILER.as_dict()
+            with observed(trace=False):
+                run_cells(_marker, [1, 2], jobs=2)
+            counters = OBS.snapshot()
         finally:
-            PROFILER.disable()
-            PROFILER.reset()
+            OBS.reset()
         assert counters["pooltest.marker"]["calls"] == 2
         assert counters["pooltest.marker"]["seconds"] == pytest.approx(1.0)
 
     def test_disabled_profiler_stays_clean(self):
-        PROFILER.reset()
+        OBS.reset()
         run_cells(_marker, [1, 2], jobs=1)
-        assert "pooltest.marker" not in PROFILER.as_dict()
+        assert "pooltest.marker" not in OBS.snapshot()

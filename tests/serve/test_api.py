@@ -1,14 +1,10 @@
-"""The unified ServeRequest/ServeResult surface and its shims.
+"""The unified ServeRequest/ServeResult surface.
 
-Pins the api_redesign contract: one typed request/response pair for the
-sync, queued and wire paths; the deprecated ``embed``/``submit``/
-``dispatch`` forms warn and stay bit-identical; serving failures are
-typed results, never hangs.
+Pins the contract: one typed request/response pair for the sync, queued
+and wire paths; serving failures are typed results, never hangs.
 """
 
-import threading
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -21,15 +17,13 @@ from repro.serve import (
     OK,
     REJECTED,
     STATUSES,
-    MultiTenantEngine,
+    BatchScheduler,
     ServeRequest,
     ServeResult,
     Timings,
     build_engine,
     ingest_sample,
 )
-from repro.utils.rng import new_rng
-from tests.serve.conftest import serve_bulk
 
 
 def images_for(rng, n=4):
@@ -38,7 +32,7 @@ def images_for(rng, n=4):
 
 @pytest.fixture
 def engine(rng):
-    with build_engine(resnet_small(4, rng), cache_size=0) as engine:
+    with build_engine(resnet_small(4, rng)) as engine:
         yield engine
 
 
@@ -106,9 +100,10 @@ class TestDeadlineSemantics:
     def test_queue_path_answers_expired_requests(self, engine, rng):
         request = ServeRequest(sample=images_for(rng, 1)[0], deadline=1e-6)
         time.sleep(0.01)
-        result = engine.enqueue(request).result(timeout=10.0)
-        assert result.status == DEADLINE_MISSED
-        assert engine.stats()["serve.request.deadline_missed"]["calls"] == 1
+        with BatchScheduler(engine) as scheduler:
+            result = scheduler.submit(request).result(timeout=10.0)
+            assert result.status == DEADLINE_MISSED
+            assert scheduler.stats()["serve.request.deadline_missed"]["calls"] == 1
 
     def test_generous_deadline_serves_normally(self, engine, rng):
         result = engine.serve(
@@ -125,105 +120,18 @@ class TestStatsSeries:
         assert stats["serve.queue.depth"]["kind"] == "histogram"
 
 
-class TestCloseSemantics:
-    def test_close_with_stalled_worker_fails_futures_not_hangs(self, rng):
-        """The close() hang fix: a wedged batch can't block shutdown."""
-        engine = build_engine(
-            resnet_small(4, rng), cache_size=0, max_delay=0.01
-        )
-        release = threading.Event()
-        original = engine._core._run_entry
-
-        def stalled(entry, batch):
-            release.wait(timeout=30.0)
-            return original(entry, batch)
-
-        engine._core._run_entry = stalled
-        futures = [
-            engine.enqueue(ServeRequest(sample=sample))
-            for sample in images_for(rng, 3)
-        ]
-        time.sleep(0.05)  # let the worker pick up (and stall on) a batch
-        started = time.perf_counter()
-        engine.close(drain_timeout=0.2)
-        assert time.perf_counter() - started < 5.0  # no hang
-        release.set()
-        for future in futures:
-            result = future.result(timeout=10.0)
-            # Served before the stall, or failed with a typed error —
-            # never an exception on the future, never a hang.
-            assert isinstance(result, ServeResult)
-            if not result.ok:
-                assert result.status == ERROR
-
-    def test_drain_timeout_knob_validated(self, rng):
-        with pytest.raises(ServeError, match="drain_timeout"):
-            MultiTenantEngine(drain_timeout=-0.5)
-
-
-class TestDeprecatedShims:
-    def test_embed_warns_and_matches_serve(self, engine, rng):
-        images = images_for(rng, 5)
-        expected = serve_bulk(engine, images, batch_size=2)
-        with pytest.warns(DeprecationWarning, match="embed"):
-            out = engine.embed(images, batch_size=2)
-        assert np.array_equal(out, expected)
-
-    def test_submit_warns_and_matches_enqueue(self, engine, rng):
-        sample = images_for(rng, 1)[0]
-        expected = engine.enqueue(
-            ServeRequest(sample=sample)
-        ).result(timeout=10.0).require()
-        with pytest.warns(DeprecationWarning, match="submit"):
-            future = engine.submit(sample)
-        assert np.array_equal(future.result(timeout=10.0), expected)
-
-    def test_submit_future_raises_like_before(self, rng):
-        """The legacy future carries failures as exceptions, not results."""
-        engine = build_engine(resnet_small(4, rng), cache_size=0)
-        with pytest.warns(DeprecationWarning):
-            future = engine.submit(images_for(rng, 1)[0])
-        future.result(timeout=10.0)  # serves fine
-        request = ServeRequest(sample=images_for(rng, 1)[0], deadline=1e-6)
-        time.sleep(0.01)
-        from repro.serve.registry import _legacy_future
-
-        legacy = _legacy_future(engine.enqueue(request))
-        with pytest.raises(ServeError, match="deadline_missed"):
-            legacy.result(timeout=10.0)
-        engine.close()
-
-    def test_multi_tenant_shims_warn_and_match(self, rng):
-        model = resnet_small(4, rng)
-        images = images_for(rng, 4)
-        engine = MultiTenantEngine(cache_size=0, max_delay=0.1)
-        engine.register("a", model)
-        try:
-            expected = serve_bulk(engine, images, adapter="a")
-            with pytest.warns(DeprecationWarning, match="embed"):
-                assert np.array_equal(engine.embed(images, "a"), expected)
-            with pytest.warns(DeprecationWarning, match="dispatch"):
-                rows = engine.dispatch([("a", sample) for sample in images])
-            direct = engine.serve(
-                [ServeRequest(sample=sample, adapter="a") for sample in images]
-            )
-            for row, result in zip(rows, direct):
-                assert np.array_equal(row, result.require())
-            with pytest.warns(DeprecationWarning, match="submit"):
-                future = engine.submit(images[0], "a")
-            assert future.result(timeout=10.0).ndim == 1
-        finally:
-            engine.close()
-
+class TestRequestValidation:
     def test_serve_rejects_non_requests(self, engine):
         with pytest.raises(ServeError, match="ServeRequest"):
             engine.serve([np.zeros((3, 16, 16), dtype=np.float32)])
-        with pytest.raises(ServeError, match="ServeRequest"):
-            engine.enqueue(np.zeros((3, 16, 16), dtype=np.float32))
+        with BatchScheduler(engine) as scheduler:
+            with pytest.raises(ServeError, match="ServeRequest"):
+                scheduler.submit(np.zeros((3, 16, 16), dtype=np.float32))
 
-    def test_enqueue_rejects_batched_samples(self, engine, rng):
-        with pytest.raises(ServeError, match="single-sample"):
-            engine.enqueue(ServeRequest(sample=images_for(rng, 2)))
+    def test_submit_rejects_batched_samples(self, engine, rng):
+        with BatchScheduler(engine) as scheduler:
+            with pytest.raises(ServeError, match="single-sample"):
+                scheduler.submit(ServeRequest(sample=images_for(rng, 2)))
 
 
 class TestStatusConstant:

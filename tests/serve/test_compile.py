@@ -108,7 +108,8 @@ class TestMergedFastPath:
         engine = build_engine(result)
         assert result.state == "merged"
         # The program was compiled from the merged model: no adapter steps.
-        assert not any("lora" in line for line in engine.program.describe())
+        program = engine.registry.get(engine.default_adapter).program
+        assert not any("lora" in line for line in program.describe())
         from tests.serve.conftest import assert_serving_match, serve_bulk
 
         assert_serving_match(
@@ -121,7 +122,8 @@ class TestMergedFastPath:
         result = attach(model, "meta_tr", rank=2, rng=rng)
         engine = build_engine(result)
         assert result.state == "attached"  # meta adapters cannot merge
-        assert any("meta_tr" in line for line in engine.program.describe())
+        program = engine.registry.get(engine.default_adapter).program
+        assert any("meta_tr" in line for line in program.describe())
         engine.close()
 
 

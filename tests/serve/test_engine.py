@@ -1,7 +1,8 @@
-"""EmbeddingEngine: bulk path, micro-batcher, result cache, lifecycle.
+"""build_engine: bulk path, the queued path, lifecycle, protocol routing.
 
-Exercises the typed ``serve``/``enqueue`` surface (see
-tests/serve/test_api.py for the deprecated ``embed``/``submit`` shims).
+``build_engine`` returns a ``MultiTenantEngine`` whose default tenant
+is the compiled model; the queued path is a ``BatchScheduler`` in front
+of it.
 """
 
 import numpy as np
@@ -10,9 +11,9 @@ import pytest
 from repro.errors import ServeError
 from repro.eval.embeddings import extract_embeddings
 from repro.models import resnet_small
+from repro.obs import OBS, observed
 from repro.perf import perf_overrides
-from repro.serve import ENGINES, EmbeddingEngine, ServeRequest, build_engine
-from repro.utils.profiling import PROFILER
+from repro.serve import ENGINES, BatchScheduler, ServeRequest, build_engine
 
 
 @pytest.fixture
@@ -22,7 +23,7 @@ def model(rng):
 
 @pytest.fixture
 def engine(model):
-    with build_engine(model, cache_size=4) as engine:
+    with build_engine(model) as engine:
         yield engine
 
 
@@ -67,131 +68,57 @@ class TestBulkPath:
 
 
 class TestMicroBatcher:
-    def test_enqueued_singles_match_bulk_rows(self, model, rng):
+    def test_enqueued_singles_match_bulk_rows(self, engine, rng):
         from tests.serve.conftest import serve_bulk
 
         images = samples_for(rng, 6)
-        with build_engine(model, max_batch=4, max_delay=0.25, cache_size=0) as engine:
+        with BatchScheduler(engine, max_batch=4) as scheduler:
             rows = resolve(
-                [engine.enqueue(ServeRequest(sample=sample)) for sample in images]
+                [scheduler.submit(ServeRequest(sample=sample)) for sample in images]
             )
-            bulk = serve_bulk(engine, images, batch_size=1)
-            for index, row in enumerate(rows):
-                assert np.array_equal(row, bulk[index])
-            stats = engine.stats()
-            assert stats["serve.requests"]["calls"] == 6
-            # A generous max_delay lets the worker coalesce: strictly fewer
-            # program runs than requests.
-            assert 1 <= stats["serve.batches"]["calls"] < 6
-            # stats() speaks the unified metrics-snapshot schema.
-            assert all("kind" in entry for entry in stats.values())
-            assert sum(stats["serve.batch.size"]["buckets"].values()) == (
-                stats["serve.batches"]["calls"]
-            )
+            stats = scheduler.stats()
+        bulk = serve_bulk(engine, images, batch_size=1)
+        for index, row in enumerate(rows):
+            assert np.array_equal(row, bulk[index])
+        assert stats["serve.requests"]["calls"] == 6
+        assert 1 <= stats["serve.batches"]["calls"] <= 6
+        # stats() speaks the unified metrics-snapshot schema.
+        assert all("kind" in entry for entry in stats.values())
+        assert sum(stats["serve.batch.size"]["buckets"].values()) == (
+            stats["serve.batches"]["calls"]
+        )
 
-    def test_flush_on_timeout_without_filling_batch(self, model, rng):
-        with build_engine(model, max_batch=64, max_delay=0.01, cache_size=0) as engine:
-            future = engine.enqueue(ServeRequest(sample=samples_for(rng, 1)[0]))
-            result = future.result(timeout=10.0)
-            assert result.ok
-            width = engine.serve(
-                ServeRequest(sample=samples_for(rng, 1))
-            ).require().shape[1]
-            assert result.embedding.shape == (width,)
-            # The queue path stamps queue/run/total wall-clock timings.
-            assert result.timings.total_seconds >= result.timings.run_seconds > 0
-            assert engine.stats()["serve.batches"]["calls"] >= 1
-
-    def test_batch_size_counters(self, model, rng):
+    def test_batch_size_counters(self, engine, rng):
         images = samples_for(rng, 3)
-        with build_engine(model, max_batch=8, max_delay=0.25, cache_size=0) as engine:
-            PROFILER.reset()
-            PROFILER.enable()
-            try:
+        OBS.reset()
+        try:
+            with observed(trace=False), BatchScheduler(engine) as scheduler:
                 resolve(
-                    [engine.enqueue(ServeRequest(sample=sample)) for sample in images]
+                    [scheduler.submit(ServeRequest(sample=sample)) for sample in images]
                 )
-            finally:
-                PROFILER.disable()
-            counters = PROFILER.as_dict()
-            assert counters["serve.requests"]["calls"] == 3
-            assert "serve.queue_wait" in counters
-            assert any(name.startswith("serve.batch.size.") for name in counters)
-
-
-class TestResultCache:
-    def test_repeat_enqueue_hits_cache(self, model, rng):
-        sample = samples_for(rng, 1)[0]
-        with build_engine(model, max_delay=0.0, cache_size=4) as engine:
-            first = resolve([engine.enqueue(ServeRequest(sample=sample))])[0]
-            second = resolve([engine.enqueue(ServeRequest(sample=sample))])[0]
-            assert np.array_equal(first, second)
-            stats = engine.stats()
-            assert stats["serve.cache.hit"]["calls"] == 1
-            assert stats["serve.cache.miss"]["calls"] == 1
-            # The hit never reached the program.
-            assert stats["serve.batches"]["calls"] == 1
-
-    def test_lru_eviction(self, model, rng):
-        images = samples_for(rng, 3)
-        with build_engine(model, max_delay=0.0, cache_size=2) as engine:
-            resolve([engine.enqueue(ServeRequest(sample=sample)) for sample in images])
-            stats = engine.stats()
-            assert stats["serve.cache.evict"]["calls"] >= 1
-            assert stats["serve.cache.size"]["value"] <= 2
-            # The oldest entry is gone: resubmitting it misses again.
-            resolve([engine.enqueue(ServeRequest(sample=images[0]))])
-            assert engine.stats()["serve.cache.miss"]["calls"] >= 4
-
-    def test_cached_rows_survive_caller_mutation(self, model, rng):
-        sample = samples_for(rng, 1)[0]
-        with build_engine(model, max_delay=0.0, cache_size=4) as engine:
-            first = resolve([engine.enqueue(ServeRequest(sample=sample))])[0]
-            expected = first.copy()
-            first[...] = -1.0
-            assert np.array_equal(
-                resolve([engine.enqueue(ServeRequest(sample=sample))])[0], expected
-            )
-
-    def test_cache_disabled(self, model, rng):
-        sample = samples_for(rng, 1)[0]
-        with build_engine(model, max_delay=0.0, cache_size=0) as engine:
-            resolve(
-                [
-                    engine.enqueue(ServeRequest(sample=sample)),
-                    engine.enqueue(ServeRequest(sample=sample)),
-                ]
-            )
-            stats = engine.stats()
-            assert "serve.cache.hit" not in stats  # caching never engaged
-            assert stats["serve.batches"]["calls"] >= 1
+            counters = OBS.snapshot()
+        finally:
+            OBS.reset()
+        assert counters["serve.requests"]["calls"] == 3
+        assert counters["serve.batch.size"]["kind"] == "histogram"
+        assert counters["serve.batch.tenants"]["buckets"] == {
+            "1": counters["serve.batch.tenants"]["calls"]
+        }
 
 
 class TestLifecycle:
-    def test_invalid_limits_rejected(self, engine):
-        for kwargs in (
-            {"max_batch": 0},
-            {"max_delay": -0.1},
-            {"cache_size": -1},
-            {"drain_timeout": -1.0},
-        ):
-            with pytest.raises(ServeError):
-                EmbeddingEngine(engine.program, **kwargs)
-
     def test_closed_engine_rejects_calls(self, model, rng):
-        engine = build_engine(model, cache_size=0)
+        engine = build_engine(model)
         engine.close()
         with pytest.raises(ServeError, match="closed"):
             engine.serve(ServeRequest(sample=samples_for(rng, 1)))
-        with pytest.raises(ServeError, match="closed"):
-            engine.enqueue(ServeRequest(sample=samples_for(rng, 1)[0]))
         engine.close()  # idempotent
 
-    def test_close_drains_pending_work(self, model, rng):
+    def test_close_drains_pending_work(self, engine, rng):
         images = samples_for(rng, 4)
-        engine = build_engine(model, max_batch=4, max_delay=0.05, cache_size=0)
-        futures = [engine.enqueue(ServeRequest(sample=sample)) for sample in images]
-        engine.close()
+        scheduler = BatchScheduler(engine, max_batch=4)
+        futures = [scheduler.submit(ServeRequest(sample=sample)) for sample in images]
+        scheduler.close()
         for future in futures:
             # Either served before shutdown or resolved to a typed error
             # result — never left hanging, never an exception on the future.

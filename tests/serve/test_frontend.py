@@ -37,7 +37,7 @@ from tests.serve.test_registry import (
 
 @pytest.fixture
 def engine(rng):
-    engine = MultiTenantEngine(cache_size=0)
+    engine = MultiTenantEngine()
     engine.register("solo", resnet_small(4, rng))
     yield engine
     engine.close()
@@ -47,7 +47,7 @@ def three_tenant_engine():
     """Static + two seed-slot MetaLoRA tenants (shared extractor/body)."""
     meta_b = meta_model(seed=10)
     perturb_mapping(meta_b, np.random.default_rng(7))
-    engine = MultiTenantEngine(cache_size=0)
+    engine = MultiTenantEngine()
     engine.register("static", static_lora_result(0))
     engine.register("meta_a", meta_model(seed=10))
     engine.register("meta_b", meta_b)
@@ -442,3 +442,71 @@ class TestSLOPathsUnderStalls:
             assert stats["serve.request.rejected"]["calls"] >= 1
             assert stats["serve.request.deadline_missed"]["calls"] >= 1
             assert sum(stats["serve.queue.depth"]["buckets"].values()) >= 1
+
+
+class TestPerRequestTenantResolution:
+    """An unknown or evicted tenant fails only its own requests, never the
+    micro-batch it was co-batched with.  A ``REPRO_FAULTS`` stall on batch
+    0 holds the worker while the mixed batch queues up behind it."""
+
+    @staticmethod
+    def stalled_scheduler(engine, rng, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "stall:serve.batch:1:0.3")
+        # A generous cost budget: the stalled batch 0 teaches the cost
+        # model ~0.3 s per sample, which must not split the next batch.
+        scheduler = BatchScheduler(engine, target_batch_seconds=60.0, record_batches=2)
+        warm = scheduler.submit(
+            ServeRequest(sample=images_for(rng, 1)[0], adapter="solo")
+        )
+        deadline = time.perf_counter() + 5.0
+        while (
+            scheduler.stats().get("serve.batches", {}).get("calls", 0) < 1
+            and time.perf_counter() < deadline
+        ):
+            time.sleep(0.005)
+        return scheduler, warm
+
+    def test_ghost_request_fails_alone_in_a_shared_batch(self, engine, rng, monkeypatch):
+        scheduler, warm = self.stalled_scheduler(engine, rng, monkeypatch)
+        samples = images_for(rng, 2)
+        try:
+            valid = scheduler.submit(ServeRequest(sample=samples[0], adapter="solo"))
+            ghost = scheduler.submit(ServeRequest(sample=samples[1], adapter="ghost"))
+            assert warm.result(timeout=10.0).ok
+            valid_result = valid.result(timeout=10.0)
+            ghost_result = ghost.result(timeout=10.0)
+        finally:
+            scheduler.close()
+        assert valid_result.ok, valid_result.error
+        assert ghost_result.status == ERROR
+        assert "unknown adapter 'ghost'" in ghost_result.error
+        direct = engine.serve(ServeRequest(sample=samples[0], adapter="solo"))
+        assert np.array_equal(valid_result.require(), direct.require())
+        requests, __ = scheduler.recorded[1]  # the two shared one batch
+        assert [request.adapter for request in requests] == ["solo", "ghost"]
+
+    def test_tenant_evicted_before_its_batch_runs_fails_only_its_requests(
+        self, engine, rng, monkeypatch
+    ):
+        engine.register("doomed", static_lora_result(0))
+        scheduler, warm = self.stalled_scheduler(engine, rng, monkeypatch)
+        samples = images_for(rng, 3)
+        names = ["doomed", "solo", "doomed"]
+        try:
+            futures = [
+                scheduler.submit(ServeRequest(sample=sample, adapter=name))
+                for sample, name in zip(samples, names)
+            ]
+            engine.evict("doomed")  # after admission, before the batch runs
+            assert warm.result(timeout=10.0).ok
+            results = [future.result(timeout=10.0) for future in futures]
+        finally:
+            scheduler.close()
+        assert results[1].ok, results[1].error
+        for result in (results[0], results[2]):
+            assert result.status == ERROR
+            assert "unknown adapter 'doomed'" in result.error
+        direct = engine.serve(ServeRequest(sample=samples[1], adapter="solo"))
+        assert np.array_equal(results[1].require(), direct.require())
+        requests, __ = scheduler.recorded[1]  # the three shared one batch
+        assert [request.adapter for request in requests] == names

@@ -369,9 +369,7 @@ class TestEngineCounters:
     def test_stats_carry_optimizer_series(self, rng):
         from tests.serve.conftest import serve_bulk
 
-        with build_engine(
-            resnet_small(4, rng), cache_size=0, precision="f32"
-        ) as engine:
+        with build_engine(resnet_small(4, rng), precision="f32") as engine:
             serve_bulk(engine, images_for(rng, 4))
             stats = engine.stats()
         for name in (

@@ -19,9 +19,7 @@ from repro.peft import (
     state_digest,
 )
 from repro.serve import (
-    ENGINES,
     AdapterRegistry,
-    EmbeddingEngine,
     MultiTenantEngine,
     ServeRequest,
     build_engine,
@@ -212,29 +210,25 @@ class TestDigest:
 
 
 class TestMultiTenantServing:
-    def test_single_tenant_engine_matches_embedding_engine(self, rng):
-        """Acceptance: one-tenant MultiTenantEngine ≡ EmbeddingEngine."""
+    def test_single_tenant_engine_matches_build_engine(self, rng):
+        """Acceptance: a registered tenant ≡ ``build_engine``'s program."""
         model = meta_model(seed=10)
         images = images_for(rng, 5)
-        with build_engine(model, cache_size=0) as single:
+        with build_engine(model) as single:
             reference = serve_bulk(single, images)
-        # A generous max_delay lets the worker coalesce all enqueues into
-        # one flush, so the meta mapping net sees the same row composition
-        # as the 5-row reference chunk (it is not batch-composition
-        # invariant — that is why grouped dispatch runs it per-tenant).
-        engine = MultiTenantEngine(cache_size=0, max_delay=0.25)
+        engine = MultiTenantEngine()
         engine.register("only", model)
         try:
             assert np.array_equal(serve_bulk(engine, images, adapter="only"), reference)
-            rows = [
-                f.result(timeout=10.0).require()
-                for f in [
-                    engine.enqueue(ServeRequest(sample=sample, adapter="only"))
-                    for sample in images
-                ]
-            ]
-            for index, row in enumerate(rows):
-                assert np.array_equal(row, reference[index])
+            # Five singles in one call: the meta mapping net sees the same
+            # row composition as the 5-row reference chunk (it is not
+            # batch-composition invariant — that is why grouped dispatch
+            # runs it per-tenant).
+            results = engine.serve(
+                [ServeRequest(sample=sample, adapter="only") for sample in images]
+            )
+            for index, result in enumerate(results):
+                assert np.array_equal(result.require(), reference[index])
         finally:
             engine.close()
 
@@ -250,13 +244,10 @@ class TestMultiTenantServing:
 
         reference = {}
         for name, source in (("static", static), ("meta_a", meta_a), ("meta_b", meta_b)):
-            with build_engine(source, cache_size=0) as engine:
+            with build_engine(source) as engine:
                 reference[name] = serve_bulk(engine, images[name])
 
-        # Generous max_delay: one flush per submit burst, so each meta
-        # tenant's mapping net sees the same 2-row composition as its
-        # reference chunks.
-        engine = MultiTenantEngine(cache_size=0, max_delay=0.25)
+        engine = MultiTenantEngine()
         engine.register("static", static)  # already merged by build_engine
         engine.register("meta_a", meta_a)
         engine.register("meta_b", meta_b)
@@ -264,10 +255,11 @@ class TestMultiTenantServing:
             # Seed-slot tenants share extractor+body: their requests stack.
             entries = [engine.registry.get(n) for n in ("meta_a", "meta_b")]
             assert entries[0].body is entries[1].body
+            batch_names = ("static", "meta_a", "meta_b")
             batch = [
                 (name, images[name][index])
                 for index in range(2)
-                for name in ("static", "meta_a", "meta_b")
+                for name in batch_names
             ]
             results = engine.serve(
                 [ServeRequest(sample=sample, adapter=name) for name, sample in batch]
@@ -277,39 +269,34 @@ class TestMultiTenantServing:
                 assert np.array_equal(
                     results[position].require(), reference[name][index]
                 )
-            # The same identity holds through the queued enqueue path.
-            futures = [
-                (
-                    name,
-                    index,
-                    engine.enqueue(
-                        ServeRequest(sample=images[name][index], adapter=name)
-                    ),
-                )
-                for index in range(2)
-                for name in ("static", "meta_a", "meta_b")
-            ]
-            for name, index, future in futures:
-                assert np.array_equal(
-                    future.result(timeout=10.0).require(), reference[name][index]
-                )
+            # The same identity holds for the batch in tenant-major order
+            # (each meta tenant's mapping net still sees its 2 rows).
+            grouped = [(name, index) for name in batch_names for index in range(2)]
+            results = engine.serve(
+                [
+                    ServeRequest(sample=images[name][index], adapter=name)
+                    for name, index in grouped
+                ]
+            )
+            for (name, index), result in zip(grouped, results):
+                assert np.array_equal(result.require(), reference[name][index])
             stats = engine.stats()
-            assert stats["serve.requests"]["calls"] == 6
+            assert stats["serve.requests"]["calls"] == 12
             assert "serve.requests{tenant=meta_a}" in stats
             assert sum(stats["serve.batch.tenants"]["buckets"].values()) >= 1
         finally:
             engine.close()
 
     def test_adapter_churn_swap_serves_new_weights(self, rng):
-        """register → serve → swap → serve: new outputs, correct program
-        cache traffic, no stale result-cache hits."""
-        engine = MultiTenantEngine(cache_size=8)
+        """register → serve → swap → serve: new outputs and correct
+        program cache traffic."""
+        engine = MultiTenantEngine()
         model = meta_model(seed=10)
         engine.register("tenant", model)
         sample = images_for(rng, 1)[0]
+
         def embed_one(sample):
-            future = engine.enqueue(ServeRequest(sample=sample, adapter="tenant"))
-            return future.result(timeout=10.0).require()
+            return engine.serve(ServeRequest(sample=sample, adapter="tenant")).require()
 
         try:
             before = embed_one(sample)
@@ -330,47 +317,35 @@ class TestMultiTenantServing:
                 - baseline["serve.program_cache.miss"]["calls"]
             ) == 1
             assert stats["serve.registry.swap"]["calls"] == 1
-            # The identical sample missed the result cache after the swap:
-            # rows cached under version 1 are unreachable from version 2.
-            assert stats["serve.cache.miss"]["calls"] == 2
-            assert "serve.cache.hit" not in stats  # zero stale hits
-            # ...and resubmitting now hits under the new version.
-            again = embed_one(sample)
-            assert np.array_equal(again, after)
-            assert engine.stats()["serve.cache.hit"]["calls"] == 1
+            assert np.array_equal(embed_one(sample), after)
         finally:
             engine.close()
 
     def test_unknown_adapter_raises_everywhere(self, rng):
-        engine = MultiTenantEngine(cache_size=0)
+        engine = MultiTenantEngine()
         sample = images_for(rng, 1)
         try:
+            # An unknown tenant is that request's typed error result.
             with pytest.raises(ServeError, match="unknown adapter"):
-                engine.serve(ServeRequest(sample=sample, adapter="ghost"))
+                engine.serve(ServeRequest(sample=sample, adapter="ghost")).require()
             with pytest.raises(ServeError, match="unknown adapter"):
-                engine.enqueue(ServeRequest(sample=sample[0], adapter="ghost"))
+                engine.serve(
+                    [ServeRequest(sample=sample[0], adapter="ghost")]
+                )[0].require()
         finally:
             engine.close()
 
     def test_closed_engine_rejects_calls(self, rng):
-        engine = MultiTenantEngine(cache_size=0)
+        engine = MultiTenantEngine()
         engine.register("a", static_lora_result(0))
         engine.close()
         with pytest.raises(ServeError, match="closed"):
             engine.serve(ServeRequest(sample=images_for(rng, 1), adapter="a"))
-        with pytest.raises(ServeError, match="closed"):
-            engine.enqueue(ServeRequest(sample=images_for(rng, 1)[0], adapter="a"))
         engine.close()  # idempotent
 
     def test_invalid_limits_rejected(self):
-        for kwargs in (
-            {"max_batch": 0},
-            {"max_delay": -0.1},
-            {"cache_size": -1},
-            {"drain_timeout": -1.0},
-        ):
-            with pytest.raises(ServeError):
-                MultiTenantEngine(**kwargs)
+        with pytest.raises(ServeError, match="program cache capacity"):
+            MultiTenantEngine(program_cache_size=0)
 
 
 class TestBuildEngineValidation:
@@ -398,7 +373,7 @@ class TestEnginesHandle:
     def test_handle_caches_per_model(self, rng):
         from repro.serve.engine import Engines
 
-        handle = Engines(cache_size=0)
+        handle = Engines()
         model = resnet_small(4, rng)
         engine = handle.get(model)
         assert handle.get(model) is engine

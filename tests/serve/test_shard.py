@@ -43,7 +43,7 @@ def fleet():
     """The bench tenants plus a direct single-process reference engine."""
     static, metas = _multi_tenant_models(3)
     models = [static, *metas]
-    reference = MultiTenantEngine(cache_size=0)
+    reference = MultiTenantEngine()
     for name, model in zip(NAMES, models):
         reference.register(name, model)
     yield models, reference
@@ -177,7 +177,7 @@ class TestShardCrash:
 class TestShardRegistry:
     def test_swap_propagates_with_digest_verification(self):
         static, metas = _multi_tenant_models(2)
-        reference = MultiTenantEngine(cache_size=0)
+        reference = MultiTenantEngine()
         engine = ShardedEngine(2)
         try:
             reference.register("m", metas[0])
