@@ -986,23 +986,19 @@ def _knn_accuracy(
     return float(np.mean(knn.predict(query, k) == query_labels))
 
 
-def run_precision_bench(
-    scale: str = "tiny", repeats: int = 3, parallel: int | None = None
-) -> dict:
-    """The precision × fusion × parallelism matrix over both backbones.
+def run_precision_bench(scale: str = "tiny", repeats: int = 3) -> dict:
+    """The precision × fusion matrix over both backbones.
 
     Every row times the *compiled program itself* (chunked ``run`` calls,
     no engine queueing) on the same sample set, against a baseline row
-    compiled exactly like the pre-optimizer serving stack: f64, fusion
-    off, arena off, serial — the configuration the committed BENCH_serve
-    record was produced with.  Checks asserted in-process, so a record
-    can only exist if they passed:
+    compiled exactly like the pre-optimizer serving stack: f64 with
+    fusion off.  Checks asserted in-process, so a record can only exist
+    if they passed:
 
     - both f64 rows are bit-identical to ``extract_embeddings``;
     - per tier, Table-I-style KNN accuracy (cosine, fresh synthetic
       support/query split) drops no more than
-      :data:`PRECISION_ACCURACY_BUDGETS` allows vs the f64 embeddings;
-    - the parallel row matches the serial run of the same tier exactly.
+      :data:`PRECISION_ACCURACY_BUDGETS` allows vs the f64 embeddings.
     """
     from repro.data.synthetic import generate_task_data
     from repro.data.tasks import TaskDistribution
@@ -1013,16 +1009,13 @@ def run_precision_bench(
 
     knn_sizes = _PRECISION_KNN_SCALES[scale]
     workloads = _PRECISION_WORKLOADS[scale]
-    workers = int(parallel) if parallel else min(4, os.cpu_count() or 1)
-    workers = max(workers, 2)
 
-    #: (label, precision, fuse, parallel, arena)
+    #: (label, precision, fuse)
     configs = [
-        ("f64", "f64", False, 1, False),
-        ("f64+fuse", "f64", True, 1, True),
-        ("f32+fuse", "f32", True, 1, True),
-        (f"f32+fuse+par{workers}", "f32", True, workers, True),
-        ("int8+fuse", "int8", True, 1, True),
+        ("f64", "f64", False),
+        ("f64+fuse", "f64", True),
+        ("f32+fuse", "f32", True),
+        ("int8+fuse", "int8", True),
     ]
 
     backbones = []
@@ -1062,15 +1055,8 @@ def run_precision_bench(
         accuracy: dict[str, float] = {}
         rows = []
         baseline_seconds = None
-        serial_outputs: dict[str, np.ndarray] = {}
-        for label, precision, fuse, row_workers, arena in configs:
-            program = compile_features(
-                model, precision=precision, fuse=fuse, parallel=row_workers
-            )
-            program.arena = arena  # explicit: rows must not depend on env knobs
-            # The parallel row measures the thread scheduler itself, so
-            # the serial-seconds cost gate is pinned off per row too.
-            program.parallel_threshold = 0.0
+        for label, precision, fuse in configs:
+            program = compile_features(model, precision=precision, fuse=fuse)
             out = run_chunked(program)
             err = float(np.max(np.abs(out - reference)))
             if precision == "f64" and not np.array_equal(out, reference):
@@ -1078,15 +1064,6 @@ def run_precision_bench(
                     f"precision bench: f64 row {label!r} on {name!r} is not "
                     f"bit-identical to extract_embeddings (max err {err})"
                 )
-            if row_workers > 1:
-                serial = serial_outputs.get(precision)
-                if serial is not None and not np.array_equal(out, serial):
-                    raise ValueError(
-                        f"precision bench: parallel row {label!r} on {name!r} "
-                        f"diverged from the serial {precision} run"
-                    )
-            else:
-                serial_outputs[precision] = out
             if precision not in accuracy:
                 tier_support = embed_knn(program, support_data)
                 tier_query = embed_knn(program, query_data)
@@ -1105,15 +1082,12 @@ def run_precision_bench(
             if baseline_seconds is None:
                 baseline_seconds = seconds
             counters = program.counters()
-            hits, allocs = counters["arena_hits"], counters["arena_allocs"]
             speedup = float(baseline_seconds / max(seconds, 1e-12))
             rows.append(
                 {
                     "label": label,
                     "precision": precision,
                     "fusion": bool(fuse),
-                    "parallel": int(row_workers),
-                    "arena": bool(arena),
                     "seconds": float(seconds),
                     "throughput": float(samples / max(seconds, 1e-12)),
                     "latency_ms": _percentiles_ms(
@@ -1123,11 +1097,6 @@ def run_precision_bench(
                     "speedup_vs_f64": speedup,
                     "fusion_steps_eliminated": int(counters["fusion_eliminated"]),
                     "quantized_weights": int(counters["quantized"]),
-                    "arena_stats": {
-                        "hits": int(hits),
-                        "allocs": int(allocs),
-                        "reuse_rate": float(hits / max(hits + allocs, 1)),
-                    },
                 }
             )
             if precision == "f32" and fuse:
@@ -1163,7 +1132,6 @@ def run_precision_bench(
         )
 
     return {
-        "parallel_workers": int(workers),
         "budgets": dict(PRECISION_ACCURACY_BUDGETS),
         "backbones": backbones,
         "best_speedup_vs_f64": float(best_speedup),
@@ -1183,7 +1151,7 @@ def run_serve_bench(scale: str = "tiny", repeats: int = 3, tenants: int = 4) -> 
     attaches its result as the record's ``multi_tenant`` section
     (``tenants=0`` disables it).  The record always carries a
     ``precision`` section from :func:`run_precision_bench` — the
-    precision × fusion × parallelism matrix.  The baseline entries pin
+    precision × fusion matrix.  The baseline entries pin
     ``precision="f64"`` explicitly so their bit-exactness contract holds
     regardless of ``REPRO_SERVE_PRECISION``.
     """
@@ -2123,11 +2091,6 @@ def validate_bench_record(record: dict) -> None:
     if precision is not None:
         expect(record.get("kind") == "serve", "precision section is serve-only")
         expect(isinstance(precision, dict), "precision must be a dict")
-        expect(
-            isinstance(precision.get("parallel_workers"), int)
-            and precision["parallel_workers"] >= 2,
-            "precision.parallel_workers must be an int >= 2",
-        )
         budgets = precision.get("budgets")
         expect(isinstance(budgets, dict) and {"f32", "int8"} <= set(budgets),
                "precision.budgets must cover f32 and int8")
@@ -2161,13 +2124,11 @@ def validate_bench_record(record: dict) -> None:
                     f"exceeds its budget {budget}",
                 )
             rows = backbone.get("rows")
-            expect(isinstance(rows, list) and len(rows) >= 5,
-                   f"precision backbone {bname!r}: rows must list >= 5 configurations")
+            expect(isinstance(rows, list) and len(rows) >= 4,
+                   f"precision backbone {bname!r}: rows must list >= 4 configurations")
             tiers = {row.get("precision") for row in rows}
             expect({"f64", "f32", "int8"} <= tiers,
                    f"precision backbone {bname!r}: rows must cover every tier")
-            expect(any(row.get("parallel", 1) >= 2 for row in rows),
-                   f"precision backbone {bname!r}: rows must include a parallel run")
             for row in rows:
                 label = row.get("label")
                 expect(isinstance(label, str) and label,
@@ -2193,16 +2154,6 @@ def validate_bench_record(record: dict) -> None:
                         for key in ("p50", "p99")
                     ),
                     f"precision row {label!r}: latency_ms needs finite p50/p99 > 0",
-                )
-                arena = row.get("arena_stats")
-                expect(isinstance(arena, dict), f"precision row {label!r}: arena_stats must be a dict")
-                for key in ("hits", "allocs"):
-                    expect(isinstance(arena.get(key), int) and arena[key] >= 0,
-                           f"precision row {label!r}: arena_stats.{key} must be an int >= 0")
-                rate = arena.get("reuse_rate")
-                expect(
-                    isinstance(rate, (int, float)) and np.isfinite(rate) and 0.0 <= rate <= 1.0,
-                    f"precision row {label!r}: arena_stats.reuse_rate must be in [0, 1]",
                 )
         best = precision.get("best_speedup_vs_f64")
         expect(isinstance(best, (int, float)) and np.isfinite(best) and best > 0,
@@ -2463,8 +2414,7 @@ def format_bench_record(record: dict) -> str:
     precision = record.get("precision")
     if precision:
         lines.append(
-            f"precision matrix ({precision['parallel_workers']} workers; "
-            f"budgets f32<={precision['budgets']['f32']}, "
+            f"precision matrix (budgets f32<={precision['budgets']['f32']}, "
             f"int8<={precision['budgets']['int8']}):"
         )
         for backbone in precision["backbones"]:
@@ -2478,15 +2428,13 @@ def format_bench_record(record: dict) -> str:
                 f"(f64 bit-identical: {backbone['f64_bit_identical']})"
             )
             for row in backbone["rows"]:
-                arena = row["arena_stats"]
                 lines.append(
                     f"    {row['label']:<16} {row['seconds'] * 1e3:>8.2f}ms  "
                     f"{row['throughput']:>7.1f}/s  "
                     f"x{row['speedup_vs_f64']:<5.2f} "
                     f"p50/p99 {row['latency_ms']['p50']:.2f}/"
                     f"{row['latency_ms']['p99']:.2f}ms  "
-                    f"err {row['max_abs_err_vs_f64']:.1e}  "
-                    f"arena {arena['reuse_rate']:.2f}"
+                    f"err {row['max_abs_err_vs_f64']:.1e}"
                 )
         lines.append(
             f"  best f32+fusion speedup vs f64 record: "

@@ -6,9 +6,9 @@ of raw-numpy kernels (no Tensor wrapping, no autograd bookkeeping);
 hot register/swap/evict, a shared LRU of compiled programs, and
 cross-tenant grouping inside one synchronous ``serve`` call —
 and ``build_engine`` mounts one compiled model as such an engine's
-default tenant.  ``optimize`` supplies the compile-time pass pipeline:
-precision tiers (f64/f32/int8), elementwise-chain fusion, the per-run
-arena allocator and the thread-parallel slot scheduler.
+default tenant.  ``optimize`` supplies the compile-time passes:
+precision tiers (f64/f32/int8) and elementwise-chain fusion; programs
+run as one serial step loop.
 
 Every path speaks one typed surface (``api``): ``ServeRequest`` in,
 ``ServeResult`` out — the engine's ``serve``, the continuous-batching
@@ -30,7 +30,6 @@ from repro.serve.api import (
 )
 from repro.serve.optimize import (
     PRECISIONS,
-    Arena,
     fuse_program,
     quantize_weight,
     resolve_precision,
@@ -62,7 +61,6 @@ from repro.serve.codec import MAX_SEGMENT, decode_payload, encode_payload
 __all__ = [
     "AdapterEntry",
     "AdapterRegistry",
-    "Arena",
     "BatchScheduler",
     "CompiledProgram",
     "DEADLINE_MISSED",

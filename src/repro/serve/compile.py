@@ -31,11 +31,10 @@ selected per program at compile time:
   held to a KNN-accuracy budget instead of bit-identity — measured by
   the serve bench and pinned by the tier tests.
 - the **fusion pass** collapses single-consumer kernel chains into
-  composed steps (bit-identical at every tier);
-- the **arena allocator** recycles freed intermediate buffers for steps
-  that declare out-variant kernels;
-- ``parallel > 1`` runs the program under a dependency-graph scheduler
-  with row-sharding of wide elementwise steps.
+  composed steps (bit-identical at every tier).
+
+``CompiledProgram.run`` executes the result as one serial loop: each
+step's kernel, then the slots whose last consumer it was are dropped.
 
 Lowering is rule-based: ``@compiles(ModuleType)`` registers how one module
 forward becomes steps, ``@compiles_features(ModelType)`` does the same for
@@ -52,8 +51,6 @@ Mutating parameters afterwards requires recompiling.
 
 from __future__ import annotations
 
-import threading
-import time
 from typing import Callable
 
 import numpy as np
@@ -81,7 +78,7 @@ from repro.peft.meta_tr import MetaLoRATRConv, MetaLoRATRLinear
 from repro.peft.multi_lora import MultiLoRAConv, MultiLoRALinear
 from repro.perf import FLAGS
 from repro.serve import optimize
-from repro.serve.optimize import Arena, quantize_weight
+from repro.serve.optimize import quantize_weight
 
 Kernel = Callable[..., np.ndarray]
 
@@ -100,36 +97,17 @@ def _scalar(value: float) -> np.ndarray:
 
 
 class Step:
-    """One lowered op: ``slots[output] = fn(*slots[inputs])``.
+    """One lowered op: ``slots[output] = fn(*slots[inputs])``."""
 
-    ``fn_out`` is an optional out-variant (``fn_out(out, *inputs)``
-    applying the exact same ufunc sequence into a caller-provided
-    buffer) with ``out_spec(*inputs) -> (shape, dtype)`` describing that
-    buffer — what lets the arena recycle freed intermediates.
-    ``shardable`` marks row-independent kernels the parallel executor
-    may split along the batch axis.
-    """
-
-    __slots__ = ("name", "fn", "inputs", "output", "fn_out", "out_spec", "shardable")
+    __slots__ = ("name", "fn", "inputs", "output")
 
     def __init__(
-        self,
-        name: str,
-        fn: Kernel,
-        inputs: tuple[int, ...],
-        output: int,
-        *,
-        fn_out: Callable | None = None,
-        out_spec: Callable | None = None,
-        shardable: bool = False,
+        self, name: str, fn: Kernel, inputs: tuple[int, ...], output: int
     ) -> None:
         self.name = name
         self.fn = fn
         self.inputs = inputs
         self.output = output
-        self.fn_out = fn_out
-        self.out_spec = out_spec
-        self.shardable = shardable
 
 
 class CompiledProgram:
@@ -143,12 +121,9 @@ class CompiledProgram:
     multi-tenant serving take ``(images, seeds)``.  ``input_slot`` stays
     the first input for single-input callers.
 
-    Construction applies the :mod:`repro.serve.optimize` passes: the
-    fusion pass (unless ``fuse=False``) rewrites the step list before
-    liveness is computed, ``parallel`` fixes the executor's worker
-    count, and the arena allocator is armed per ``REPRO_SERVE_ARENA``.
-    Programs carry their own optimizer counters (fusion eliminations,
-    arena hits/allocs, parallel concurrency samples), which the serving
+    Construction applies the fusion pass (unless ``fuse=False``) before
+    liveness is computed.  Programs carry their own optimizer counters
+    (fusion eliminations, int8-quantized weights), which the serving
     engines fold into ``stats()``.
     """
 
@@ -162,7 +137,6 @@ class CompiledProgram:
         *,
         precision: str = "f64",
         fuse: bool | None = None,
-        parallel: int | None = None,
         quantized: int = 0,
     ) -> None:
         if isinstance(input_slot, int):
@@ -178,21 +152,8 @@ class CompiledProgram:
         steps = list(steps)
         if fuse if fuse is not None else optimize.fusion_enabled():
             steps, self.fusion_eliminated = optimize.fuse_program(steps, output_slot)
-        if precision == "f64":
-            # Bit-identity to autograd is contracted only at f64; the
-            # relaxed tiers keep every fn_out/arena/shard opportunity.
-            optimize.pin_layouts(steps)
         self.steps = tuple(steps)
         self.n_slots = n_slots
-        self.parallel = optimize.resolve_parallel(parallel)
-        #: Serial-seconds gate before the thread scheduler engages (the
-        #: cost model for "does parallelism pay off here"); 0 disables
-        #: the gate.  See :func:`repro.serve.optimize.resolve_parallel_threshold`.
-        self.parallel_threshold = optimize.resolve_parallel_threshold()
-        #: Arena recycling on/off; ``arena_poison`` NaN-fills every pooled
-        #: buffer (the booby-trap tests flip it on a live program).
-        self.arena = optimize.arena_enabled()
-        self.arena_poison = False
         # Last-use liveness: after step i runs, every slot whose final
         # consumer was step i is dropped (except the program output).
         last_use: dict[int, int] = {}
@@ -204,28 +165,11 @@ class CompiledProgram:
             if slot != output_slot:
                 release[index].append(slot)
         self._release = tuple(tuple(slots) for slots in release)
-        # Inputs are caller-owned (and the output is caller-visible):
-        # their buffers must never enter the arena pool.
-        self._pool_exempt = set(self.input_slots) | {output_slot}
-        # Optimizer counters + per-step output specs (seen on first run).
-        self._counter_lock = threading.Lock()
-        self.arena_hits = 0
-        self.arena_allocs = 0
-        self.parallel_slot_counts: dict[str, int] = {}
-        self.parallel_skipped = 0
-        #: EMA of measured serial run seconds (None until the first
-        #: serial run of a parallel-capable program) — the cost-model
-        #: input the gate compares against :attr:`parallel_threshold`.
-        self._serial_seconds: float | None = None
+        # Per-step output dtype/shape, seen on the first run.
         self._shapes: list[str | None] = [None] * len(self.steps)
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def _record_shape(self, index: int, out: np.ndarray) -> None:
-        if self._shapes[index] is None:
-            dims = ", ".join(str(dim) for dim in out.shape)
-            self._shapes[index] = f"{out.dtype}({dims})"
 
     def describe(self) -> list[str]:
         """Human-readable step listing (for tests and debugging).
@@ -243,17 +187,12 @@ class CompiledProgram:
             lines.append(line)
         return lines
 
-    def counters(self) -> dict[str, object]:
-        """This program's optimizer counters (cumulative across runs)."""
-        with self._counter_lock:
-            return {
-                "fusion_eliminated": self.fusion_eliminated,
-                "quantized": self.quantized,
-                "arena_hits": self.arena_hits,
-                "arena_allocs": self.arena_allocs,
-                "parallel_slots": dict(self.parallel_slot_counts),
-                "parallel_skipped": self.parallel_skipped,
-            }
+    def counters(self) -> dict[str, int]:
+        """This program's optimizer counters (fixed at compile time)."""
+        return {
+            "fusion_eliminated": self.fusion_eliminated,
+            "quantized": self.quantized,
+        }
 
     def run(self, *inputs: np.ndarray) -> np.ndarray:
         if len(inputs) != len(self.input_slots):
@@ -271,62 +210,15 @@ class CompiledProgram:
         values: list[np.ndarray | None] = [None] * self.n_slots
         for slot, array in zip(self.input_slots, inputs):
             values[slot] = array
-        arena = Arena(poison=self.arena_poison) if self.arena else None
-        from repro.obs import OBS  # local: keep the run loop import-light
-
-        # Cost-model gate: a parallel-capable program engages the thread
-        # scheduler only once its *measured* serial run time clears the
-        # threshold — tiny programs stay serial (submit/wait overhead
-        # would dominate) and count a skip instead.
-        capable = self.parallel > 1 and len(self.steps) > 1
-        if capable and self.parallel_threshold > 0.0:
-            with self._counter_lock:
-                measured = self._serial_seconds
-            engage = measured is not None and measured >= self.parallel_threshold
-        else:
-            engage = capable
-        if engage:
-            samples = optimize.run_parallel(self, values, arena)
-            with self._counter_lock:
-                for sample in samples:
-                    bucket = str(sample)
-                    self.parallel_slot_counts[bucket] = (
-                        self.parallel_slot_counts.get(bucket, 0) + 1
-                    )
-            if OBS.enabled:
-                for sample in samples:
-                    OBS.hist("serve.parallel.slots", sample)
-        else:
-            serial_start = time.perf_counter() if capable else 0.0
-            exempt = self._pool_exempt
-            for index, (step, dead) in enumerate(zip(self.steps, self._release)):
-                ins = [values[slot] for slot in step.inputs]
-                out = optimize.run_step(step, ins, arena)
-                values[step.output] = out
-                self._record_shape(index, out)
-                for slot in dead:
-                    freed = values[slot]
-                    values[slot] = None
-                    if arena is not None and freed is not None and slot not in exempt:
-                        arena.put(freed, values)
-            if capable:
-                elapsed = time.perf_counter() - serial_start
-                with self._counter_lock:
-                    self._serial_seconds = (
-                        elapsed
-                        if self._serial_seconds is None
-                        else 0.7 * self._serial_seconds + 0.3 * elapsed
-                    )
-                    self.parallel_skipped += 1
-                if OBS.enabled:
-                    OBS.inc("serve.parallel.skipped")
-        if arena is not None:
-            with self._counter_lock:
-                self.arena_hits += arena.hits
-                self.arena_allocs += arena.allocs
-            if OBS.enabled:
-                OBS.inc("serve.arena.hit", arena.hits)
-                OBS.inc("serve.arena.alloc", arena.allocs)
+        shapes = self._shapes
+        for index, (step, dead) in enumerate(zip(self.steps, self._release)):
+            out = step.fn(*[values[slot] for slot in step.inputs])
+            values[step.output] = out
+            if shapes[index] is None:
+                dims = ", ".join(str(dim) for dim in out.shape)
+                shapes[index] = f"{out.dtype}({dims})"
+            for slot in dead:
+                values[slot] = None
         out = values[self.output_slot]
         assert out is not None
         return out
@@ -401,39 +293,10 @@ class ProgramBuilder:
             self.seed_input_slot = self.new_slot()
         return self.seed_input_slot
 
-    def emit(
-        self,
-        name: str,
-        fn: Kernel,
-        *inputs: int,
-        fn_out: Callable | None = None,
-        out_spec: Callable | None = None,
-        shardable: bool = False,
-    ) -> int:
+    def emit(self, name: str, fn: Kernel, *inputs: int) -> int:
         output = self.new_slot()
-        self.steps.append(
-            Step(
-                name,
-                fn,
-                tuple(inputs),
-                output,
-                fn_out=fn_out,
-                out_spec=out_spec,
-                shardable=shardable,
-            )
-        )
+        self.steps.append(Step(name, fn, tuple(inputs), output))
         return output
-
-    def emit_relu(self, x: int) -> int:
-        """A relu step with the arena/shard-capable out-variant."""
-        return self.emit(
-            "relu",
-            ops.relu_forward,
-            x,
-            fn_out=lambda out, v: np.maximum(v, 0.0, out=out),
-            out_spec=lambda v: (v.shape, v.dtype),
-            shardable=True,
-        )
 
     def lower(self, module: Module, x: int) -> int:
         """Lower one module's forward; returns the output slot."""
@@ -489,7 +352,6 @@ def compile_features(
     external_seeds: bool = False,
     precision: str | None = None,
     fuse: bool | None = None,
-    parallel: int | None = None,
 ) -> CompiledProgram:
     """Compile ``model.features(x)`` into a :class:`CompiledProgram`.
 
@@ -500,8 +362,7 @@ def compile_features(
 
     ``precision`` selects the compute tier (``None`` resolves through
     ``REPRO_SERVE_PRECISION``, default f64 — the bit-exact tier);
-    ``fuse`` / ``parallel`` override the fusion pass and executor
-    worker count (``REPRO_SERVE_FUSION`` / ``REPRO_SERVE_PARALLEL``).
+    ``fuse`` overrides the fusion pass (``REPRO_SERVE_FUSION``).
 
     With ``external_seeds=True`` (MetaLoRA models only) the mapping
     network is *not* lowered; the program takes ``(images, seeds)`` where
@@ -531,7 +392,6 @@ def compile_features(
             type(model).__name__,
             precision=precision,
             fuse=fuse,
-            parallel=parallel,
             quantized=builder.quantized,
         )
         OBS.enabled and OBS.inc(
@@ -545,7 +405,6 @@ def compile_forward(
     *,
     precision: str | None = None,
     fuse: bool | None = None,
-    parallel: int | None = None,
     quantize: bool = True,
 ) -> CompiledProgram:
     """Compile one module's ``forward`` (not ``features``) into a program.
@@ -575,7 +434,6 @@ def compile_forward(
             type(module).__name__,
             precision=precision,
             fuse=fuse,
-            parallel=parallel,
             quantized=builder.quantized,
         )
         OBS.enabled and OBS.inc(
@@ -589,7 +447,6 @@ def compile_seed_mapping(
     *,
     precision: str | None = None,
     fuse: bool | None = None,
-    parallel: int | None = None,
 ) -> CompiledProgram:
     """Compile a MetaLoRA model's mapping network: features in, seeds out.
 
@@ -619,7 +476,7 @@ def compile_seed_mapping(
         feats = builder.new_slot()
         with eval_mode(model):
             hidden = builder.lower(model.trunk, feats)
-            hidden = builder.emit_relu(hidden)
+            hidden = builder.emit("relu", ops.relu_forward, hidden)
             adapters = model._meta_adapters
             if FLAGS.batched_seeds and len(adapters) > 1:
                 fused_w = builder.const(
@@ -662,7 +519,6 @@ def compile_seed_mapping(
             f"{type(model).__name__}.seeds",
             precision=precision,
             fuse=fuse,
-            parallel=parallel,
         )
         OBS.enabled and OBS.inc(
             "serve.fusion.steps_eliminated", program.fusion_eliminated
@@ -723,13 +579,6 @@ def _lower_batchnorm2d(module: BatchNorm2d, b: ProgramBuilder, x: int) -> int:
     denom = b.const(np.sqrt(var4 + _scalar(module.eps)))
     gamma4 = b.const(module.gamma.data.reshape(1, module.channels, 1, 1))
     beta4 = b.const(module.beta.data.reshape(1, module.channels, 1, 1))
-    cdtype = np.result_type(mean4, denom, gamma4, beta4)
-
-    def fn_out(out: np.ndarray, x: np.ndarray) -> None:
-        np.subtract(x, mean4, out=out)
-        np.divide(out, denom, out=out)
-        np.multiply(out, gamma4, out=out)
-        np.add(out, beta4, out=out)
 
     def kernel(x: np.ndarray) -> np.ndarray:
         # (x - mean4) / denom * gamma4 + beta4, allocating a new array only
@@ -741,14 +590,7 @@ def _lower_batchnorm2d(module: BatchNorm2d, b: ProgramBuilder, x: int) -> int:
             out = ufunc(out, operand, out=out if inplace else None)
         return out
 
-    return b.emit(
-        "batchnorm2d",
-        kernel,
-        x,
-        fn_out=fn_out,
-        out_spec=lambda x: (x.shape, np.result_type(x.dtype, cdtype)),
-        shardable=True,
-    )
+    return b.emit("batchnorm2d", kernel, x)
 
 
 @compiles(LayerNorm)
@@ -812,7 +654,7 @@ def _lower_dropout(module: Dropout, b: ProgramBuilder, x: int) -> int:
 
 @compiles(ReLU)
 def _lower_relu_module(module: ReLU, b: ProgramBuilder, x: int) -> int:
-    return b.emit_relu(x)
+    return b.emit("relu", ops.relu_forward, x)
 
 
 @compiles(GELU)
@@ -822,14 +664,7 @@ def _lower_gelu_module(module: GELU, b: ProgramBuilder, x: int) -> int:
 
 @compiles(Tanh)
 def _lower_tanh_module(module: Tanh, b: ProgramBuilder, x: int) -> int:
-    return b.emit(
-        "tanh",
-        ops.tanh_forward,
-        x,
-        fn_out=lambda out, v: np.tanh(v, out=out),
-        out_spec=lambda v: (v.shape, v.dtype),
-        shardable=True,
-    )
+    return b.emit("tanh", ops.tanh_forward, x)
 
 
 @compiles(Sigmoid)
@@ -844,24 +679,17 @@ def _lower_sigmoid_module(module: Sigmoid, b: ProgramBuilder, x: int) -> int:
 def _lower_basic_block(module: BasicBlock, b: ProgramBuilder, x: int) -> int:
     out = b.lower(module.conv1, x)
     out = b.lower(module.bn1, out)
-    out = b.emit_relu(out)
+    out = b.emit("relu", ops.relu_forward, out)
     out = b.lower(module.conv2, out)
     out = b.lower(module.bn2, out)
     identity = b.lower(module.shortcut, x) if module.shortcut is not None else x
 
-    def fn_out(out: np.ndarray, a: np.ndarray, c: np.ndarray) -> None:
-        np.add(a, c, out=out)
-        np.maximum(out, 0.0, out=out)
+    def residual_relu(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+        # One allocation: the sum's fresh buffer takes the relu in place.
+        out = a + c
+        return np.maximum(out, 0.0, out=out)
 
-    return b.emit(
-        "residual_relu",
-        lambda a, c: np.maximum(a + c, 0.0),
-        out,
-        identity,
-        fn_out=fn_out,
-        out_spec=lambda a, c: (a.shape, np.result_type(a, c)),
-        shardable=True,
-    )
+    return b.emit("residual_relu", residual_relu, out, identity)
 
 
 @compiles(MixerBlock)
@@ -871,35 +699,19 @@ def _lower_mixer_block(module: MixerBlock, b: ProgramBuilder, x: int) -> int:
     y = b.lower(module.token_fc1, y)
     y = b.emit("gelu", ops.gelu_forward, y)
     y = b.lower(module.token_fc2, y)
-    x = b.emit(
-        "token_residual",
-        lambda x, y: x + y.transpose(0, 2, 1),
-        x,
-        y,
-        fn_out=lambda out, x, y: np.add(x, y.transpose(0, 2, 1), out=out),
-        out_spec=lambda x, y: (x.shape, np.result_type(x, y)),
-        shardable=True,
-    )
+    x = b.emit("token_residual", lambda x, y: x + y.transpose(0, 2, 1), x, y)
     z = b.lower(module.norm2, x)
     z = b.lower(module.channel_fc1, z)
     z = b.emit("gelu", ops.gelu_forward, z)
     z = b.lower(module.channel_fc2, z)
-    return b.emit(
-        "channel_residual",
-        lambda x, z: x + z,
-        x,
-        z,
-        fn_out=lambda out, x, z: np.add(x, z, out=out),
-        out_spec=lambda x, z: (x.shape, np.result_type(x, z)),
-        shardable=True,
-    )
+    return b.emit("channel_residual", lambda x, z: x + z, x, z)
 
 
 @compiles_features(ResNet)
 def _features_resnet(model: ResNet, b: ProgramBuilder, x: int) -> int:
     out = b.lower(model.stem, x)
     out = b.lower(model.stem_bn, out)
-    out = b.emit_relu(out)
+    out = b.emit("relu", ops.relu_forward, out)
     for block in model.blocks:
         out = b.lower(block, out)
     return b.lower(model.pool, out)
@@ -1172,7 +984,7 @@ def _features_meta_lora(model: MetaLoRAModel, b: ProgramBuilder, x: int) -> int:
     try:
         feats = b.lower(model.extractor, x)
         hidden = b.lower(model.trunk, feats)
-        hidden = b.emit_relu(hidden)
+        hidden = b.emit("relu", ops.relu_forward, hidden)
         # Freeze the seed-generation strategy at compile time, mirroring
         # generate_seeds' dispatch on FLAGS.batched_seeds.
         if FLAGS.batched_seeds and len(adapters) > 1:

@@ -1,6 +1,6 @@
-"""Optimization passes and runtime helpers for compiled slot-programs.
+"""Compile-time passes for compiled slot-programs.
 
-Three independent levers sit between :class:`~repro.serve.compile.ProgramBuilder`
+Two independent levers sit between :class:`~repro.serve.compile.ProgramBuilder`
 output and execution, each with its own knob:
 
 - **Precision tiers** (``precision={"f64","f32","int8"}``).  ``f64`` is
@@ -24,27 +24,15 @@ output and execution, each with its own knob:
   ones at every tier; the win is slot traffic, liveness bookkeeping and
   interpreter overhead, not changed arithmetic.
 
-- **Arena allocation and thread parallelism** (:class:`Arena`,
-  :func:`run_parallel`; ``REPRO_SERVE_ARENA`` / ``REPRO_SERVE_PARALLEL``).
-  Steps that declare an out-variant kernel (``fn_out`` + ``out_spec``)
-  draw their output buffer from a per-run (shape, dtype) bucket pool
-  fed by the liveness pass's freed slots.  A buffer is only pooled when
-  it owns its memory and no live slot value can see it
-  (``np.may_share_memory`` scan), so views handed out by
-  transpose/reshape/slice kernels can never be clobbered.  With
-  ``parallel > 1`` the program runs under a dependency-graph scheduler:
-  independent slots (residual branches, per-head seed kernels) execute
-  concurrently on a shared worker pool, and a lone wide elementwise
-  step is row-sharded across workers instead.  Sharding is restricted
-  to steps tagged row-independent, so parallel runs are bit-identical
-  to serial ones.
+Execution itself is one serial loop in
+:meth:`~repro.serve.compile.CompiledProgram.run`: every step runs its
+plain kernel, so each reduction sees exactly the memory layout the
+autograd reference produces.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -52,10 +40,6 @@ from repro.errors import ServeError
 
 #: The compile precision tiers, in decreasing exactness order.
 PRECISIONS = ("f64", "f32", "int8")
-
-#: Row-sharding only pays for itself on wide activations; below this
-#: output size the submit/wait overhead dominates the kernel.
-SHARD_MIN_BYTES = 1 << 20
 
 
 def resolve_precision(precision: str | None) -> str:
@@ -80,52 +64,6 @@ def _env_flag(name: str, default: bool) -> bool:
 def fusion_enabled() -> bool:
     """Default for the fusion pass (``REPRO_SERVE_FUSION``, on)."""
     return _env_flag("REPRO_SERVE_FUSION", True)
-
-
-def arena_enabled() -> bool:
-    """Default for the arena allocator (``REPRO_SERVE_ARENA``, on)."""
-    return _env_flag("REPRO_SERVE_ARENA", True)
-
-
-def resolve_parallel(parallel: int | None) -> int:
-    """Worker count for slot execution (``REPRO_SERVE_PARALLEL``, 1)."""
-    if parallel is None:
-        raw = os.environ.get("REPRO_SERVE_PARALLEL", "").strip()
-        parallel = int(raw) if raw else 1
-    parallel = int(parallel)
-    if parallel < 1:
-        raise ServeError(f"serve parallelism must be >= 1, got {parallel}")
-    return parallel
-
-
-#: Measured serial run seconds below which the thread scheduler is a
-#: net loss: on programs this small the submit/wait overhead dominates
-#: the kernels and parallel execution *slows the program down* (the
-#: "when does sharding pay off" headroom from the PR 7 matrix).  The
-#: crossover on the bench backbones sits around a couple of
-#: milliseconds of serial work per run.
-PARALLEL_MIN_SERIAL_SECONDS = 0.002
-
-
-def resolve_parallel_threshold(threshold: float | None = None) -> float:
-    """Serial-seconds gate for the thread scheduler.
-
-    A program compiled with ``parallel > 1`` first runs serially and
-    measures itself; the dependency-graph scheduler engages only once
-    the measured serial run time reaches this threshold
-    (``REPRO_SERVE_PARALLEL_MIN_SECONDS``, default
-    :data:`PARALLEL_MIN_SERIAL_SECONDS`).  ``0`` disables the gate and
-    engages parallel execution unconditionally.
-    """
-    if threshold is None:
-        raw = os.environ.get("REPRO_SERVE_PARALLEL_MIN_SECONDS", "").strip()
-        threshold = float(raw) if raw else PARALLEL_MIN_SERIAL_SECONDS
-    threshold = float(threshold)
-    if threshold < 0:
-        raise ServeError(
-            f"serve parallel threshold must be >= 0 seconds, got {threshold}"
-        )
-    return threshold
 
 
 def quantize_weight(array: np.ndarray) -> np.ndarray:
@@ -188,261 +126,3 @@ def _compose(prev, step):
     return type(step)(
         f"{prev.name}+{step.name}", chained, prev.inputs, step.output
     )
-
-
-#: Kernels whose bit-level result depends on their input's memory layout:
-#: numpy's pairwise summation walks the array in stride order, so a
-#: reduction over a C-contiguous arena buffer can differ by ~1 ulp from
-#: the same reduction over the transposed view the autograd path produces
-#: (conv outputs are NHWC-storage transposes, and elementwise ufuncs
-#: preserve that layout).  Elementwise kernels are bitwise
-#: layout-independent; reductions are not.
-LAYOUT_SENSITIVE = frozenset({"global_avg_pool2d", "layernorm", "mean", "sum"})
-
-#: Kernels whose output layout does not depend on their input layout:
-#: conv gathers im2col patches by value and linear goes through BLAS,
-#: both materializing a fresh output — they stop the backward layout
-#: taint.  Elementwise ufuncs, by contrast, propagate whatever layout
-#: their inputs carry.
-LAYOUT_BARRIERS = frozenset({"conv2d", "linear"})
-
-
-def _layout_sensitive(step) -> bool:
-    return any(part in LAYOUT_SENSITIVE for part in step.name.split("+"))
-
-
-def pin_layouts(steps: list) -> None:
-    """Drop ``fn_out`` upstream of layout-sensitive reductions (f64 only).
-
-    Writing into an arena buffer (or a sharded output) forces the result
-    C-contiguous, and elementwise ufuncs then carry that layout forward —
-    so a downstream pairwise sum walks memory in a different order than
-    the autograd reference (~1 ulp).  Taint flows backward from each
-    reduction through every layout-preserving step until a barrier kernel
-    resets the layout; tainted steps run their plain ``fn`` so the
-    reduction sees the exact layout the reference saw.
-    """
-    sensitive: set[int] = set()
-    for step in reversed(steps):
-        tainted = step.output in sensitive
-        if _layout_sensitive(step):
-            sensitive.update(step.inputs)
-            tainted = True
-        if not tainted:
-            continue
-        if step.fn_out is not None:
-            step.fn_out = None
-            step.out_spec = None
-            step.shardable = False
-        if not any(part in LAYOUT_BARRIERS for part in step.name.split("+")):
-            sensitive.update(step.inputs)
-
-
-# -- arena allocator ----------------------------------------------------------
-
-
-class Arena:
-    """Per-run buffer pool over (shape, dtype) buckets.
-
-    Freed intermediate buffers (from the liveness pass) are recycled as
-    outputs for later steps of the same geometry.  The pool lives for
-    one ``run()`` only, so a returned program output can never be
-    overwritten by a later request.  ``poison=True`` fills every pooled
-    buffer with NaN — the booby-trap tests use it to prove no kernel
-    ever reads a recycled buffer before fully overwriting it.
-    """
-
-    __slots__ = ("_buckets", "hits", "allocs", "poison")
-
-    def __init__(self, poison: bool = False) -> None:
-        self._buckets: dict[tuple, list[np.ndarray]] = {}
-        self.hits = 0
-        self.allocs = 0
-        self.poison = poison
-
-    def take(self, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        bucket = self._buckets.get((shape, dtype))
-        if bucket:
-            self.hits += 1
-            return bucket.pop()
-        self.allocs += 1
-        return np.empty(shape, dtype=dtype)
-
-    def put(self, array: np.ndarray, live: list) -> None:
-        """Pool a freed buffer unless anything live could still see it.
-
-        Only arrays that own their memory are pooled, and only when no
-        live slot value shares memory with them — a transpose/reshape
-        view of a freed buffer keeps the buffer out of the pool for the
-        rest of the run, which is what makes recycling alias-safe.
-        """
-        if array.base is not None or not array.flags.c_contiguous:
-            return
-        for value in live:
-            if value is not None and np.may_share_memory(array, value):
-                return
-        if self.poison and array.dtype.kind == "f":
-            array.fill(np.nan)
-        self._buckets.setdefault((array.shape, array.dtype), []).append(array)
-
-
-def run_step(step, inputs: list, arena: Arena | None, lock=None):
-    """Execute one step, drawing the output from ``arena`` when it can."""
-    if arena is not None and step.fn_out is not None:
-        shape, dtype = step.out_spec(*inputs)
-        if lock is None:
-            out = arena.take(shape, np.dtype(dtype))
-        else:
-            with lock:
-                out = arena.take(shape, np.dtype(dtype))
-        step.fn_out(out, *inputs)
-        return out
-    return step.fn(*inputs)
-
-
-# -- parallel execution -------------------------------------------------------
-
-_POOL: ThreadPoolExecutor | None = None
-_POOL_LOCK = threading.Lock()
-
-
-def _shared_pool() -> ThreadPoolExecutor:
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(
-                max_workers=min(8, os.cpu_count() or 1),
-                thread_name_prefix="repro-serve-slot",
-            )
-        return _POOL
-
-
-def _shard_step(step, inputs: list, arena, lock, workers: int) -> tuple[np.ndarray, int]:
-    """Row-shard one wide elementwise step across the worker pool.
-
-    Only steps tagged ``shardable`` (row-independent ufunc kernels —
-    activations, batch norm, residual adds) qualify: each output row
-    depends on the same-index input rows alone, so slicing the batch
-    axis changes nothing but scheduling.  The caller's thread computes
-    the first shard itself while the pool runs the rest.
-    """
-    shape, dtype = step.out_spec(*inputs)
-    if lock is None:
-        out = np.empty(shape, dtype=np.dtype(dtype)) if arena is None else arena.take(
-            shape, np.dtype(dtype)
-        )
-    else:
-        with lock:
-            out = np.empty(shape, dtype=np.dtype(dtype)) if arena is None else arena.take(
-                shape, np.dtype(dtype)
-            )
-    rows = shape[0]
-    bounds = np.linspace(0, rows, workers + 1).astype(int)
-    spans = [
-        (int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-    ]
-    pool = _shared_pool()
-    futures = [
-        pool.submit(step.fn_out, out[lo:hi], *(a[lo:hi] for a in inputs))
-        for lo, hi in spans[1:]
-    ]
-    lo, hi = spans[0]
-    step.fn_out(out[lo:hi], *(a[lo:hi] for a in inputs))
-    for future in futures:
-        future.result()
-    return out, len(spans)
-
-
-def _can_shard(step, inputs: list, workers: int) -> bool:
-    if not (step.shardable and step.fn_out is not None and step.out_spec is not None):
-        return False
-    shape, dtype = step.out_spec(*inputs)
-    if len(shape) == 0 or shape[0] < 2 * workers:
-        return False
-    if int(np.prod(shape)) * np.dtype(dtype).itemsize < SHARD_MIN_BYTES:
-        return False
-    return all(a.shape[:1] == shape[:1] for a in inputs)
-
-
-def run_parallel(program, values: list, arena: Arena | None) -> list[int]:
-    """Dependency-graph execution of a program's steps.
-
-    Ready steps (all producers finished) run concurrently on the shared
-    pool, bounded by ``program.parallel`` in flight; slots are released
-    by per-slot pending-consumer counts (out-of-order completion makes
-    the serial last-use index unusable here).  When exactly one step is
-    runnable — the common sequential backbone — a wide elementwise step
-    is row-sharded across the pool instead, so the workers never idle
-    on purely sequential programs.  Returns the concurrency level
-    sampled at each scheduling round (the ``serve.parallel.slots``
-    histogram feed).
-    """
-    steps = program.steps
-    workers = program.parallel
-    producer: dict[int, int] = {}
-    for index, step in enumerate(steps):
-        producer[step.output] = index
-    indegree = [0] * len(steps)
-    dependents: list[list[int]] = [[] for _ in steps]
-    for index, step in enumerate(steps):
-        deps = {producer[slot] for slot in step.inputs if slot in producer}
-        indegree[index] = len(deps)
-        for dep in deps:
-            dependents[dep].append(index)
-    pending: dict[int, int] = {}
-    for step in steps:
-        for slot in step.inputs:
-            pending[slot] = pending.get(slot, 0) + 1
-    protected = set(program.input_slots) | {program.output_slot}
-    lock = threading.Lock()
-    pool = _shared_pool()
-    ready = [index for index, degree in enumerate(indegree) if degree == 0]
-    ready.reverse()  # pop() then runs steps in program order
-    futures: dict = {}
-    samples: list[int] = []
-
-    def finish(index: int, out: np.ndarray) -> None:
-        step = steps[index]
-        values[step.output] = out
-        program._record_shape(index, out)
-        for slot in step.inputs:
-            pending[slot] -= 1
-            if pending[slot] == 0 and slot not in protected:
-                freed = values[slot]
-                values[slot] = None
-                if arena is not None and freed is not None:
-                    with lock:
-                        arena.put(freed, values)
-        for dep in dependents[index]:
-            indegree[dep] -= 1
-            if indegree[dep] == 0:
-                ready.append(dep)
-
-    while ready or futures:
-        if not futures and len(ready) == 1:
-            # Sequential stretch: spend the workers on rows instead.
-            index = ready.pop()
-            step = steps[index]
-            inputs = [values[slot] for slot in step.inputs]
-            if _can_shard(step, inputs, workers):
-                out, shards = _shard_step(step, inputs, arena, lock, workers)
-                samples.append(shards)
-            else:
-                out = run_step(step, inputs, arena, lock)
-                samples.append(1)
-            finish(index, out)
-            continue
-        launched = False
-        while ready and len(futures) < workers:
-            index = ready.pop()
-            step = steps[index]
-            inputs = [values[slot] for slot in step.inputs]
-            futures[pool.submit(run_step, step, inputs, arena, lock)] = index
-            launched = True
-        if launched:
-            samples.append(len(futures))
-        done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
-        for future in done:
-            index = futures.pop(future)
-            finish(index, future.result())
-    return samples

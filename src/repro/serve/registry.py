@@ -478,23 +478,15 @@ class AdapterRegistry:
         self._metrics.gauge("serve.registry.size", len(self))
         return self._metrics.snapshot()
 
-    def program_counters(self) -> dict[str, object]:
+    def program_counters(self) -> dict[str, int]:
         """Optimizer counters summed over every distinct in-use program.
 
         Programs are deduplicated by identity (shared programs count
-        once); histogram buckets are merged.  Feeds the
-        ``serve.fusion.steps_eliminated`` / ``serve.arena.*`` /
-        ``serve.parallel.slots`` series the engines fold into
+        once).  Feeds the ``serve.fusion.steps_eliminated`` /
+        ``serve.quantized.weights`` series the engines fold into
         ``stats()``.
         """
-        totals = {
-            "fusion_eliminated": 0,
-            "quantized": 0,
-            "arena_hits": 0,
-            "arena_allocs": 0,
-            "parallel_skipped": 0,
-        }
-        buckets: dict[str, int] = {}
+        totals = {"fusion_eliminated": 0, "quantized": 0}
         seen: set[int] = set()
         with self._lock:
             entries = list(self._entries.values())
@@ -506,9 +498,6 @@ class AdapterRegistry:
                 counters = program.counters()
                 for field in totals:
                     totals[field] += int(counters[field])
-                for bucket, count in counters["parallel_slots"].items():
-                    buckets[bucket] = buckets.get(bucket, 0) + int(count)
-        totals["parallel_slots"] = buckets
         return totals
 
     # -- compilation ----------------------------------------------------------
@@ -723,7 +712,8 @@ class MultiTenantEngine:
         if singles:
             started = time.perf_counter()
             sub_entries = [entries[i] for i in singles]
-            for indices in self._group_indices(sub_entries):
+            shapes = [requests[i].sample.shape for i in singles]
+            for indices in self._group_indices(sub_entries, shapes):
                 group = [singles[j] for j in indices]
                 try:
                     rows = self._serve_group(
@@ -805,15 +795,18 @@ class MultiTenantEngine:
     # -- heterogeneous grouping -----------------------------------------------
 
     @staticmethod
-    def _group_indices(entries: Sequence[AdapterEntry]) -> list[list[int]]:
-        """Group request indices by runnable unit: static tenants by
-        program identity, seeded tenants by body-program identity."""
+    def _group_indices(
+        entries: Sequence[AdapterEntry], shapes: Sequence[tuple[int, ...]]
+    ) -> list[list[int]]:
+        """Group request indices by runnable unit and sample shape: static
+        tenants by program identity, seeded tenants by body-program
+        identity.  Only same-shape samples can be stacked into one run."""
         groups: "OrderedDict[tuple, list[int]]" = OrderedDict()
-        for index, entry in enumerate(entries):
+        for index, (entry, shape) in enumerate(zip(entries, shapes)):
             if entry.kind == "static":
-                key = ("static", id(entry.program))
+                key = ("static", id(entry.program), shape)
             else:
-                key = ("seeded", id(entry.body))
+                key = ("seeded", id(entry.body), shape)
             groups.setdefault(key, []).append(index)
         return list(groups.values())
 
@@ -873,8 +866,8 @@ class MultiTenantEngine:
         labeled twins) are merged with its
         registry's (``serve.program_cache.*``, ``serve.registry.*``) and
         with the optimizer counters summed over every in-use compiled
-        program (``serve.fusion.steps_eliminated``, ``serve.arena.*``,
-        ``serve.parallel.slots``) — merged, not inc'd, so the series
+        program (``serve.fusion.steps_eliminated``,
+        ``serve.quantized.weights``) — merged, not inc'd, so the series
         appear even at zero.
         """
         with self._stats_lock:
@@ -893,23 +886,6 @@ class MultiTenantEngine:
                 "serve.quantized.weights": {
                     "kind": "counter",
                     "calls": int(programs["quantized"]),
-                },
-                "serve.arena.hit": {
-                    "kind": "counter",
-                    "calls": int(programs["arena_hits"]),
-                },
-                "serve.arena.alloc": {
-                    "kind": "counter",
-                    "calls": int(programs["arena_allocs"]),
-                },
-                "serve.parallel.slots": {
-                    "kind": "histogram",
-                    "calls": sum(programs["parallel_slots"].values()),
-                    "buckets": dict(programs["parallel_slots"]),
-                },
-                "serve.parallel.skipped": {
-                    "kind": "counter",
-                    "calls": int(programs["parallel_skipped"]),
                 },
             }
         )

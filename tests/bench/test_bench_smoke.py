@@ -117,7 +117,6 @@ class TestPrecisionSection:
     def test_precision_matrix_validates_and_formats(self, record):
         validate_bench_record(record)
         precision = record["precision"]
-        assert precision["parallel_workers"] >= 2
         assert set(precision["budgets"]) == {"f32", "int8"}
         names = [backbone["name"] for backbone in precision["backbones"]]
         assert names == ["resnet", "mixer"]
@@ -130,7 +129,6 @@ class TestPrecisionSection:
                 assert drop <= precision["budgets"][tier]
             tiers = {row["precision"] for row in backbone["rows"]}
             assert tiers == {"f64", "f32", "int8"}
-            assert any(row["parallel"] > 1 for row in backbone["rows"])
             for row in backbone["rows"]:
                 if row["precision"] == "f64":
                     assert row["max_abs_err_vs_f64"] == 0.0
@@ -146,7 +144,6 @@ class TestPrecisionSection:
             return clone
 
         for mutate, match in (
-            (lambda p: p.update(parallel_workers=1), "parallel_workers"),
             (lambda p: p.update(budgets={"f32": 0.02}), "budgets"),
             (lambda p: p.update(backbones=[]), "backbones"),
             (
@@ -162,12 +159,6 @@ class TestPrecisionSection:
                     max_abs_err_vs_f64=1e-9
                 ),
                 "bit-exact",
-            ),
-            (
-                lambda p: [
-                    row.update(parallel=1) for row in p["backbones"][0]["rows"]
-                ],
-                "parallel run",
             ),
             (lambda p: p.update(best_speedup_vs_f64=float("nan")), "best_speedup"),
         ):

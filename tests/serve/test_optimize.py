@@ -1,13 +1,11 @@
-"""The compile-time pass pipeline: tiers, fusion, arena, parallelism.
+"""The compile-time passes: precision tiers and fusion.
 
-Each optimization is tested against the identity it must preserve:
+Each pass is tested against the identity it must preserve:
 
 - fusion at f64 is *bit-identical* to the unfused program on every
   backbone and adapter family, including the split extractor / mapping /
-  body programs the multi-tenant registry serves;
-- the arena never leaks a recycled buffer's stale contents into a
-  result (the NaN booby-trap would detect a single early read);
-- the parallel scheduler reproduces the serial run exactly;
+  body programs the multi-tenant registry serves, and the fused program
+  is bit-identical to the autograd ``extract_embeddings`` reference;
 - the relaxed tiers stay within their accuracy budgets and never touch
   the f64 contract.
 """
@@ -20,7 +18,6 @@ from repro.eval.embeddings import extract_embeddings
 from repro.models import FeatureExtractor, mixer_small, resnet_small
 from repro.peft import MetaLoRAModel, attach
 from repro.serve import (
-    Arena,
     build_engine,
     compile_features,
     compile_forward,
@@ -28,7 +25,6 @@ from repro.serve import (
     quantize_weight,
     resolve_precision,
 )
-from repro.serve.optimize import pin_layouts, resolve_parallel
 from repro.utils.rng import new_rng
 
 BACKBONES = {
@@ -71,14 +67,6 @@ class TestResolvers:
     def test_unknown_precision_raises(self):
         with pytest.raises(ServeError, match="unknown serve precision"):
             resolve_precision("f16")
-
-    def test_parallel_env_and_validation(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVE_PARALLEL", raising=False)
-        assert resolve_parallel(None) == 1
-        monkeypatch.setenv("REPRO_SERVE_PARALLEL", "3")
-        assert resolve_parallel(None) == 3
-        with pytest.raises(ServeError, match=">= 1"):
-            resolve_parallel(0)
 
 
 class TestQuantizeWeight:
@@ -162,175 +150,6 @@ class TestFusionIdentity:
         assert np.array_equal(program.run(images), extract_embeddings(model, images))
 
 
-class TestArena:
-    def test_take_recycles_by_shape_and_dtype(self):
-        arena = Arena()
-        first = arena.take((4, 4), np.dtype(np.float64))
-        arena.put(first, live=[])
-        again = arena.take((4, 4), np.dtype(np.float64))
-        assert again is first
-        other = arena.take((4, 5), np.dtype(np.float64))
-        assert other is not first
-        assert arena.hits == 1 and arena.allocs == 2
-
-    def test_put_refuses_views_and_aliases(self):
-        arena = Arena()
-        owner = np.zeros((4, 4))
-        arena.put(owner[:2], live=[])  # a view: never pooled
-        arena.put(owner.T, live=[])  # non-contiguous: never pooled
-        arena.put(owner, live=[owner[1:]])  # aliased by a live slot
-        assert arena.take((4, 4), owner.dtype) is not owner
-        assert arena.hits == 0
-
-    def test_poison_fills_pooled_buffers(self):
-        arena = Arena(poison=True)
-        buffer = np.ones((3, 3))
-        arena.put(buffer, live=[])
-        assert np.all(np.isnan(buffer))
-
-    @pytest.mark.parametrize("precision", ("f64", "f32"))
-    def test_booby_trap(self, precision, rng):
-        """NaN-poisoning every pooled buffer must not change any result:
-        a single kernel reading recycled memory before overwriting it
-        would surface as NaNs in the output."""
-        model = resnet_small(4, rng)
-        images = images_for(rng)
-        clean = compile_features(model, precision=precision)
-        clean.arena = False
-        expected = clean.run(images)
-
-        trapped = compile_features(model, precision=precision)
-        trapped.arena = True
-        trapped.arena_poison = True
-        out = trapped.run(images)
-        assert not np.any(np.isnan(out))
-        assert np.array_equal(out, expected)
-
-    def test_relaxed_tier_reuses_buffers(self, rng):
-        # At f32 nothing is layout-pinned, so repeated runs recycle.
-        program = compile_features(mixer_small(4, rng), precision="f32")
-        program.arena = True
-        program.run(images_for(rng))
-        counters = program.counters()
-        assert counters["arena_hits"] > 0
-
-
-class TestPinLayouts:
-    def _steps(self):
-        from repro.serve.compile import Step
-
-        def spec(*inputs):
-            return inputs[0].shape, inputs[0].dtype
-
-        fn = np.copy
-        return [
-            Step("conv2d", fn, (0,), 1, fn_out=None, out_spec=None),
-            Step("relu", fn, (1,), 2, fn_out=lambda o, x: None, out_spec=spec),
-            Step("global_avg_pool2d", fn, (2,), 3),
-            Step("linear", fn, (3,), 4, fn_out=lambda o, x: None, out_spec=spec),
-        ]
-
-    def test_taint_stops_at_barriers(self):
-        steps = self._steps()
-        pin_layouts(steps)
-        # relu feeds the reduction: pinned.  linear is downstream and a
-        # barrier itself: untouched.
-        assert steps[1].fn_out is None and steps[1].out_spec is None
-        assert steps[3].fn_out is not None
-
-    def test_taint_is_transitive(self):
-        from repro.serve.compile import Step
-
-        def spec(*inputs):
-            return inputs[0].shape, inputs[0].dtype
-
-        fn = np.copy
-        writer = lambda o, x: None  # noqa: E731
-        steps = [
-            Step("relu", fn, (0,), 1, fn_out=writer, out_spec=spec),
-            Step("add", fn, (1,), 2, fn_out=writer, out_spec=spec),
-            Step("mean", fn, (2,), 3),
-        ]
-        pin_layouts(steps)
-        # Both elementwise ancestors are pinned, not just the direct one.
-        assert steps[0].fn_out is None
-        assert steps[1].fn_out is None
-
-    def test_f64_program_is_pinned_f32_is_not(self, rng):
-        # Unfused, so elementwise steps sit directly upstream of the
-        # reductions (fusion folds them behind conv barriers instead).
-        model = mixer_small(4, rng)
-        pinned = compile_features(model, precision="f64", fuse=False)
-        relaxed = compile_features(model, precision="f32", fuse=False)
-
-        def writers(program):
-            return sum(1 for step in program.steps if step.fn_out is not None)
-
-        assert writers(relaxed) > writers(pinned)
-
-
-class TestParallelIdentity:
-    @pytest.mark.parametrize("backbone", sorted(BACKBONES))
-    @pytest.mark.parametrize("precision", ("f64", "f32"))
-    def test_parallel_matches_serial(self, backbone, precision, rng):
-        model = BACKBONES[backbone](rng)
-        images = images_for(rng, 6)
-        serial = compile_features(model, precision=precision, parallel=1)
-        threaded = compile_features(model, precision=precision, parallel=4)
-        threaded.parallel_threshold = 0.0  # pin the cost gate off
-        assert threaded.parallel == 4
-        assert np.array_equal(threaded.run(images), serial.run(images))
-        counters = threaded.counters()
-        assert sum(counters["parallel_slots"].values()) > 0
-
-    def test_parallel_meta_model(self, rng):
-        model = meta_model()
-        images = images_for(rng, 4)
-        serial = compile_features(model, precision="f64", parallel=1)
-        threaded = compile_features(model, precision="f64", parallel=3)
-        threaded.parallel_threshold = 0.0
-        assert np.array_equal(threaded.run(images), serial.run(images))
-
-
-class TestParallelCostGate:
-    def test_gate_skips_below_threshold_then_engages(self, rng):
-        model = resnet_small(4, rng)
-        images = images_for(rng, 4)
-        program = compile_features(model, precision="f64", parallel=4)
-        program.parallel_threshold = 1e9  # nothing clears this bar
-        serial = compile_features(model, precision="f64", parallel=1)
-        for _ in range(3):
-            assert np.array_equal(program.run(images), serial.run(images))
-        counters = program.counters()
-        assert counters["parallel_skipped"] == 3
-        assert sum(counters["parallel_slots"].values()) == 0
-        # Once the measured serial time clears the threshold, the thread
-        # scheduler engages and skips stop accruing.
-        program.parallel_threshold = 1e-9
-        assert np.array_equal(program.run(images), serial.run(images))
-        counters = program.counters()
-        assert counters["parallel_skipped"] == 3
-        assert sum(counters["parallel_slots"].values()) > 0
-
-    def test_first_run_measures_before_engaging(self, rng):
-        # With a finite threshold the first run is always serial — the
-        # gate needs a measurement before it can decide.
-        program = compile_features(resnet_small(4, rng), parallel=4)
-        assert program.parallel_threshold > 0.0
-        program.run(images_for(rng, 2))
-        assert program.counters()["parallel_skipped"] >= 1
-
-    def test_threshold_env_override(self, monkeypatch):
-        from repro.serve.optimize import resolve_parallel_threshold
-
-        monkeypatch.setenv("REPRO_SERVE_PARALLEL_MIN_SECONDS", "0.5")
-        assert resolve_parallel_threshold(None) == 0.5
-        monkeypatch.setenv("REPRO_SERVE_PARALLEL_MIN_SECONDS", "0")
-        assert resolve_parallel_threshold(None) == 0.0
-        with pytest.raises(ServeError):
-            resolve_parallel_threshold(-1.0)
-
-
 class TestPrecisionTiers:
     @pytest.mark.parametrize("backbone", sorted(BACKBONES))
     def test_f32_close_to_f64(self, backbone, rng):
@@ -372,14 +191,6 @@ class TestEngineCounters:
         with build_engine(resnet_small(4, rng), precision="f32") as engine:
             serve_bulk(engine, images_for(rng, 4))
             stats = engine.stats()
-        for name in (
-            "serve.fusion.steps_eliminated",
-            "serve.quantized.weights",
-            "serve.arena.hit",
-            "serve.arena.alloc",
-            "serve.parallel.slots",
-            "serve.parallel.skipped",
-        ):
+        for name in ("serve.fusion.steps_eliminated", "serve.quantized.weights"):
             assert name in stats, name
         assert stats["serve.fusion.steps_eliminated"]["calls"] > 0
-        assert stats["serve.parallel.slots"]["kind"] == "histogram"

@@ -321,6 +321,26 @@ class TestMultiTenantServing:
         finally:
             engine.close()
 
+    @pytest.mark.parametrize("kind", ("static", "meta"))
+    def test_mixed_image_sizes_in_one_batch(self, kind, rng):
+        """A request whose image size differs from the rest of its batch
+        is served on its own run, not failed with the whole group."""
+        engine = MultiTenantEngine()
+        engine.register("t", static_lora_result(0) if kind == "static" else meta_model())
+        samples = [
+            rng.normal(size=(3, size, size)).astype(np.float32) for size in (12, 16)
+        ]
+        try:
+            results = engine.serve(
+                [ServeRequest(sample=sample, adapter="t") for sample in samples]
+            )
+            for sample, result in zip(samples, results):
+                assert result.ok, result.error
+                solo = engine.serve(ServeRequest(sample=sample, adapter="t"))
+                assert np.array_equal(result.require(), solo.require())
+        finally:
+            engine.close()
+
     def test_unknown_adapter_raises_everywhere(self, rng):
         engine = MultiTenantEngine()
         sample = images_for(rng, 1)
