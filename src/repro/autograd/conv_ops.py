@@ -16,6 +16,14 @@ padded position points at that slot, so the whole unfold — padding
 included — is one ``np.take``.  The result is the C-contiguous patch
 matrix a strided im2col view would give once copied, bit for bit.
 
+The forward is that unfold followed by one GEMM epilogue,
+:func:`conv_from_patches`.  Autograd :func:`conv2d` reaches the unfold
+through a small patch cache, so an adapter conv that reads the same
+activations as its frozen base conv reuses the base conv's patches; the
+serve compiler instead shares one unfold step between those convs at
+compile time and never touches the cache.  Either way every conv ends in
+the same epilogue, so the two paths are bit-identical by construction.
+
 No mutable scratch is shared between calls: the index cache holds
 read-only arrays and the patch cache is guarded by a lock, so the kernels
 may run on several threads at once.
@@ -96,26 +104,23 @@ def _gather_index(
 
 # -- patch cache ---------------------------------------------------------------
 #
-# A small LRU of materialized patch matrices keyed on the *identity* of the
-# input array plus the convolution geometry.  MetaLoRA's conv adapters
-# convolve the same activations twice per layer (frozen base conv + adapter
-# conv, same kernel/stride/padding), so the second conv reuses the first
-# one's unfolded patches.
+# A small LRU of materialized patch matrices for autograd ``conv2d``, keyed
+# on the *identity* of the input array plus the convolution geometry.
+# MetaLoRA's conv adapters convolve the same activations twice per layer
+# (frozen base conv + adapter conv, same kernel/stride/padding), so the
+# second conv reuses the first one's unfolded patches.
 #
-# Cache entries hold a strong reference to the keyed input array, so its
-# ``id`` cannot be recycled while the entry is alive; entries are immutable
-# once stored.  Identity alone is not enough — finite-difference gradient
-# checking (and any caller doing in-place updates) perturbs the *same*
-# array object between forwards — so each entry also stores a cheap
-# content fingerprint (sum, sum-of-squares) that must match exactly for a
-# hit.  Both reductions are single read passes, far cheaper than the
-# kh*kw-amplified patch copy they guard.  The lookup/promote and
-# insert/evict sequences run under a lock, so a concurrent eviction cannot
-# pull an entry out between them.
+# Identity alone is not enough — finite-difference gradient checking (and
+# any caller doing in-place updates) changes the *same* array object
+# between forwards, and an id can be recycled once its array is freed — so
+# each entry stores a snapshot copy of the input, and a lookup hits only
+# when the live array has the snapshot's dtype and equals it elementwise.
+# The copy costs one pass on a miss and the compare one on a hit,
+# both far cheaper than the kh*kw-amplified patch copy they guard.  The
+# lookup/promote and insert/evict sequences run under a lock, so a
+# concurrent eviction cannot pull an entry out between them.
 
-_PATCH_CACHE: "OrderedDict[tuple, tuple[np.ndarray, tuple[float, float], np.ndarray, int, int]]" = (
-    OrderedDict()
-)
+_PATCH_CACHE: "OrderedDict[tuple, tuple[np.ndarray, np.ndarray, int, int]]" = OrderedDict()
 _PATCH_CACHE_CAPACITY = 8
 _PATCH_CACHE_STATS = {"hits": 0, "misses": 0}
 _PATCH_CACHE_LOCK = threading.Lock()
@@ -158,33 +163,31 @@ def _im2col_contiguous(
     use_cache = FLAGS.conv_patches_cache
     if use_cache:
         key = (id(x), kh, kw, stride, padding)
-        fingerprint = _fingerprint(x)
         with _PATCH_CACHE_LOCK:
             entry = _PATCH_CACHE.get(key)
-            hit = entry is not None and entry[0] is x and entry[1] == fingerprint
+            hit = (
+                entry is not None
+                and entry[0].dtype == x.dtype
+                and np.array_equal(entry[0], x)
+            )
             if hit:
                 _PATCH_CACHE_STATS["hits"] += 1
                 _PATCH_CACHE.move_to_end(key)
         if hit:
             if OBS.enabled:
                 OBS.inc("conv2d.patches_cache.hit")
-            return entry[2], entry[3], entry[4]
+            return entry[1], entry[2], entry[3]
     cols, out_h, out_w = _unfold(x, kh, kw, stride, padding)
     if use_cache:
         if OBS.enabled:
             OBS.inc("conv2d.patches_cache.miss", bytes=cols.nbytes)
+        snapshot = x.copy()
         with _PATCH_CACHE_LOCK:
             _PATCH_CACHE_STATS["misses"] += 1
-            _PATCH_CACHE[key] = (x, fingerprint, cols, out_h, out_w)
+            _PATCH_CACHE[key] = (snapshot, cols, out_h, out_w)
             if len(_PATCH_CACHE) > _PATCH_CACHE_CAPACITY:
                 _PATCH_CACHE.popitem(last=False)
     return cols, out_h, out_w
-
-
-def _fingerprint(x: np.ndarray) -> tuple[float, float]:
-    """Cheap content check guarding the patch cache against in-place edits."""
-    flat = x.reshape(-1)
-    return float(flat.sum()), float(np.dot(flat, flat))
 
 
 def _col2im(
@@ -228,6 +231,26 @@ def fold_conv_weight(weight: np.ndarray) -> np.ndarray:
     return weight.transpose(2, 0, 1, 3).reshape(c_in * kh * kw, c_out)
 
 
+def conv_from_patches(
+    cols: np.ndarray, w_mat: np.ndarray, bias: np.ndarray | None
+) -> np.ndarray:
+    """The GEMM epilogue every convolution ends in.
+
+    ``cols`` is the ``(N, out_h, out_w, Cin*kh*kw)`` patch matrix and
+    ``w_mat`` the pre-folded ``(Cin*kh*kw, Cout)`` matrix from
+    :func:`fold_conv_weight`; returns the ``(N, Cout, out_h, out_w)``
+    output (an NHWC-storage view, plus the bias if given).  Autograd
+    :func:`conv2d` and the serve compiler's conv steps both end here.
+    """
+    out = cols @ w_mat  # (N, oh, ow, Cout)
+    out = out.transpose(0, 3, 1, 2)
+    if bias is not None:
+        out = out + bias.reshape(1, w_mat.shape[1], 1, 1)
+    if OBS.enabled:
+        OBS.inc("conv2d.forward", bytes=out.nbytes)
+    return out
+
+
 def conv2d_forward(
     x: np.ndarray,
     w_mat: np.ndarray,
@@ -237,27 +260,18 @@ def conv2d_forward(
     stride: int,
     padding: int,
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Graph-free convolution forward on raw arrays.
+    """Graph-free convolution forward on raw arrays, through the patch cache.
 
     ``w_mat`` is the pre-folded ``(Cin*kh*kw, Cout)`` matrix from
     :func:`fold_conv_weight`.  Returns ``(out, cols, out_h, out_w)`` —
-    ``cols`` is the flattened patch matrix the backward pass (and nothing
-    else) needs.  Both :func:`conv2d` and the serve compiler call this, so
-    the two paths are bit-identical by construction and share the gather
-    index and patch caches.
+    ``cols`` is the flattened patch matrix the backward pass needs.
     """
     n, c_in = x.shape[0], x.shape[1]
     patches, out_h, out_w = _im2col_contiguous(x, kh, kw, stride, padding)
-    # (N, oh, ow, C*kh*kw) @ (C*kh*kw, Cout) — patches are contiguous, so
-    # this reshape is a view (the copy happened once, inside the cache).
+    # Patches are contiguous, so this reshape is a view (the copy happened
+    # once, inside the unfold).
     cols = patches.reshape(n, out_h, out_w, c_in * kh * kw)
-    out = cols @ w_mat  # (N, oh, ow, Cout)
-    out = out.transpose(0, 3, 1, 2)
-    if bias is not None:
-        out = out + bias.reshape(1, w_mat.shape[1], 1, 1)
-    if OBS.enabled:
-        OBS.inc("conv2d.forward", bytes=out.nbytes)
-    return out, cols, out_h, out_w
+    return conv_from_patches(cols, w_mat, bias), cols, out_h, out_w
 
 
 def max_pool2d_forward(

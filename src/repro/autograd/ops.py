@@ -18,6 +18,12 @@ from repro.errors import ShapeError
 from repro.perf import FLAGS
 from repro.obs import OBS
 
+try:  # numpy >= 2.4: the pairwise kernel ``np.einsum(optimize=...)`` runs.
+    from numpy._core.einsumfunc import bmm_einsum as _bmm_einsum
+    from numpy._core.einsumfunc import c_einsum as _c_einsum
+except ImportError:  # older numpy: replay through np.einsum itself
+    _bmm_einsum = None
+
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
@@ -236,51 +242,75 @@ def _parse_einsum_spec(spec: str, operand_count: int) -> tuple[list[str], str]:
     return inputs, output.strip()
 
 
-def _contraction_path(
-    spec: str, shapes: tuple[tuple[int, ...], ...]
-) -> list | None:
-    """Optimal pairwise contraction order for >=3-operand einsums.
+class _Contraction:
+    """One explicit einsum with its pairwise contraction list, planned once.
 
-    Pairwise contraction changes floating-point summation order, so the
-    path is only *applied* when ``FLAGS.einsum_optimize`` is set; 2-operand
-    contractions always use numpy's direct kernel (bit-identical to the
-    reference path).
+    For >=3 operands ``path`` is the optimal pairwise order and
+    ``contractions`` the list ``np.einsum_path(..., einsum_call=True)``
+    builds from it — the steps ``np.einsum(spec, *ops, optimize=path)``
+    re-derives on every call.  :meth:`__call__` replays that list with the
+    same pairwise kernels ``np.einsum`` uses (``bmm_einsum`` for two
+    operands, ``c_einsum`` otherwise), so its bits equal that call's while
+    skipping its per-call input parsing and path rebuild.  Pairwise
+    contraction changes floating-point summation order, so the path is
+    only *applied* when ``FLAGS.einsum_optimize`` is set; 1- and
+    2-operand einsums always use numpy's direct kernel.
     """
-    if len(shapes) < 3:
-        return None
-    dummies = [np.broadcast_to(np.float32(0.0), shape) for shape in shapes]
-    path, __ = np.einsum_path(spec, *dummies, optimize="optimal")
-    return path
+
+    __slots__ = ("spec", "path", "contractions")
+
+    def __init__(self, spec: str, shapes: tuple[tuple[int, ...], ...]) -> None:
+        self.spec = spec
+        self.path: list | None = None
+        self.contractions: list | None = None
+        if len(shapes) >= 3:
+            dummies = [np.broadcast_to(np.float32(0.0), shape) for shape in shapes]
+            self.path, __ = np.einsum_path(spec, *dummies, optimize="optimal")
+            __, self.contractions = np.einsum_path(
+                spec, *dummies, optimize=self.path, einsum_call=True
+            )
+
+    def __call__(self, arrays) -> np.ndarray:
+        if self.path is None or not FLAGS.einsum_optimize:
+            return np.einsum(self.spec, *arrays)
+        if _bmm_einsum is None:
+            return np.einsum(self.spec, *arrays, optimize=self.path)
+        operands = list(arrays)
+        for positions, pair_spec, __ in self.contractions:
+            picked = [operands.pop(position) for position in positions]
+            if len(picked) == 2:
+                operands.append(_bmm_einsum(pair_spec, *picked))
+            else:
+                operands.append(_c_einsum(pair_spec, *picked))
+        return operands[0]
 
 
 class _GradPlan:
     """Everything operand ``i``'s gradient einsum needs, derived once."""
 
-    __slots__ = ("direct_spec", "missing_dims", "perm", "path")
+    __slots__ = ("contraction", "missing_dims", "perm")
 
     def __init__(
         self,
-        direct_spec: str,
+        contraction: _Contraction,
         missing_dims: tuple[int, ...],
         perm: tuple[int, ...],
-        path: list | None,
     ) -> None:
-        self.direct_spec = direct_spec
+        self.contraction = contraction
         self.missing_dims = missing_dims
         self.perm = perm
-        self.path = path
 
 
 class _EinsumPlan:
-    """Parsed spec + contraction order + per-operand gradient plans.
+    """Parsed spec + contraction list + per-operand gradient plans.
 
     Cached on ``(spec, shapes)`` so repeated contractions (every training
     step re-runs the same adapter einsums) skip spec parsing, gradient-spec
-    derivation and contraction-order search entirely.  Gradient plans are
+    derivation and contraction planning entirely.  Gradient plans are
     derived lazily: inference-only einsums never pay for them.
     """
 
-    __slots__ = ("spec", "inputs", "output", "shapes", "path", "_grad_plans")
+    __slots__ = ("inputs", "output", "shapes", "contraction", "_grad_plans")
 
     def __init__(self, spec: str, shapes: tuple[tuple[int, ...], ...], operand_count: int):
         inputs, output = _parse_einsum_spec(spec, operand_count)
@@ -290,11 +320,10 @@ class _EinsumPlan:
                     f"einsum operand with spec {labels!r} has {len(shape)} axes; "
                     f"shape {shape}"
                 )
-        self.spec = spec
         self.inputs = inputs
         self.output = output
         self.shapes = shapes
-        self.path = _contraction_path(spec, shapes)
+        self.contraction = _Contraction(spec, shapes)
         self._grad_plans: list[_GradPlan] | None = None
 
     def grad_plans(self) -> list[_GradPlan]:
@@ -319,9 +348,10 @@ class _EinsumPlan:
             dims.update(zip(labels, shape))
         out_shape = tuple(dims[label] for label in output)
         other_shapes = tuple(self.shapes[j] for j in range(len(inputs)) if j != i)
-        path = _contraction_path(direct_spec, (out_shape,) + other_shapes)
         return _GradPlan(
-            direct_spec, tuple(label_dims[m] for m in missing), perm, path
+            _Contraction(direct_spec, (out_shape,) + other_shapes),
+            tuple(label_dims[m] for m in missing),
+            perm,
         )
 
 
@@ -366,23 +396,16 @@ def einsum_forward(spec: str, *arrays: np.ndarray) -> np.ndarray:
     """Graph-free einsum on raw arrays, sharing the plan cache.
 
     The serve compiler's pre-planned contractions call this: the first
-    request populates :data:`_PLAN_CACHE` (including the optimal pairwise
-    path for >=3 operands) and every subsequent request reuses it.  The
-    differentiable :func:`einsum` runs the identical forward, so the two
-    paths are bit-exact under the same ``FLAGS``.
+    request populates :data:`_PLAN_CACHE` (including the pairwise
+    contraction list for >=3 operands) and every subsequent request
+    replays it.  The differentiable :func:`einsum` runs the identical
+    forward, so the two paths are bit-exact under the same ``FLAGS``.
     """
     shapes = tuple(a.shape for a in arrays)
-    plan = _get_plan(spec, shapes, len(arrays))
-    out = _apply_plan(plan, spec, arrays)
+    out = _get_plan(spec, shapes, len(arrays)).contraction(arrays)
     if OBS.enabled:
         OBS.inc("einsum.forward", bytes=np.asarray(out).nbytes)
     return out
-
-
-def _apply_plan(plan: _EinsumPlan, spec: str, arrays) -> np.ndarray:
-    if plan.path is not None and FLAGS.einsum_optimize:
-        return np.einsum(spec, *arrays, optimize=plan.path)
-    return np.einsum(spec, *arrays)
 
 
 def einsum(spec: str, *operands: Tensor) -> Tensor:
@@ -393,15 +416,15 @@ def einsum(spec: str, *operands: Tensor) -> Tensor:
     index string.  Indices that appear only in operand ``i`` (summed out on
     their own) receive a broadcast gradient.
 
-    Spec parsing, gradient-spec derivation and (for >=3 operands) optimal
-    contraction-order search are memoized per ``(spec, shapes)`` — see
-    :class:`_EinsumPlan`; disable via ``repro.perf.FLAGS``.
+    Spec parsing, gradient-spec derivation and (for >=3 operands) the
+    optimal pairwise contraction list are memoized per ``(spec, shapes)``
+    — see :class:`_EinsumPlan`; disable via ``repro.perf.FLAGS``.
     """
     arrays = [op.data for op in operands]
     shapes = tuple(a.shape for a in arrays)
     plan = _get_plan(spec, shapes, len(operands))
 
-    out = _apply_plan(plan, spec, arrays)
+    out = plan.contraction(arrays)
     if OBS.enabled:
         OBS.inc("einsum.forward", bytes=np.asarray(out).nbytes)
 
@@ -413,10 +436,7 @@ def einsum(spec: str, *operands: Tensor) -> Tensor:
 
         def grad_fn(g: np.ndarray) -> np.ndarray:
             others = [arrays[j] for j in range(len(arrays)) if j != i]
-            if gplan.path is not None and FLAGS.einsum_optimize:
-                partial = np.einsum(gplan.direct_spec, g, *others, optimize=gplan.path)
-            else:
-                partial = np.einsum(gplan.direct_spec, g, *others)
+            partial = gplan.contraction([g, *others])
             if gplan.missing_dims:
                 # Axes summed out alone in the forward pass: the gradient is
                 # constant along them, so broadcast to the full shape.

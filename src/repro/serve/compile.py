@@ -13,11 +13,15 @@ into a flat list of steps over raw ``numpy`` arrays:
   intermediate after its last consumer, so peak memory tracks the widest
   layer instead of the whole forward;
 - the heavy kernels are the *same functions* the autograd ops call
-  (:func:`repro.autograd.conv_ops.conv2d_forward`,
+  (the conv unfold and :func:`repro.autograd.conv_ops.conv_from_patches`,
   :func:`repro.autograd.ops.einsum_forward`, …), so compiled outputs are
   bit-identical to the reference ``features()`` under the same
   ``repro.perf.FLAGS`` — including the shared einsum plan cache and the
-  conv gather-index and patch caches.
+  conv gather-index cache;
+- each conv's unfold is its own ``im2col`` step, emitted once per input
+  slot and geometry (:meth:`ProgramBuilder.unfold`), so an adapter conv
+  reads the patches its base conv already unfolded — the sharing the
+  autograd path gets from its patch cache, decided at compile time.
 
 On top of lowering sit the :mod:`repro.serve.optimize` passes — all
 selected per program at compile time:
@@ -56,7 +60,7 @@ from typing import Callable
 import numpy as np
 
 from repro.autograd import ops
-from repro.autograd.conv_ops import conv2d_forward, fold_conv_weight
+from repro.autograd.conv_ops import _unfold, conv_from_patches, fold_conv_weight
 from repro.autograd.conv_ops import avg_pool2d_forward, max_pool2d_forward
 from repro.errors import ServeError
 from repro.models.feature_extractor import FeatureExtractor
@@ -256,6 +260,8 @@ class ProgramBuilder:
         #: backbone but differ in mapping weights.
         self.external_seeds = external_seeds
         self.seed_input_slot: int | None = None
+        #: ``(input slot, kh, kw, stride, padding) -> patch slot``.
+        self._unfolds: dict[tuple[int, int, int, int, int], int] = {}
 
     def const(self, array: object) -> np.ndarray:
         """A folded constant at the program's compute tier.
@@ -297,6 +303,24 @@ class ProgramBuilder:
         output = self.new_slot()
         self.steps.append(Step(name, fn, tuple(inputs), output))
         return output
+
+    def unfold(self, x: int, kh: int, kw: int, stride: int, padding: int) -> int:
+        """The slot holding ``x``'s ``(N, oh, ow, C*kh*kw)`` conv patches.
+
+        Emits one ``im2col`` step per (input slot, geometry) and returns
+        the same slot after that, so a base conv and its adapter conv
+        share one unfold.  Where only one conv reads the patches, the
+        fusion pass folds the step into that conv.
+        """
+        key = (x, kh, kw, stride, padding)
+        if key not in self._unfolds:
+
+            def im2col(x: np.ndarray) -> np.ndarray:
+                patches, out_h, out_w = _unfold(x, kh, kw, stride, padding)
+                return patches.reshape(x.shape[0], out_h, out_w, -1)
+
+            self._unfolds[key] = self.emit("im2col", im2col, x)
+        return self._unfolds[key]
 
     def lower(self, module: Module, x: int) -> int:
         """Lower one module's forward; returns the output slot."""
@@ -538,34 +562,29 @@ def _lower_linear(module: Linear, b: ProgramBuilder, x: int) -> int:
     return b.emit("linear", lambda x: x @ w + bias, x)
 
 
-def _conv_kernel(
+def _conv(
     weight: np.ndarray,
     bias: np.ndarray | None,
     stride: int,
     padding: int,
     b: ProgramBuilder,
-) -> Kernel:
-    """Convolution closure with the weight folded to its im2col matrix."""
-    kh, kw = weight.shape[0], weight.shape[1]
+    x: int,
+) -> tuple[Kernel, int]:
+    """A conv of slot ``x`` as ``(kernel, patch slot)``: the kernel maps
+    the shared unfold to the output, with the weight folded to its im2col
+    matrix."""
+    patches = b.unfold(x, weight.shape[0], weight.shape[1], stride, padding)
     w_mat = b.weight(fold_conv_weight(weight))
     if bias is not None:
         bias = b.const(bias)
-
-    def kernel(x: np.ndarray) -> np.ndarray:
-        out, _, _, _ = conv2d_forward(x, w_mat, bias, kh, kw, stride, padding)
-        return out
-
-    return kernel
+    return (lambda cols: conv_from_patches(cols, w_mat, bias)), patches
 
 
 @compiles(Conv2d)
 def _lower_conv2d(module: Conv2d, b: ProgramBuilder, x: int) -> int:
     bias = module.bias.data if module.bias is not None else None
-    return b.emit(
-        "conv2d",
-        _conv_kernel(module.weight.data, bias, module.stride, module.padding, b),
-        x,
-    )
+    kernel, patches = _conv(module.weight.data, bias, module.stride, module.padding, b, x)
+    return b.emit("conv2d", kernel, patches)
 
 
 @compiles(BatchNorm2d)
@@ -780,19 +799,19 @@ def _lower_lora_linear(module: LoRALinear, b: ProgramBuilder, x: int) -> int:
 @compiles(ConvLoRA)
 def _lower_conv_lora(module: ConvLoRA, b: ProgramBuilder, x: int) -> int:
     base = b.lower(module.base, x)
-    # The adapter conv shares geometry with the base conv, so its
-    # _im2col_contiguous call hits the patch cache populated one step ago.
-    mid_conv = _conv_kernel(
-        module.lora_a.data, None, module.base.stride, module.base.padding, b
+    # The adapter conv shares geometry with the base conv, so it reads the
+    # patches the base conv's im2col step already unfolded.
+    mid_conv, patches = _conv(
+        module.lora_a.data, None, module.base.stride, module.base.padding, b, x
     )
     lb = b.weight(module.lora_b.data)
     scale = b.scalar(module.scaling)
 
-    def kernel(o: np.ndarray, x: np.ndarray) -> np.ndarray:
-        delta = ops.einsum_forward("nrhw,ro->nohw", mid_conv(x), lb)
+    def kernel(o: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        delta = ops.einsum_forward("nrhw,ro->nohw", mid_conv(cols), lb)
         return o + delta * scale
 
-    return b.emit("conv_lora", kernel, base, x)
+    return b.emit("conv_lora", kernel, base, patches)
 
 
 def _fold_gates(module, b: ProgramBuilder) -> list[np.ndarray]:
@@ -826,22 +845,21 @@ def _lower_multi_lora_linear(module: MultiLoRALinear, b: ProgramBuilder, x: int)
 def _lower_multi_lora_conv(module: MultiLoRAConv, b: ProgramBuilder, x: int) -> int:
     base = b.lower(module.base, x)
     stride, padding = module.base.stride, module.base.padding
-    branches = [
-        (
-            _conv_kernel(branch.lora_a.data, None, stride, padding, b),
-            b.weight(branch.lora_b.data),
-        )
-        for branch in module.lora_branches
-    ]
+    branches = []
+    for branch in module.lora_branches:
+        # Every branch conv shares the base conv's geometry, so all of
+        # them read the same patch slot.
+        mid_conv, patches = _conv(branch.lora_a.data, None, stride, padding, b, x)
+        branches.append((mid_conv, b.weight(branch.lora_b.data)))
     gates = _fold_gates(module, b)
 
-    def kernel(o: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def kernel(o: np.ndarray, cols: np.ndarray) -> np.ndarray:
         for (mid_conv, lb), gate in zip(branches, gates):
-            delta = ops.einsum_forward("nrhw,ro->nohw", mid_conv(x), lb)
+            delta = ops.einsum_forward("nrhw,ro->nohw", mid_conv(cols), lb)
             o = o + delta * gate
         return o
 
-    return b.emit("multi_lora_conv", kernel, base, x)
+    return b.emit("multi_lora_conv", kernel, base, patches)
 
 
 @compiles(MetaLoRACPLinear)
@@ -875,16 +893,16 @@ def _lower_meta_cp_linear(module: MetaLoRACPLinear, b: ProgramBuilder, x: int) -
 @compiles(MetaLoRACPConv)
 def _lower_meta_cp_conv(module: MetaLoRACPConv, b: ProgramBuilder, x: int) -> int:
     base = b.lower(module.base, x)
-    mid_conv = _conv_kernel(
-        module.factor_a.data, None, module.base.stride, module.base.padding, b
+    mid_conv, patches = _conv(
+        module.factor_a.data, None, module.base.stride, module.base.padding, b, x
     )
     fb = b.weight(module.factor_b.data)
     static = b.const(module.static_seed.data)
     scale = b.scalar(module.scaling)
     seed_slot = b.seed_slots.get(id(module))
 
-    def kernel(o: np.ndarray, x: np.ndarray, seed: np.ndarray | None = None) -> np.ndarray:
-        mid = mid_conv(x)
+    def kernel(o: np.ndarray, cols: np.ndarray, seed: np.ndarray | None = None) -> np.ndarray:
+        mid = mid_conv(cols)
         if seed is None:
             delta = ops.einsum_forward("nrhw,r,ro->nohw", mid, static, fb)
         else:
@@ -892,8 +910,8 @@ def _lower_meta_cp_conv(module: MetaLoRACPConv, b: ProgramBuilder, x: int) -> in
         return o + delta * scale
 
     if seed_slot is None:
-        return b.emit("meta_cp_conv[static]", kernel, base, x)
-    return b.emit("meta_cp_conv", kernel, base, x, seed_slot)
+        return b.emit("meta_cp_conv[static]", kernel, base, patches)
+    return b.emit("meta_cp_conv", kernel, base, patches, seed_slot)
 
 
 @compiles(MetaLoRATRLinear)
@@ -933,14 +951,16 @@ def _lower_meta_tr_conv(module: MetaLoRATRConv, b: ProgramBuilder, x: int) -> in
     a_conv = module.core_a.data.transpose(1, 2, 3, 0, 4).reshape(
         k, k, module.base.in_channels, r * r
     )
-    mid_conv = _conv_kernel(a_conv, None, module.base.stride, module.base.padding, b)
+    mid_conv, patches = _conv(
+        a_conv, None, module.base.stride, module.base.padding, b, x
+    )
     cb = b.weight(module.core_b.data)
     static = b.const(module.static_seed.data)
     scale = b.scalar(module.scaling)
     seed_slot = b.seed_slots.get(id(module))
 
-    def kernel(o: np.ndarray, x: np.ndarray, seed: np.ndarray | None = None) -> np.ndarray:
-        mid = mid_conv(x)
+    def kernel(o: np.ndarray, cols: np.ndarray, seed: np.ndarray | None = None) -> np.ndarray:
+        mid = mid_conv(cols)
         n, __, h, w = mid.shape
         mid = mid.reshape(n, r, r, h, w)
         if seed is None:
@@ -950,8 +970,8 @@ def _lower_meta_tr_conv(module: MetaLoRATRConv, b: ProgramBuilder, x: int) -> in
         return o + delta * scale
 
     if seed_slot is None:
-        return b.emit("meta_tr_conv[static]", kernel, base, x)
-    return b.emit("meta_tr_conv", kernel, base, x, seed_slot)
+        return b.emit("meta_tr_conv[static]", kernel, base, patches)
+    return b.emit("meta_tr_conv", kernel, base, patches, seed_slot)
 
 
 # -- MetaLoRA: mapping network + seed-fed backbone ----------------------------

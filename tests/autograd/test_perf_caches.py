@@ -117,6 +117,20 @@ class TestConvPatchCache:
         for ref, got in zip(reference, mutated):
             np.testing.assert_array_equal(ref, got)
 
+    def test_inplace_permutation_misses(self, rng):
+        """A permutation of integer values keeps every sum and sum of
+        squares; the cache must still see that the input changed."""
+        x = rng.integers(0, 2, size=(2, 3, 8, 8)).astype(np.float64)
+        t = Tensor(x)
+        w = Tensor(rng.normal(size=(3, 3, 3, 4)))
+        first = conv_ops.conv2d(t, w, padding=1).data.copy()
+        x[...] = x[:, :, ::-1, :].copy()
+        second = conv_ops.conv2d(t, w, padding=1).data
+        with reference_mode():
+            fresh = conv_ops.conv2d(Tensor(x.copy()), w, padding=1).data
+        assert not np.array_equal(second, first)
+        np.testing.assert_array_equal(second, fresh)
+
     def test_capacity_bounded(self, rng):
         for __ in range(2 * conv_ops._PATCH_CACHE_CAPACITY):
             x = Tensor(rng.normal(size=(1, 2, 6, 6)))

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
+from repro.autograd.conv_ops import conv_patch_cache_stats
 from repro.errors import ServeError
 from repro.eval.embeddings import extract_embeddings
 from repro.models import FeatureExtractor, mixer_small, resnet_small
-from repro.nn import BatchNorm2d
+from repro.nn import BatchNorm2d, Conv2d
 from repro.peft import MetaLoRAModel, attach
 from repro.perf import perf_overrides
 from repro.serve import build_engine, compile_features
@@ -165,6 +166,43 @@ class TestProgramStructure:
         model.stem.weight.data[...] += 1.0
         assert np.array_equal(program.run(x), before)
         assert not np.array_equal(compile_features(model).run(x), before)
+
+
+class TestUnfoldSharing:
+    """A base conv and its adapter conv read one compile-time unfold, and
+    compiled programs never consult the autograd patch cache."""
+
+    #: attach() method -> the conv adapter step it lowers to.
+    FAMILIES = {
+        "lora": "conv_lora",
+        "multi_lora": "multi_lora_conv",
+        "meta_cp": "meta_cp_conv",
+        "meta_tr": "meta_tr_conv",
+    }
+
+    @pytest.mark.parametrize("method", sorted(FAMILIES))
+    def test_one_unfold_per_backbone_conv(self, method, rng):
+        model = resnet_small(4, rng)
+        convs = sum(isinstance(module, Conv2d) for module in model.modules())
+        attach(model, method, rank=2, rng=rng)
+        randomize_zero_params(model, rng)
+        program = compile_features(model)
+        images = images_for(rng)
+        before = conv_patch_cache_stats()
+        program.run(images)
+        assert conv_patch_cache_stats() == before
+        listing = program.describe()
+        assert any(self.FAMILIES[method] in line for line in listing)
+        assert sum(line.count("im2col") for line in listing) == convs
+
+    def test_seed_fed_body_shares_unfolds(self, rng):
+        base = resnet_small(4, rng)
+        convs = sum(isinstance(module, Conv2d) for module in base.modules())
+        result = attach(base, "meta_tr", rank=2, rng=rng)
+        extractor = FeatureExtractor(resnet_small(4, np.random.default_rng(9)))
+        model = MetaLoRAModel(base, extractor, rng=rng, adapters=result)
+        body = compile_features(model, external_seeds=True)
+        assert sum(line.count("im2col") for line in body.describe()) == convs
 
 
 class TestBatchNormKernel:
