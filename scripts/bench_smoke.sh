@@ -11,21 +11,18 @@ cd "$(dirname "$0")/.."
 out_dir="${1:-.}"
 
 PYTHONPATH=src python -m pytest tests/bench -m bench_smoke -q
-# --jobs 2 also times the parallel Table I grid runtime and records the
-# `parallel` section (serial-vs-parallel wall-clock + bit-identity check).
-# All three suites run (autograd, table1, serve); the serve suite asserts
-# compiled-vs-reference bit-exactness in-process, so BENCH_serve.json
-# existing at all means the compiled engine matched exactly.
-# --tenants 3 sizes the serve suite's multi_tenant section: one static
-# merged-LoRA tenant plus two seed-slot tenants, with one hot swap.
-PYTHONPATH=src python -m repro bench --out "$out_dir" --scale tiny --repeats 2 --jobs 2 --tenants 3
+# All three default suites run (autograd, table1, serve); the serve suite
+# asserts compiled-vs-reference bit-exactness in-process, so
+# BENCH_serve.json existing at all means the compiled engine matched
+# exactly.
+PYTHONPATH=src python -m repro bench --out "$out_dir" --scale tiny --repeats 2
 for record in BENCH_autograd.json BENCH_table1.json BENCH_serve.json; do
   test -f "$out_dir/$record" || { echo "bench_smoke: missing $record" >&2; exit 1; }
 done
 
-# The multi-tenant section must be present, validate against the schema,
-# and pin the cross-tenant stacking identity (bit_identical is asserted
-# in-process while the bench runs; the record carries the pin).
+# The precision matrix must be present and validated: every tier covered
+# on both backbones, f64 rows bit-exact, KNN accuracy within budget
+# (asserted in-process while the bench runs; the record carries the pin).
 PYTHONPATH=src python - "$out_dir/BENCH_serve.json" <<'PYEOF'
 import json, sys
 
@@ -34,23 +31,7 @@ from repro.bench import validate_bench_record
 with open(sys.argv[1], encoding="utf-8") as handle:
     record = json.load(handle)
 validate_bench_record(record)
-multi = record.get("multi_tenant")
-assert multi, "bench_smoke: BENCH_serve.json has no multi_tenant section"
-assert multi["tenants"] == 3, multi["tenants"]
-assert multi["seed_slot_tenants"] == 2
-assert multi["swaps"] == 1
-assert multi["bit_identical"] is True
-print(
-    "bench_smoke: multi_tenant ok "
-    f"(speedup {multi['speedup']:.2f}x, "
-    f"seed-slot {multi['seed_slot']['speedup']:.2f}x)"
-)
-
-# The precision matrix must be present and validated: every tier covered
-# on both backbones, f64 rows bit-exact, KNN accuracy within budget
-# (asserted in-process while the bench runs; the record carries the pin).
-precision = record.get("precision")
-assert precision, "bench_smoke: BENCH_serve.json has no precision section"
+precision = record["precision"]
 names = [backbone["name"] for backbone in precision["backbones"]]
 assert names == ["resnet", "mixer"], names
 for backbone in precision["backbones"]:
@@ -60,47 +41,6 @@ for backbone in precision["backbones"]:
 print(
     "bench_smoke: precision matrix ok "
     f"(best f32+fusion speedup {precision['best_speedup_vs_f64']:.2f}x vs f64)"
-)
-PYEOF
-
-# Load smoke: a real frontend + open-loop load generator run, two seconds
-# per offered-load level.  The bench asserts server-vs-direct bit-identity
-# per recorded micro-batch in-process, so BENCH_load.json existing at all
-# means the wire path matched direct dispatch exactly; re-validate the
-# record schema and the shape of the load curve here.  --shards 2 adds
-# the horizontal scaling sweep: 1- and 2-shard fleets probed for
-# capacity, loaded through the frontend, per-shard recorded batches
-# replayed bit-identically against a single-process reference.
-PYTHONPATH=src python -m repro bench --suite load --out "$out_dir" --scale tiny --load-duration 2 --shards 2
-test -f "$out_dir/BENCH_load.json" || { echo "bench_smoke: missing BENCH_load.json" >&2; exit 1; }
-PYTHONPATH=src python - "$out_dir/BENCH_load.json" <<'PYEOF'
-import json, sys
-
-from repro.bench import validate_bench_record
-
-with open(sys.argv[1], encoding="utf-8") as handle:
-    record = json.load(handle)
-validate_bench_record(record)
-levels = record["load"]["levels"]
-assert len(levels) >= 3, len(levels)
-assert record["bit_identical"] is True
-assert record["replayed_batches"] >= 1
-scaling = record.get("scaling")
-assert scaling, "bench_smoke: BENCH_load.json has no scaling section"
-assert scaling["shard_counts"] == [1, 2], scaling["shard_counts"]
-for entry in scaling["entries"]:
-    assert entry["bit_identical"] is True
-    assert entry["replayed_batches"] >= 1
-ratio = scaling["summary"]["capacity_ratio"]
-assert ratio >= 1.3, ratio  # the 2-shard floor; 1.7 holds from 4 shards
-print(
-    "bench_smoke: load curve ok "
-    f"({len(levels)} levels, capacity est. "
-    f"{record['capacity_estimate_rps']:.0f} req/s, peak achieved "
-    f"{record['summary']['peak_achieved_rate']:.0f} req/s, "
-    f"{record['replayed_batches']} batch(es) replayed bit-identical; "
-    f"scaling {ratio:.2f}x at {scaling['summary']['top_shards']} shards, "
-    f"start method {scaling['start_method']})"
 )
 PYEOF
 

@@ -13,8 +13,8 @@ Usage::
     python -m repro inspect --method meta_lora_tr
     python -m repro compile --method meta_lora_tr --precision f32 --describe
     python -m repro figures
-    python -m repro bench --out . --jobs 4
-    python -m repro bench --suite load --load-duration 2
+    python -m repro bench --out .
+    python -m repro bench --suite robustness --jobs 4 --out .
     python -m repro serve --port 7070
     python -m repro serve --selftest
 
@@ -33,10 +33,10 @@ parameter budget; ``compile`` lowers a method into its serving program
 and prints the step listing (``--describe`` adds per-step output
 dtypes/shapes — the view of what the fusion pass and precision tier
 actually produced); ``figures`` runs the Figure 1-3 numerical checks;
-``bench`` times the optimized hot paths against the reference
-implementation and emits ``BENCH_autograd.json`` / ``BENCH_table1.json``
-/ ``BENCH_serve.json`` (``--suite`` selects one; ``--suite load`` is
-the opt-in end-to-end traffic bench emitting ``BENCH_load.json``);
+``bench`` runs the in-process bit-identity and accuracy pins and emits
+``BENCH_autograd.json`` / ``BENCH_table1.json`` / ``BENCH_serve.json``
+(``--suite`` selects one; ``--suite robustness`` is the opt-in shift
+matrix emitting ``BENCH_robustness.json``; speed is perfbench's job);
 ``serve`` binds the asyncio TCP frontend (continuous batching,
 admission control, SLO-aware ordering — see docs/serving_frontend.md)
 over a demo multi-tenant fleet, with ``--selftest`` doing one
@@ -360,57 +360,14 @@ def _bench(args: argparse.Namespace) -> int:
     if args.repeats < 1:
         print(f"repro bench: error: --repeats must be >= 1, got {args.repeats}")
         return 2
-    if args.tenants < 0 or args.tenants in (1, 2):
-        print(f"repro bench: error: --tenants must be 0 or >= 3, got {args.tenants}")
-        return 2
-    if args.load_duration <= 0:
-        print(
-            f"repro bench: error: --load-duration must be > 0, "
-            f"got {args.load_duration}"
-        )
-        return 2
-    from repro.bench import (
-        _BENCH_SUITES,
-        _DEFAULT_SUITES,
-        format_bench_record,
-        write_bench_records,
-    )
+    from repro.bench import format_bench_record, run_bench_suites, write_bench_record
 
-    # ``all`` is the default sweep; the load suite binds a TCP port and
-    # runs wall-clock traffic, so it only runs when named explicitly.
-    suites = _DEFAULT_SUITES if args.suite == "all" else (args.suite,)
-    if args.out:
-        import json
-
-        paths = write_bench_records(
-            args.out,
-            scale=args.scale,
-            repeats=args.repeats,
-            jobs=args.jobs,
-            suites=suites,
-            tenants=args.tenants,
-            load_duration=args.load_duration,
-            shards=args.shards,
-        )
-        for path in paths:
-            with open(path, encoding="utf-8") as handle:
-                print(format_bench_record(json.load(handle)))
-            print(f"wrote {path}\n")
-    else:
-        for kind in suites:
-            kwargs: dict[str, object] = {}
-            if kind == "table1":
-                kwargs["jobs"] = args.jobs
-            elif kind == "serve":
-                kwargs["tenants"] = args.tenants
-            elif kind == "load":
-                kwargs["duration"] = args.load_duration
-                kwargs["shards"] = args.shards
-            elif kind == "robustness":
-                kwargs["jobs"] = max(args.jobs, 2)  # the parallel pin needs >= 2
-            record = _BENCH_SUITES[kind](scale=args.scale, repeats=args.repeats, **kwargs)
-            print(format_bench_record(record))
-            print()
+    suites = None if args.suite == "all" else (args.suite,)
+    for record in run_bench_suites(suites, args.scale, args.repeats, args.jobs):
+        print(format_bench_record(record))
+        if args.out:
+            print(f"wrote {write_bench_record(args.out, record)}")
+        print()
     return 0
 
 
@@ -673,47 +630,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="time optimized vs reference hot paths (BENCH_*.json)",
+        help="run the in-process bit-identity and accuracy pins (BENCH_*.json)",
         parents=[jobs_flags],
     )
     bench.add_argument(
         "--out",
         default=None,
-        help="directory for BENCH_autograd.json / BENCH_table1.json "
-        "(omit to just print)",
+        help="directory for the BENCH_<suite>.json records (omit to just print)",
     )
     bench.add_argument("--scale", choices=("tiny", "small"), default="tiny")
     bench.add_argument("--repeats", type=int, default=3)
     bench.add_argument(
         "--suite",
-        choices=("all", "autograd", "table1", "serve", "load", "robustness"),
+        choices=("all", "autograd", "table1", "serve", "robustness"),
         default="all",
-        help="run a single bench suite; the load suite (open-loop traffic "
-        "against the TCP frontend) and the robustness suite (the full "
-        "shift grid with its bit-identity pins) are opt-in and not part "
-        "of 'all' (default: all)",
-    )
-    bench.add_argument(
-        "--tenants",
-        type=int,
-        default=4,
-        help="tenant count for the serve suite's multi_tenant section "
-        "(>= 3; 0 disables it)",
-    )
-    bench.add_argument(
-        "--load-duration",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="load suite: seconds of traffic per offered-load level "
-        "(3 levels; default: 1.0)",
-    )
-    bench.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="load suite: top shard count for the scaling sweep "
-        "(powers of two up to N; < 2 skips the section; default: 4)",
+        help="run a single bench suite; the robustness suite (the full "
+        "shift grid with its bit-identity pins, --jobs workers) is opt-in "
+        "and not part of 'all' (default: all)",
     )
     bench.set_defaults(func=_bench)
 

@@ -12,9 +12,9 @@ run as one serial step loop.
 
 Every path speaks one typed surface (``api``): ``ServeRequest`` in,
 ``ServeResult`` out — the engine's ``serve``, the continuous-batching
-``scheduler`` (the one queued path), the asyncio TCP ``frontend`` and
-the open-loop ``loadgen``.  See docs/serving.md and
-docs/serving_frontend.md.
+``scheduler`` (the one queued path) and the asyncio TCP ``frontend``
+(its ``ServeClient`` and, with ``ShardedEngine``, N worker processes).
+See docs/serving.md and docs/serving_frontend.md.
 """
 
 from repro.serve.api import (
@@ -55,7 +55,6 @@ from repro.serve.registry import (
 from repro.serve.scheduler import BatchScheduler
 from repro.serve.shard import ShardedEngine, TenantSpec
 from repro.serve.frontend import ServeClient, ServingFrontend
-from repro.serve.loadgen import run_load
 from repro.serve.codec import MAX_SEGMENT, decode_payload, encode_payload
 
 __all__ = [
@@ -96,5 +95,4 @@ __all__ = [
     "program_key",
     "quantize_weight",
     "resolve_precision",
-    "run_load",
 ]

@@ -9,9 +9,7 @@ is the contract for *every* way work reaches the serving layer:
   (:mod:`repro.serve.scheduler`), resolving to a ``Future[ServeResult]``;
 - the asyncio TCP frontend (:mod:`repro.serve.frontend`) decodes each
   wire frame into a ``ServeRequest`` and encodes the ``ServeResult``
-  back;
-- the load generator (:mod:`repro.serve.loadgen`) emits the same
-  requests it would send over the wire.
+  back, and its ``ServeClient`` sends the same requests over the wire.
 
 Requests carry the scheduling contract, not just the payload:
 

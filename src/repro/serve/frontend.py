@@ -23,10 +23,10 @@ carry ``status`` / ``error`` / ``timings`` in the header and the
 embedding (when ``ok``) in the payload.
 
 :class:`ServeClient` is the blocking stdlib-socket client used by tests
-and the load generator: it sends one request at a time per connection,
-so its response matching is trivial.  :meth:`ServingFrontend.start_in_thread`
-runs the event loop on a daemon thread — the form in-process tests and
-the load bench use.
+and ``repro serve --selftest``: it sends one request at a time per
+connection, so its response matching is trivial.
+:meth:`ServingFrontend.start_in_thread` runs the event loop on a daemon
+thread — the form in-process tests use.
 """
 
 from __future__ import annotations
@@ -254,7 +254,7 @@ class ServingFrontend:
         }
         await self._respond(writer, write_lock, header_out, encode_payload(result.embedding))
 
-    # -- thread helpers (in-process tests, load bench) ------------------------
+    # -- thread helpers (in-process tests) ------------------------------------
 
     def start_in_thread(self, timeout: float = 10.0) -> tuple[str, int]:
         """Run the event loop on a daemon thread; returns the bound address."""

@@ -110,7 +110,7 @@ class BatchScheduler:
     record_batches:
         Keep the first N dispatched batches — ``(requests, results)``
         pairs — on :attr:`recorded` for bit-identity replay against
-        direct engine dispatch (the load bench's identity check).
+        direct engine dispatch (the shard tests' identity check).
     """
 
     def __init__(

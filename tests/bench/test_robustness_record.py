@@ -1,9 +1,9 @@
-"""The robustness bench record: round-trip, pins, and validator teeth.
+"""The robustness bench record: round-trip, pins and suite wiring.
 
 One real (tiny) ``run_robustness_bench`` drives everything: the record
-must validate after a JSON round-trip, its three bit-identity pins must
-be asserted in-process (the record only exists if they held), and every
-validator branch must reject a targeted mutation of the good record.
+must validate after a JSON round-trip and its three bit-identity pins
+must be asserted in-process (the record only exists if they held).
+Validator teeth live in ``test_record_schema.py``.
 """
 
 import json
@@ -17,25 +17,14 @@ from repro.bench import (
     write_bench_records,
 )
 from repro.errors import ConfigError
+from tests.bench.conftest import ROBUSTNESS_KWARGS
 
 pytestmark = pytest.mark.bench_smoke
 
-#: The smallest grid that satisfies the headline contract: the static
-#: baseline plus one meta method, one corruption, the clean rung + one
-#: corrupted rung.
-BENCH_KWARGS = dict(
-    scale="tiny",
-    repeats=1,
-    jobs=2,
-    methods=("lora", "meta_lora_cp"),
-    corruptions=("contrast",),
-    severities=(0, 3),
-)
-
 
 @pytest.fixture(scope="module")
-def record():
-    return json.loads(json.dumps(run_robustness_bench(**BENCH_KWARGS)))
+def record(fresh_record):
+    return fresh_record("robustness")
 
 
 class TestRobustnessBench:
@@ -72,11 +61,11 @@ class TestRobustnessBench:
 
     def test_severity_zero_required(self):
         with pytest.raises(ConfigError, match="severity 0"):
-            run_robustness_bench(**{**BENCH_KWARGS, "severities": (1, 3)})
+            run_robustness_bench(**{**ROBUSTNESS_KWARGS, "severities": (1, 3)})
 
     def test_headline_needs_baseline_and_meta(self):
         with pytest.raises(ConfigError, match="meta method"):
-            run_robustness_bench(**{**BENCH_KWARGS, "methods": ("original", "lora")})
+            run_robustness_bench(**{**ROBUSTNESS_KWARGS, "methods": ("original", "lora")})
 
     def test_robustness_suite_is_opt_in(self, tmp_path, record, monkeypatch):
         import repro.bench as bench_module
@@ -100,76 +89,3 @@ class TestRobustnessBench:
         assert seen == {"scale": "tiny", "repeats": 1, "jobs": 2}
         with open(paths[0], encoding="utf-8") as handle:
             validate_bench_record(json.load(handle))
-
-
-class TestValidatorTeeth:
-    def test_validate_rejects_corrupt_records(self, record):
-        def corrupted(mutate):
-            clone = json.loads(json.dumps(record))
-            mutate(clone)
-            return clone
-
-        for mutate, match in (
-            (lambda r: r["grid"].update(methods=["lora"]), ">= 2 methods"),
-            (lambda r: r["grid"].update(corruptions=[]), "corruptions"),
-            (lambda r: r["grid"].update(severities=[1, 3]), "include 0"),
-            (lambda r: r["grid"].update(severities=[0, 3, 3]), "distinct"),
-            (lambda r: r["cells"].pop(), "cover the full grid"),
-            (lambda r: r["cells"].append(dict(r["cells"][0])), "duplicate cell"),
-            (
-                lambda r: r["cells"][0].update(severity=5),
-                "outside the declared grid",
-            ),
-            (
-                lambda r: r["cells"][0]["accuracy_by_k"].popitem(),
-                "cover grid.ks exactly",
-            ),
-            (
-                lambda r: r["cells"][0].update(
-                    accuracy_by_k={k: 1.5 for k in r["cells"][0]["accuracy_by_k"]}
-                ),
-                r"\[0, 1\]",
-            ),
-            (
-                lambda r: r.update(severity0_bit_identical=False),
-                "severity0_bit_identical",
-            ),
-            (lambda r: r["parallel"].update(jobs=1), "parallel.jobs"),
-            (
-                lambda r: r["parallel"].update(cells_equal=False),
-                "parallel.cells_equal",
-            ),
-            (
-                lambda r: r["resume"].update(restored_cells=0),
-                "resume.restored_cells",
-            ),
-            (lambda r: r["slopes"].pop("lora"), "one entry per method"),
-            (
-                lambda r: r["slopes"]["lora"].update(mean=float("nan")),
-                "mean must be finite",
-            ),
-            (
-                lambda r: r["headline"].update(baseline="nope"),
-                "headline.baseline",
-            ),
-            (
-                lambda r: r["headline"].update(meta_methods=[]),
-                "meta_methods",
-            ),
-            (
-                lambda r: r["stream"]["methods"]["lora"]["steps"].pop(),
-                "every step",
-            ),
-            (
-                lambda r: r["stream"]["methods"]["lora"]["steps"][0].update(
-                    accuracy=2.0
-                ),
-                "accuracy must be in",
-            ),
-            (
-                lambda r: r["summary"].update(headline_delta=0.123),
-                "headline_delta",
-            ),
-        ):
-            with pytest.raises(ValueError, match=match):
-                validate_bench_record(corrupted(mutate))

@@ -8,10 +8,17 @@ loop at any worker count, because every cell derives its RNG from its
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigError, WorkerError
-from repro.eval.protocol import Table1Config, run_table1
+from repro.eval.protocol import (
+    Table1Config,
+    prepare_table1_seed,
+    run_table1,
+    run_table1_cell,
+)
 from repro.perf import FLAGS
 from repro.runtime import fork_available, run_table1_grid
 from repro.runtime import table1 as table1_runtime
@@ -37,6 +44,19 @@ def test_grid_bit_identical_to_serial_at_jobs_2():
     assert _rows_equal(parallel.rows_by_seed[0], serial)
     assert all(r.ok for r in parallel.cell_results)
     assert parallel.failures == []
+
+
+def test_context_rebuilt_per_cell_equals_shared_context():
+    """A cell run on its own freshly prepared seed context (what naive
+    cell sharding does), in reverse method order, equals the cell run on
+    the one context ``run_table1`` shares across methods."""
+    config = replace(Table1Config().quick(), methods=("original", "lora", "meta_lora_tr"))
+    shared = run_table1(config, seed=0)
+    rebuilt = {
+        method: run_table1_cell(config, prepare_table1_seed(config, 0), method)
+        for method in reversed(config.methods)
+    }
+    assert _rows_equal(rebuilt, shared)
 
 
 def test_empty_seeds_rejected():

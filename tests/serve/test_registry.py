@@ -287,6 +287,33 @@ class TestMultiTenantServing:
         finally:
             engine.close()
 
+    def test_one_request_per_call_matches_single_tenant_engines(self, rng):
+        """Mixed tenants served one request per ``serve`` call reproduce
+        each tenant's own engine serving the same rows one at a time."""
+        meta_b = meta_model(seed=10)
+        perturb_mapping(meta_b, np.random.default_rng(7))
+        sources = {
+            "static": static_lora_result(0),
+            "meta_a": meta_model(seed=10),
+            "meta_b": meta_b,
+        }
+        images = {name: images_for(rng, 2) for name in sources}
+        reference = {}
+        for name, source in sources.items():
+            with build_engine(source) as engine:
+                reference[name] = serve_bulk(engine, images[name], batch_size=1)
+        engine = MultiTenantEngine()
+        try:
+            for name, source in sources.items():
+                engine.register(name, source)
+            for index in range(2):
+                for name in sources:
+                    request = ServeRequest(sample=images[name][index], adapter=name)
+                    row = engine.serve(request).require()
+                    assert np.array_equal(row, reference[name][index])
+        finally:
+            engine.close()
+
     def test_adapter_churn_swap_serves_new_weights(self, rng):
         """register → serve → swap → serve: new outputs and correct
         program cache traffic."""
