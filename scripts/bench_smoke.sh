@@ -37,7 +37,7 @@ assert names == ["resnet", "mixer"], names
 for backbone in precision["backbones"]:
     assert backbone["f64_bit_identical"] is True
     tiers = {row["precision"] for row in backbone["rows"]}
-    assert tiers == {"f64", "f32", "int8"}, tiers
+    assert tiers == {"f64", "f32"}, tiers
 print(
     "bench_smoke: precision matrix ok "
     f"(best f32+fusion speedup {precision['best_speedup_vs_f64']:.2f}x vs f64)"

@@ -257,15 +257,10 @@ def _compile(args: argparse.Namespace) -> int:
     program.run(
         np.zeros((1, 3, config.image_size, config.image_size), dtype=np.float32)
     )
-    counters = program.counters()
     print(f"method:    {args.method}")
     print(f"backbone:  {args.backbone}")
     print(f"precision: {program.precision}")
-    print(
-        f"steps:     {len(program)}  "
-        f"(fusion eliminated {counters['fusion_eliminated']}, "
-        f"quantized {counters['quantized']} weight matrices)"
-    )
+    print(f"steps:     {len(program)}  (fusion eliminated {program.fusion_eliminated})")
     if args.describe:
         print()
         for line in program.describe():
@@ -585,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     compile_cmd.add_argument("--seed", type=int, default=0)
     compile_cmd.add_argument(
         "--precision",
-        choices=("f64", "f32", "int8"),
+        choices=("f64", "f32"),
         default=None,
         help="precision tier (default: REPRO_SERVE_PRECISION, else f64)",
     )

@@ -216,8 +216,8 @@ class AttachResult:
         With ``merge=True`` (and only while still attached), static
         adapters are baked into their base layers via :meth:`merge` so the
         compiled program carries no adapter ops.  Meta adapters cannot
-        merge — the model is returned as-is and the compiler uses their
-        pre-planned einsum fast paths instead.  Already-merged or detached
+        merge — the model is returned as-is and the compiler lowers their
+        own ``add_delta`` instead.  Already-merged or detached
         results just return the model.
         """
         if merge and self._state == "attached" and not self.is_meta:

@@ -11,30 +11,99 @@ layer so inference costs exactly the original model.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
+from repro.autograd import ops
+from repro.autograd.conv_ops import conv2d
 from repro.autograd.tensor import Tensor
-from repro.errors import AdapterError
-from repro.nn.module import Module
+from repro.errors import AdapterError, ShapeError
+from repro.nn.module import Module, Parameter
+
+
+class AutogradKernels:
+    """The kernel namespace :meth:`Adapter.add_delta` trains against.
+
+    Every call is a differentiable op, so ΔW·x joins the autograd graph.
+    :class:`repro.serve.compile.CompiledKernels` is the same namespace over
+    the raw-array ``*_forward`` kernels these ops call, which is how one
+    ``add_delta`` serves both training and compiled inference:
+
+    - ``param(p)`` — an adapter parameter (the parameter itself here; a
+      folded compile-time copy there);
+    - ``scalar(v)`` — ``v`` as the strong 0-d float64 operand ``Tensor``
+      arithmetic coerces python floats to;
+    - ``einsum``, ``softmax``, ``stack`` and ``conv(x, w, stride, padding)``;
+    - ``fold(fn, *operands)`` — a parameter-only expression (a factor's
+      layout change): run every forward here, once per program there.
+    """
+
+    einsum = staticmethod(ops.einsum)
+    softmax = staticmethod(ops.softmax)
+    stack = staticmethod(ops.stack)
+
+    @staticmethod
+    def param(param: Parameter) -> Tensor:
+        return param
+
+    @staticmethod
+    def scalar(value: float) -> float:
+        return float(value)
+
+    @staticmethod
+    def conv(x: Tensor, weight: Tensor, stride: int, padding: int) -> Tensor:
+        return conv2d(x, weight, stride=stride, padding=padding)
+
+    @staticmethod
+    def fold(fn: Callable[..., Tensor], *operands: Tensor) -> Tensor:
+        return fn(*operands)
+
+
+AUTOGRAD = AutogradKernels()
 
 
 class Adapter(Module):
     """Base class for adapters wrapping a frozen ``base`` layer.
 
-    Subclasses implement ``forward`` (base output + low-rank delta) and,
-    for static adapters, ``delta_weight`` so merging is possible.  Meta
-    adapters (input-conditioned ΔW) override ``set_seed`` and report
-    ``is_meta = True``; their ΔW differs per sample, so they cannot merge.
+    A family whose output is ``base(x) + ΔW(seed)·x`` writes its update
+    once, as :meth:`add_delta`; the inherited ``forward`` runs it on the
+    autograd kernels and the serve compiler lowers it on the compiled
+    ones.  Families of another shape (DoRA, bottleneck, prefix) override
+    ``forward`` instead and cannot be compiled unmerged.  Static adapters
+    also implement ``delta_weight`` so merging is possible.  Meta adapters
+    (input-conditioned ΔW) report ``is_meta = True`` and a ``seed_shape``;
+    their ΔW differs per sample, so they cannot merge.
     """
 
     is_meta = False
+    _seed: Tensor | None = None
 
     def __init__(self, base: Module) -> None:
         super().__init__()
         base.freeze()
         self.base = base
+
+    def add_delta(
+        self, k: AutogradKernels, out: Tensor, x: Tensor, seed: Tensor | None
+    ) -> Tensor:
+        """``out + ΔW(seed)·x`` over kernel namespace ``k``.
+
+        ``out`` is ``base(x)``; ``seed`` is the per-sample seed, or
+        ``None`` for the static-seed path.  ``x`` and ``out`` are Tensors
+        under autograd and arrays when compiled, so the body uses only
+        ``k`` and what both share (``@``, ``*``, ``+``, ``reshape``,
+        ``shape``, ``ndim``, indexing).  Compiled conv adapters receive
+        the base conv's unfolded patches as ``x``; only ``k.conv`` reads it.
+        """
+        raise AdapterError(f"{type(self).__name__} defines no add_delta")
+
+    def forward(self, x: Tensor) -> Tensor:
+        out = self.base(x)
+        seed = self._seed
+        if seed is not None and seed.shape[0] != x.shape[0]:
+            raise ShapeError(f"seed batch {seed.shape[0]} != input batch {x.shape[0]}")
+        return self.add_delta(AUTOGRAD, out, x, seed)
 
     def delta_weight(self) -> np.ndarray:
         """The materialized weight update ``ΔW`` (static adapters only)."""
@@ -62,8 +131,14 @@ class Adapter(Module):
         return self.base
 
     def set_seed(self, seed: Tensor | None) -> None:
-        """Install the per-sample seed (meta adapters only)."""
-        raise AdapterError(f"{type(self).__name__} does not take a generated seed")
+        """Install the per-sample ``(N, *seed_shape)`` seed (meta adapters
+        only); ``None`` restores the static seed."""
+        if not self.is_meta:
+            raise AdapterError(f"{type(self).__name__} does not take a generated seed")
+        if seed is not None and seed.shape[1:] != self.seed_shape:
+            dims = ", ".join(str(dim) for dim in self.seed_shape)
+            raise ShapeError(f"seed must be (N, {dims}), got {seed.shape}")
+        self._seed = seed
 
 
 def get_module(root: Module, dotted_name: str) -> Module:

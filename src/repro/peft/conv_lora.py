@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.conv_ops import conv2d
-from repro.autograd.ops import einsum
 from repro.autograd.tensor import Tensor
 from repro.errors import AdapterError
 from repro.nn import init
 from repro.nn.conv import Conv2d
 from repro.nn.module import Parameter
-from repro.peft.base import Adapter
+from repro.peft.base import Adapter, AutogradKernels
 
 
 class ConvLoRA(Adapter):
@@ -51,12 +49,11 @@ class ConvLoRA(Adapter):
         )
         self.lora_b = Parameter(init.zeros((rank, base.out_channels)))
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = self.base(x)
+    def add_delta(self, k: AutogradKernels, out: Tensor, x: Tensor, seed: None) -> Tensor:
         # Fig. 3: small conv to R channels, then a 1x1 conv recovers O channels.
-        mid = conv2d(x, self.lora_a, stride=self.base.stride, padding=self.base.padding)
-        delta = einsum("nrhw,ro->nohw", mid, self.lora_b)
-        return out + delta * self.scaling
+        mid = k.conv(x, k.param(self.lora_a), self.base.stride, self.base.padding)
+        delta = k.einsum("nrhw,ro->nohw", mid, k.param(self.lora_b))
+        return out + delta * k.scalar(self.scaling)
 
     def delta_weight(self) -> np.ndarray:
         """Materialized ΔW = A ×₄ B (Eq. 5), shape ``(K, K, I, O)``."""

@@ -17,15 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.conv_ops import conv2d
-from repro.autograd.ops import einsum
 from repro.autograd.tensor import Tensor
-from repro.errors import AdapterError, ShapeError
+from repro.errors import AdapterError
 from repro.nn import init
 from repro.nn.conv import Conv2d
 from repro.nn.linear import Linear
 from repro.nn.module import Parameter
-from repro.peft.base import Adapter
+from repro.peft.base import Adapter, AutogradKernels
 
 
 class MetaLoRACPLinear(Adapter):
@@ -53,33 +51,22 @@ class MetaLoRACPLinear(Adapter):
         self.factor_a = Parameter(init.normal(rng, (base.in_features, rank), std=0.02))
         self.factor_b = Parameter(init.zeros((rank, base.out_features)))
         self.static_seed = Parameter(init.ones((rank,)))
-        self._seed: Tensor | None = None
 
     @property
     def seed_shape(self) -> tuple[int, ...]:
         return (self.rank,)
 
-    def set_seed(self, seed: Tensor | None) -> None:
-        if seed is not None and seed.shape[1:] != self.seed_shape:
-            raise ShapeError(
-                f"seed must be (N, {self.rank}), got {seed.shape}"
-            )
-        self._seed = seed
-
-    def forward(self, x: Tensor) -> Tensor:
-        out = self.base(x)
+    def add_delta(
+        self, k: AutogradKernels, out: Tensor, x: Tensor, seed: Tensor | None
+    ) -> Tensor:
         squeeze = x.ndim == 2
         x3 = x.reshape(x.shape[0], 1, x.shape[1]) if squeeze else x
-        mid = einsum("nti,ir->ntr", x3, self.factor_a)
-        if self._seed is None:
-            mid = mid * self.static_seed.reshape(1, 1, self.rank)
+        mid = k.einsum("nti,ir->ntr", x3, k.param(self.factor_a))
+        if seed is None:
+            mid = mid * k.param(self.static_seed).reshape(1, 1, self.rank)
         else:
-            if self._seed.shape[0] != x.shape[0]:
-                raise ShapeError(
-                    f"seed batch {self._seed.shape[0]} != input batch {x.shape[0]}"
-                )
-            mid = mid * self._seed.reshape(self._seed.shape[0], 1, self.rank)
-        delta = einsum("ntr,ro->nto", mid, self.factor_b) * self.scaling
+            mid = mid * seed.reshape(seed.shape[0], 1, self.rank)
+        delta = k.einsum("ntr,ro->nto", mid, k.param(self.factor_b)) * k.scalar(self.scaling)
         if squeeze:
             delta = delta.reshape(x.shape[0], self.base.out_features)
         return out + delta
@@ -129,29 +116,21 @@ class MetaLoRACPConv(Adapter):
         )
         self.factor_b = Parameter(init.zeros((rank, base.out_channels)))
         self.static_seed = Parameter(init.ones((rank,)))
-        self._seed: Tensor | None = None
 
     @property
     def seed_shape(self) -> tuple[int, ...]:
         return (self.rank,)
 
-    def set_seed(self, seed: Tensor | None) -> None:
-        if seed is not None and seed.shape[1:] != self.seed_shape:
-            raise ShapeError(f"seed must be (N, {self.rank}), got {seed.shape}")
-        self._seed = seed
-
-    def forward(self, x: Tensor) -> Tensor:
-        out = self.base(x)
-        mid = conv2d(x, self.factor_a, stride=self.base.stride, padding=self.base.padding)
-        if self._seed is None:
-            delta = einsum("nrhw,r,ro->nohw", mid, self.static_seed, self.factor_b)
+    def add_delta(
+        self, k: AutogradKernels, out: Tensor, x: Tensor, seed: Tensor | None
+    ) -> Tensor:
+        mid = k.conv(x, k.param(self.factor_a), self.base.stride, self.base.padding)
+        fb = k.param(self.factor_b)
+        if seed is None:
+            delta = k.einsum("nrhw,r,ro->nohw", mid, k.param(self.static_seed), fb)
         else:
-            if self._seed.shape[0] != x.shape[0]:
-                raise ShapeError(
-                    f"seed batch {self._seed.shape[0]} != input batch {x.shape[0]}"
-                )
-            delta = einsum("nrhw,nr,ro->nohw", mid, self._seed, self.factor_b)
-        return out + delta * self.scaling
+            delta = k.einsum("nrhw,nr,ro->nohw", mid, seed, fb)
+        return out + delta * k.scalar(self.scaling)
 
     def delta_weight(self) -> np.ndarray:
         """Static-seed ΔW of shape ``(K, K, I, O)``."""

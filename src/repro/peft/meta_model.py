@@ -29,7 +29,6 @@ from repro.models.feature_extractor import FeatureExtractor
 from repro.nn.linear import Linear
 from repro.nn.module import Module, ModuleList, Parameter
 from repro.peft.base import Adapter, iter_adapters
-from repro.perf import FLAGS
 
 
 class MetaLoRAModel(Module):
@@ -83,8 +82,8 @@ class MetaLoRAModel(Module):
         # which starves CP's diagonal modulation of dynamic range; the gain
         # lets training widen it per adapter.
         self.head_gains = Parameter(np.ones(len(heads), dtype=np.float32))
-        # Layout for the fused-head fast path: column span of each head in
-        # the concatenated output, and which gain each column belongs to.
+        # Layout of the fused heads: column span of each head in the
+        # concatenated output, and which gain each column belongs to.
         sizes = [int(np.prod(a.seed_shape)) for a in self._meta_adapters]
         self._seed_offsets = np.concatenate([[0], np.cumsum(sizes)]).tolist()
         self._gain_index = np.repeat(np.arange(len(sizes)), sizes)
@@ -97,24 +96,13 @@ class MetaLoRAModel(Module):
     def generate_seeds(self, x: Tensor) -> list[Tensor]:
         """Run feature extraction + mapping nets; one seed tensor per adapter.
 
-        With ``FLAGS.batched_seeds`` the per-head loop is replaced by one
-        matmul against the heads' concatenated weights: every head shares
-        the same ``hidden`` input, so the per-head GEMMs are just column
-        blocks of a single larger GEMM.  Each output column is the same
-        dot product either way, so the two paths agree to float precision;
-        ``perf_overrides(batched_seeds=False)`` recovers the loop.
+        Every head reads the same ``hidden``, so the heads run as one
+        matmul against their concatenated weights: each head's output is
+        a column block of that one GEMM (``tests/peft/test_batched_seeds.py``
+        keeps the per-head loop as its oracle).
         """
         features = self.extractor(x)
         hidden = ops.relu(self.trunk(features))
-        if FLAGS.batched_seeds and len(self._meta_adapters) > 1:
-            return self._generate_seeds_fused(x, hidden)
-        seeds = []
-        for i, (adapter, head) in enumerate(zip(self._meta_adapters, self.heads)):
-            raw = ops.tanh(head(hidden)) * self.head_gains[i]
-            seeds.append(raw.reshape(x.shape[0], *adapter.seed_shape))
-        return seeds
-
-    def _generate_seeds_fused(self, x: Tensor, hidden: Tensor) -> list[Tensor]:
         fused_w = ops.concat([head.weight for head in self.heads], axis=1)
         fused_b = ops.concat([head.bias for head in self.heads], axis=0)
         scaled = ops.tanh(hidden @ fused_w + fused_b) * self.head_gains[self._gain_index]

@@ -16,15 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.conv_ops import conv2d
-from repro.autograd.ops import einsum
 from repro.autograd.tensor import Tensor
-from repro.errors import AdapterError, ShapeError
+from repro.errors import AdapterError
 from repro.nn import init
 from repro.nn.conv import Conv2d
 from repro.nn.linear import Linear
 from repro.nn.module import Parameter
-from repro.peft.base import Adapter
+from repro.peft.base import Adapter, AutogradKernels
 
 
 class MetaLoRATRLinear(Adapter):
@@ -52,35 +50,25 @@ class MetaLoRATRLinear(Adapter):
         )
         self.core_b = Parameter(init.zeros((rank, base.out_features, rank)))
         self.static_seed = Parameter(np.eye(rank, dtype=np.float32))
-        self._seed: Tensor | None = None
 
     @property
     def seed_shape(self) -> tuple[int, ...]:
         return (self.rank, self.rank)
 
-    def set_seed(self, seed: Tensor | None) -> None:
-        if seed is not None and seed.shape[1:] != self.seed_shape:
-            raise ShapeError(
-                f"seed must be (N, {self.rank}, {self.rank}), got {seed.shape}"
-            )
-        self._seed = seed
-
-    def forward(self, x: Tensor) -> Tensor:
-        out = self.base(x)
+    def add_delta(
+        self, k: AutogradKernels, out: Tensor, x: Tensor, seed: Tensor | None
+    ) -> Tensor:
         squeeze = x.ndim == 2
         x3 = x.reshape(x.shape[0], 1, x.shape[1]) if squeeze else x
         # t1[n,t,p,r] = Σ_i x[n,t,i] A[p,i,r]
-        t1 = einsum("nti,pir->ntpr", x3, self.core_a)
-        if self._seed is None:
+        t1 = k.einsum("nti,pir->ntpr", x3, k.param(self.core_a))
+        cb = k.param(self.core_b)
+        if seed is None:
             # delta[n,t,o] = Σ t1[n,t,p,r] B[r,o,q] C[q,p]
-            delta = einsum("ntpr,roq,qp->nto", t1, self.core_b, self.static_seed)
+            delta = k.einsum("ntpr,roq,qp->nto", t1, cb, k.param(self.static_seed))
         else:
-            if self._seed.shape[0] != x.shape[0]:
-                raise ShapeError(
-                    f"seed batch {self._seed.shape[0]} != input batch {x.shape[0]}"
-                )
-            delta = einsum("ntpr,roq,nqp->nto", t1, self.core_b, self._seed)
-        delta = delta * self.scaling
+            delta = k.einsum("ntpr,roq,nqp->nto", t1, cb, seed)
+        delta = delta * k.scalar(self.scaling)
         if squeeze:
             delta = delta.reshape(x.shape[0], self.base.out_features)
         return out + delta
@@ -136,39 +124,32 @@ class MetaLoRATRConv(Adapter):
         )
         self.core_b = Parameter(init.zeros((rank, base.out_channels, rank)))
         self.static_seed = Parameter(np.eye(rank, dtype=np.float32))
-        self._seed: Tensor | None = None
 
     @property
     def seed_shape(self) -> tuple[int, ...]:
         return (self.rank, self.rank)
 
-    def set_seed(self, seed: Tensor | None) -> None:
-        if seed is not None and seed.shape[1:] != self.seed_shape:
-            raise ShapeError(
-                f"seed must be (N, {self.rank}, {self.rank}), got {seed.shape}"
-            )
-        self._seed = seed
-
-    def forward(self, x: Tensor) -> Tensor:
-        out = self.base(x)
+    def add_delta(
+        self, k: AutogradKernels, out: Tensor, x: Tensor, seed: Tensor | None
+    ) -> Tensor:
         r = self.rank
-        k = self.base.kernel_size
+        size = self.base.kernel_size
         # A as one convolution with R·R output channels, index = p·R + r1.
-        a_conv = self.core_a.transpose(1, 2, 3, 0, 4).reshape(
-            k, k, self.base.in_channels, r * r
+        a_conv = k.fold(
+            lambda a: a.transpose(1, 2, 3, 0, 4).reshape(
+                size, size, self.base.in_channels, r * r
+            ),
+            k.param(self.core_a),
         )
-        mid = conv2d(x, a_conv, stride=self.base.stride, padding=self.base.padding)
+        mid = k.conv(x, a_conv, self.base.stride, self.base.padding)
         n, __, h, w = mid.shape
         mid = mid.reshape(n, r, r, h, w)  # (N, p, r1, H, W)
-        if self._seed is None:
-            delta = einsum("nprhw,roq,qp->nohw", mid, self.core_b, self.static_seed)
+        cb = k.param(self.core_b)
+        if seed is None:
+            delta = k.einsum("nprhw,roq,qp->nohw", mid, cb, k.param(self.static_seed))
         else:
-            if self._seed.shape[0] != x.shape[0]:
-                raise ShapeError(
-                    f"seed batch {self._seed.shape[0]} != input batch {x.shape[0]}"
-                )
-            delta = einsum("nprhw,roq,nqp->nohw", mid, self.core_b, self._seed)
-        return out + delta * self.scaling
+            delta = k.einsum("nprhw,roq,nqp->nohw", mid, cb, seed)
+        return out + delta * k.scalar(self.scaling)
 
     def delta_weight(self) -> np.ndarray:
         """Static-seed ΔW of shape ``(K, K, I, O)``."""

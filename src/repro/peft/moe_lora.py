@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.ops import einsum, softmax, stack
 from repro.autograd.tensor import Tensor
-from repro.errors import AdapterError, ShapeError
+from repro.errors import AdapterError
 from repro.nn import init
 from repro.nn.linear import Linear
 from repro.nn.module import ModuleList, Parameter
-from repro.peft.base import Adapter
+from repro.peft.base import Adapter, AutogradKernels
 from repro.peft.multi_lora import _LinearBranch
 
 
@@ -53,38 +52,30 @@ class MoELoRALinear(Adapter):
             ]
         )
         self.static_gate_logits = Parameter(init.zeros((experts,)))
-        self._seed: Tensor | None = None
 
     @property
     def seed_shape(self) -> tuple[int, ...]:
+        """Per-sample gate logits, one per expert."""
         return (self.experts,)
 
-    def set_seed(self, seed: Tensor | None) -> None:
-        """Install per-sample gate logits of shape ``(N, experts)``."""
-        if seed is not None and seed.shape[1:] != self.seed_shape:
-            raise ShapeError(f"gate logits must be (N, {self.experts}), got {seed.shape}")
-        self._seed = seed
-
-    def forward(self, x: Tensor) -> Tensor:
-        out = self.base(x)
+    def add_delta(
+        self, k: AutogradKernels, out: Tensor, x: Tensor, seed: Tensor | None
+    ) -> Tensor:
         squeeze = x.ndim == 2
         x3 = x.reshape(x.shape[0], 1, x.shape[1]) if squeeze else x
-        deltas = [branch.delta(x3) for branch in self.expert_branches]
-        if self._seed is None:
-            gates = softmax(self.static_gate_logits.reshape(1, self.experts))
+        deltas = [branch.delta(x3, k) for branch in self.expert_branches]
+        if seed is None:
+            logits = k.param(self.static_gate_logits)
+            gates = k.softmax(logits.reshape(1, self.experts))
             gates = gates.reshape(1, 1, self.experts)
             mixed = deltas[0] * gates[:, :, 0]
-            for k in range(1, self.experts):
-                mixed = mixed + deltas[k] * gates[:, :, k]
+            for i in range(1, self.experts):
+                mixed = mixed + deltas[i] * gates[:, :, i]
         else:
-            if self._seed.shape[0] != x.shape[0]:
-                raise ShapeError(
-                    f"gate batch {self._seed.shape[0]} != input batch {x.shape[0]}"
-                )
-            gates = softmax(self._seed)  # (N, experts)
-            stacked = stack(deltas, axis=3)  # (N, T, O, K)
-            mixed = einsum("ntok,nk->nto", stacked, gates)
-        mixed = mixed * self.scaling
+            gates = k.softmax(seed)  # (N, experts)
+            stacked = k.stack(deltas, axis=3)  # (N, T, O, K)
+            mixed = k.einsum("ntok,nk->nto", stacked, gates)
+        mixed = mixed * k.scalar(self.scaling)
         if squeeze:
             mixed = mixed.reshape(x.shape[0], self.base.out_features)
         return out + mixed

@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.conv_ops import conv2d
-from repro.autograd.ops import einsum
 from repro.autograd.tensor import Tensor
 from repro.errors import AdapterError
 from repro.nn import init
 from repro.nn.conv import Conv2d
 from repro.nn.linear import Linear
 from repro.nn.module import Module, ModuleList, Parameter
-from repro.peft.base import Adapter
+from repro.peft.base import AUTOGRAD, Adapter, AutogradKernels
 
 
 class _LinearBranch(Module):
@@ -32,8 +30,8 @@ class _LinearBranch(Module):
         self.lora_a = Parameter(init.normal(rng, (in_features, rank), std=0.02))
         self.lora_b = Parameter(init.zeros((rank, out_features)))
 
-    def delta(self, x: Tensor) -> Tensor:
-        return x @ self.lora_a @ self.lora_b
+    def delta(self, x: Tensor, k: AutogradKernels = AUTOGRAD) -> Tensor:
+        return x @ k.param(self.lora_a) @ k.param(self.lora_b)
 
     def delta_weight(self) -> np.ndarray:
         return self.lora_a.data @ self.lora_b.data
@@ -61,9 +59,11 @@ class _ConvBranch(Module):
         )
         self.lora_b = Parameter(init.zeros((rank, out_channels)))
 
-    def delta(self, x: Tensor, stride: int, padding: int) -> Tensor:
-        mid = conv2d(x, self.lora_a, stride=stride, padding=padding)
-        return einsum("nrhw,ro->nohw", mid, self.lora_b)
+    def delta(
+        self, x: Tensor, stride: int, padding: int, k: AutogradKernels = AUTOGRAD
+    ) -> Tensor:
+        mid = k.conv(x, k.param(self.lora_a), stride, padding)
+        return k.einsum("nrhw,ro->nohw", mid, k.param(self.lora_b))
 
     def delta_weight(self) -> np.ndarray:
         return np.einsum("abir,ro->abio", self.lora_a.data, self.lora_b.data)
@@ -99,10 +99,10 @@ class MultiLoRALinear(Adapter):
         )
         self.gates = Parameter(init.ones((branches,)) / branches)
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = self.base(x)
-        for k, branch in enumerate(self.lora_branches):
-            out = out + branch.delta(x) * (self.gates[k] * self.scaling)
+    def add_delta(self, k: AutogradKernels, out: Tensor, x: Tensor, seed: None) -> Tensor:
+        gates = k.param(self.gates)
+        for i, branch in enumerate(self.lora_branches):
+            out = out + branch.delta(x, k) * (gates[i] * k.scalar(self.scaling))
         return out
 
     def delta_weight(self) -> np.ndarray:
@@ -149,11 +149,11 @@ class MultiLoRAConv(Adapter):
         )
         self.gates = Parameter(init.ones((branches,)) / branches)
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = self.base(x)
-        for k, branch in enumerate(self.lora_branches):
-            delta = branch.delta(x, self.base.stride, self.base.padding)
-            out = out + delta * (self.gates[k] * self.scaling)
+    def add_delta(self, k: AutogradKernels, out: Tensor, x: Tensor, seed: None) -> Tensor:
+        gates = k.param(self.gates)
+        for i, branch in enumerate(self.lora_branches):
+            delta = branch.delta(x, self.base.stride, self.base.padding, k)
+            out = out + delta * (gates[i] * k.scalar(self.scaling))
         return out
 
     def delta_weight(self) -> np.ndarray:

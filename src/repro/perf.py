@@ -1,18 +1,17 @@
 """Performance-path feature flags.
 
 Every optimization added on top of the reference implementation (einsum
-plan caching, optimal contraction ordering, im2col patch caching, batched
-meta-seed generation) is guarded by a flag here so the two paths can be
-A/B-tested: the reference path is the original, straight-line code; the
-optimized path must match it numerically (see ``tests/autograd`` and
-``tests/peft``) and is what ships by default.
+plan caching, optimal contraction ordering, im2col patch caching) is
+guarded by a flag here so the two paths can be A/B-tested: the reference
+path is the original, straight-line code; the optimized path must match
+it numerically (see ``tests/autograd``) and is what ships by default.
 
 Flags initialize from the environment:
 
 - ``REPRO_PERF=off`` (or ``reference``) disables every optimization;
 - ``REPRO_EINSUM_PLAN_CACHE=0``, ``REPRO_EINSUM_OPTIMIZE=0``,
-  ``REPRO_CONV_PATCHES_CACHE=0``, ``REPRO_BATCHED_SEEDS=0``,
-  ``REPRO_BACKWARD_INPLACE_ACCUM=0`` disable individual paths;
+  ``REPRO_CONV_PATCHES_CACHE=0``, ``REPRO_BACKWARD_INPLACE_ACCUM=0``
+  disable individual paths;
 - ``REPRO_BACKWARD_RELEASE=1`` opts in to the backward memory diet
   (graph metadata is dropped as ``backward()`` consumes it; see
   :meth:`repro.autograd.tensor.Tensor.backward`).  Off by default because
@@ -101,7 +100,6 @@ class PerfFlags:
     einsum_plan_cache: bool = True
     einsum_optimize: bool = True
     conv_patches_cache: bool = True
-    batched_seeds: bool = True
     backward_inplace_accum: bool = True
     backward_release: bool = False
     serve_embeddings: bool = False
@@ -114,7 +112,6 @@ def _from_env() -> PerfFlags:
         einsum_plan_cache=_env_bool("REPRO_EINSUM_PLAN_CACHE", True),
         einsum_optimize=_env_bool("REPRO_EINSUM_OPTIMIZE", True),
         conv_patches_cache=_env_bool("REPRO_CONV_PATCHES_CACHE", True),
-        batched_seeds=_env_bool("REPRO_BATCHED_SEEDS", True),
         backward_inplace_accum=_env_bool("REPRO_BACKWARD_INPLACE_ACCUM", True),
         backward_release=_env_bool("REPRO_BACKWARD_RELEASE", False),
         serve_embeddings=_env_bool("REPRO_SERVE_EMBEDDINGS", False),

@@ -7,7 +7,7 @@ hot register/swap/evict, a shared LRU of compiled programs, and
 cross-tenant grouping inside one synchronous ``serve`` call —
 and ``build_engine`` mounts one compiled model as such an engine's
 default tenant.  ``optimize`` supplies the compile-time passes:
-precision tiers (f64/f32/int8) and elementwise-chain fusion; programs
+precision tiers (f64/f32) and elementwise-chain fusion; programs
 run as one serial step loop.
 
 Every path speaks one typed surface (``api``): ``ServeRequest`` in,
@@ -31,7 +31,6 @@ from repro.serve.api import (
 from repro.serve.optimize import (
     PRECISIONS,
     fuse_program,
-    quantize_weight,
     resolve_precision,
 )
 from repro.serve.compile import (
@@ -93,6 +92,5 @@ __all__ = [
     "fuse_program",
     "ingest_sample",
     "program_key",
-    "quantize_weight",
     "resolve_precision",
 ]

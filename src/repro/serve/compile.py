@@ -7,8 +7,8 @@ into a flat list of steps over raw ``numpy`` arrays:
 
 - every step is a plain callable closed over pre-folded constants (the
   im2col weight matrix, the batch-norm ``sqrt(var + eps)`` denominator,
-  concatenated meta-head weights, pre-reshaped TR cores), so per-request
-  work is only the arithmetic;
+  concatenated meta-head weights, adapter factors), so per-request work
+  is only the arithmetic;
 - steps read and write integer *slots*; a tiny liveness pass frees each
   intermediate after its last consumer, so peak memory tracks the widest
   layer instead of the whole forward;
@@ -29,11 +29,9 @@ selected per program at compile time:
 - ``precision`` picks the compute tier.  ``"f64"`` (the default) folds
   constants exactly as the autograd path computes them, preserving the
   bit-exactness contract above.  ``"f32"`` casts folded constants (and
-  with them all kernel compute) to float32; ``"int8"`` additionally
-  fake-quantizes weight matrices per output channel (see
-  :func:`repro.serve.optimize.quantize_weight`).  Non-f64 programs are
-  held to a KNN-accuracy budget instead of bit-identity — measured by
-  the serve bench and pinned by the tier tests.
+  with them all kernel compute) to float32; f32 programs are held to a
+  KNN-accuracy budget instead of bit-identity — measured by the serve
+  bench and pinned by the tier tests.
 - the **fusion pass** collapses single-consumer kernel chains into
   composed steps (bit-identical at every tier).
 
@@ -43,14 +41,18 @@ step's kernel, then the slots whose last consumer it was are dropped.
 Lowering is rule-based: ``@compiles(ModuleType)`` registers how one module
 forward becomes steps, ``@compiles_features(ModelType)`` does the same for
 a model's top-level ``features()``.  Unknown module types raise
-:class:`~repro.errors.ServeError` — static adapters should be baked with
-``AttachResult.merge()`` first (see :func:`repro.serve.engine.build_engine`),
-while MetaLoRA CP/TR adapters lower to pre-planned einsums fed by seed
-slots produced by the mapping network.
+:class:`~repro.errors.ServeError`.  Adapters have one rule: every family
+that writes its update as :meth:`~repro.peft.base.Adapter.add_delta` runs
+that same method on :class:`CompiledKernels`, the raw-array twin of the
+autograd kernels it trains on — static families unmerged, meta families
+(MetaLoRA CP/TR, MoE-LoRA) fed by the seed slots the mapping network
+produces.  Families without one (DoRA, bottleneck) must be merged first
+(see :func:`repro.serve.engine.build_engine`).
 
-Compilation snapshots the model: folded constants are computed from the
+Compilation snapshots the model: folded constants are copies of the
 weights as they are *at compile time* (and batch norms lower in eval mode).
-Mutating parameters afterwards requires recompiling.
+Mutating parameters afterwards requires recompiling, and never changes a
+compiled program — nor another tenant sharing it.
 """
 
 from __future__ import annotations
@@ -71,18 +73,12 @@ from repro.nn.container import Sequential
 from repro.nn.conv import Conv2d
 from repro.nn.dropout import Dropout
 from repro.nn.linear import Linear
-from repro.nn.module import Module, eval_mode
+from repro.nn.module import Module, Parameter, eval_mode
 from repro.nn.norm import BatchNorm2d, LayerNorm
 from repro.nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
-from repro.peft.conv_lora import ConvLoRA
-from repro.peft.lora import LoRALinear
-from repro.peft.meta_cp import MetaLoRACPConv, MetaLoRACPLinear
+from repro.peft.base import Adapter
 from repro.peft.meta_model import MetaLoRAModel
-from repro.peft.meta_tr import MetaLoRATRConv, MetaLoRATRLinear
-from repro.peft.multi_lora import MultiLoRAConv, MultiLoRALinear
-from repro.perf import FLAGS
 from repro.serve import optimize
-from repro.serve.optimize import quantize_weight
 
 Kernel = Callable[..., np.ndarray]
 
@@ -126,9 +122,8 @@ class CompiledProgram:
     the first input for single-input callers.
 
     Construction applies the fusion pass (unless ``fuse=False``) before
-    liveness is computed.  Programs carry their own optimizer counters
-    (fusion eliminations, int8-quantized weights), which the serving
-    engines fold into ``stats()``.
+    liveness is computed.  Programs carry their own optimizer counter
+    (fusion eliminations), which the serving engines fold into ``stats()``.
     """
 
     def __init__(
@@ -141,7 +136,6 @@ class CompiledProgram:
         *,
         precision: str = "f64",
         fuse: bool | None = None,
-        quantized: int = 0,
     ) -> None:
         if isinstance(input_slot, int):
             self.input_slots: tuple[int, ...] = (input_slot,)
@@ -151,7 +145,6 @@ class CompiledProgram:
         self.output_slot = output_slot
         self.source = source
         self.precision = precision
-        self.quantized = int(quantized)
         self.fusion_eliminated = 0
         steps = list(steps)
         if fuse if fuse is not None else optimize.fusion_enabled():
@@ -193,10 +186,7 @@ class CompiledProgram:
 
     def counters(self) -> dict[str, int]:
         """This program's optimizer counters (fixed at compile time)."""
-        return {
-            "fusion_eliminated": self.fusion_eliminated,
-            "quantized": self.quantized,
-        }
+        return {"fusion_eliminated": self.fusion_eliminated}
 
     def run(self, *inputs: np.ndarray) -> np.ndarray:
         if len(inputs) != len(self.input_slots):
@@ -231,26 +221,19 @@ class CompiledProgram:
 class ProgramBuilder:
     """Accumulates steps while lowering rules walk the module tree.
 
-    ``precision`` fixes how rules fold constants: :meth:`const` casts
-    floating constants to the tier's compute dtype, :meth:`scalar`
-    produces the 0-d strong operand matching ``Tensor`` scalar
-    coercion at that tier, and :meth:`weight` additionally runs int8
-    fake-quantization over weight matrices (suppressed while
-    ``quantize`` is off — the seed-generation path keeps full f32
-    weights at every tier, since seeds parameterize downstream
-    kernels).
+    ``precision`` fixes how rules fold constants: :meth:`const` copies
+    them, casting floating constants to the tier's compute dtype, and
+    :meth:`scalar` produces the 0-d strong operand matching ``Tensor``
+    scalar coercion at that tier.
     """
 
     def __init__(self, external_seeds: bool = False, precision: str = "f64") -> None:
         self.steps: list[Step] = []
         self.n_slots = 0
         self.precision = precision
-        self.quantize = True
-        #: How many weight matrices int8 fake-quantization touched.
-        self.quantized = 0
         #: ``id(adapter) -> slot`` holding that adapter's per-sample seed;
-        #: populated by the MetaLoRAModel rule, consumed by CP/TR rules.
-        #: Absent means the adapter runs its static-seed path.
+        #: populated by the MetaLoRAModel rule, consumed by the adapter
+        #: rule.  Absent means the adapter runs its static-seed path.
         self.seed_slots: dict[int, int] = {}
         #: When set, the MetaLoRAModel rule does not lower the mapping
         #: network; per-sample seeds arrive as a second program input (the
@@ -264,30 +247,23 @@ class ProgramBuilder:
         self._unfolds: dict[tuple[int, int, int, int, int], int] = {}
 
     def const(self, array: object) -> np.ndarray:
-        """A folded constant at the program's compute tier.
+        """A folded constant at the program's compute tier: always a copy,
+        so later in-place weight updates never reach the program.
 
-        At f64 the array passes through untouched (bit-exactness with
-        the autograd path); at f32/int8 floating constants cast to
-        float32 so kernel compute stays in float32 end to end.
+        At f64 the values and dtype are kept (bit-exactness with the
+        autograd path); at f32 floating constants cast to float32 so
+        kernel compute stays in float32 end to end.
         """
         array = np.asarray(array)
-        if self.precision != "f64" and array.dtype.kind == "f" and array.dtype != np.float32:
+        if self.precision != "f64" and array.dtype.kind == "f":
             return array.astype(np.float32)
-        return array
+        return np.array(array, copy=True)
 
     def scalar(self, value: float) -> np.ndarray:
         """A 0-d scalar constant at the tier (strong operand either way)."""
         if self.precision == "f64":
             return _scalar(value)
         return np.asarray(value, dtype=np.float32)
-
-    def weight(self, array: np.ndarray) -> np.ndarray:
-        """A folded weight matrix at the tier (int8 fake-quant applies)."""
-        array = np.asarray(array)
-        if self.precision == "int8" and self.quantize and array.ndim >= 2:
-            self.quantized += 1
-            return quantize_weight(array)
-        return self.const(array)
 
     def new_slot(self) -> int:
         self.n_slots += 1
@@ -362,8 +338,11 @@ def _find_rule(registry: dict[type, Callable], module: Module) -> Callable:
         rule = registry.get(klass)
         if rule is not None:
             return rule
-    kind = "features()" if registry is _FEATURES_RULES else "forward"
-    raise ServeError(
+    raise _no_rule(module, "features()" if registry is _FEATURES_RULES else "forward")
+
+
+def _no_rule(module: Module, kind: str) -> ServeError:
+    return ServeError(
         f"no serve lowering rule for the {kind} of {type(module).__name__}; "
         "merge static adapters first (AttachResult.merge()) or register a "
         "rule with repro.serve.compile.compiles"
@@ -416,7 +395,6 @@ def compile_features(
             type(model).__name__,
             precision=precision,
             fuse=fuse,
-            quantized=builder.quantized,
         )
         OBS.enabled and OBS.inc(
             "serve.fusion.steps_eliminated", program.fusion_eliminated
@@ -429,15 +407,12 @@ def compile_forward(
     *,
     precision: str | None = None,
     fuse: bool | None = None,
-    quantize: bool = True,
 ) -> CompiledProgram:
     """Compile one module's ``forward`` (not ``features``) into a program.
 
     Used by the serve registry to compile a MetaLoRA model's feature
     extractor on its own, so tenants sharing an extractor share the
-    compiled program.  The registry passes ``quantize=False`` for the
-    extractor: it feeds the seed mapping, and the seed-generation path
-    is exempt from int8 weight quantization at every tier.
+    compiled program.
     """
     from repro.obs import OBS, TRACER
 
@@ -446,7 +421,6 @@ def compile_forward(
         "serve.compile", model=type(module).__name__, precision=precision
     ), OBS.time("serve.compile"):
         builder = ProgramBuilder(precision=precision)
-        builder.quantize = quantize
         x = builder.new_slot()
         with eval_mode(module):
             output = builder.lower(module, x)
@@ -458,7 +432,6 @@ def compile_forward(
             type(module).__name__,
             precision=precision,
             fuse=fuse,
-            quantized=builder.quantized,
         )
         OBS.enabled and OBS.inc(
             "serve.fusion.steps_eliminated", program.fusion_eliminated
@@ -477,13 +450,9 @@ def compile_seed_mapping(
     The program maps extractor features ``(n, F)`` to the stacked scaled
     seed matrix ``(n, total)`` — exactly the intermediate the fused
     ``features()`` program computes before slicing per adapter, laid out
-    by ``model._seed_offsets``.  The seed-generation strategy freezes at
-    compile time, mirroring ``generate_seeds``' dispatch on
-    ``FLAGS.batched_seeds``; either way each output column is the same
-    dot product the matching full-program path computes, so feeding the
-    result into an ``external_seeds`` body program is bit-identical to
-    the fused program.  Mapping weights are never int8-quantized (the
-    seed path is exempt at every tier), matching the fused rule.
+    by ``model._seed_offsets``.  Both emit it through one helper, so
+    feeding the result into an ``external_seeds`` body program is
+    bit-identical to the fused program.
     """
     from repro.obs import OBS, TRACER
 
@@ -496,45 +465,9 @@ def compile_seed_mapping(
         "serve.compile", model=f"{type(model).__name__}.seeds", precision=precision
     ), OBS.time("serve.compile"):
         builder = ProgramBuilder(precision=precision)
-        builder.quantize = False
         feats = builder.new_slot()
         with eval_mode(model):
-            hidden = builder.lower(model.trunk, feats)
-            hidden = builder.emit("relu", ops.relu_forward, hidden)
-            adapters = model._meta_adapters
-            if FLAGS.batched_seeds and len(adapters) > 1:
-                fused_w = builder.const(
-                    np.concatenate([head.weight.data for head in model.heads], axis=1)
-                )
-                fused_b = builder.const(
-                    np.concatenate([head.bias.data for head in model.heads], axis=0)
-                )
-                gains = builder.const(model.head_gains.data[model._gain_index])
-                out = builder.emit(
-                    "fused_seed_heads",
-                    lambda h: np.tanh(h @ fused_w + fused_b) * gains,
-                    hidden,
-                )
-            else:
-                flats = []
-                for index, head in enumerate(model.heads):
-                    raw = builder.lower(head, hidden)
-                    gain = builder.const(np.asarray(model.head_gains.data[index]))
-                    flats.append(
-                        builder.emit(
-                            f"seed_flat[{index}]",
-                            lambda r, gain=gain: np.tanh(r) * gain,
-                            raw,
-                        )
-                    )
-                if len(flats) == 1:
-                    out = flats[0]
-                else:
-                    out = builder.emit(
-                        "seed_concat",
-                        lambda *parts: np.concatenate(parts, axis=1),
-                        *flats,
-                    )
+            out = _lower_mapping(model, builder, feats)
         program = CompiledProgram(
             builder.steps,
             builder.n_slots,
@@ -555,36 +488,21 @@ def compile_seed_mapping(
 
 @compiles(Linear)
 def _lower_linear(module: Linear, b: ProgramBuilder, x: int) -> int:
-    w = b.weight(module.weight.data)
+    w = b.const(module.weight.data)
     if module.bias is None:
         return b.emit("linear", lambda x: x @ w, x)
     bias = b.const(module.bias.data)
     return b.emit("linear", lambda x: x @ w + bias, x)
 
 
-def _conv(
-    weight: np.ndarray,
-    bias: np.ndarray | None,
-    stride: int,
-    padding: int,
-    b: ProgramBuilder,
-    x: int,
-) -> tuple[Kernel, int]:
-    """A conv of slot ``x`` as ``(kernel, patch slot)``: the kernel maps
-    the shared unfold to the output, with the weight folded to its im2col
-    matrix."""
-    patches = b.unfold(x, weight.shape[0], weight.shape[1], stride, padding)
-    w_mat = b.weight(fold_conv_weight(weight))
-    if bias is not None:
-        bias = b.const(bias)
-    return (lambda cols: conv_from_patches(cols, w_mat, bias)), patches
-
-
 @compiles(Conv2d)
 def _lower_conv2d(module: Conv2d, b: ProgramBuilder, x: int) -> int:
-    bias = module.bias.data if module.bias is not None else None
-    kernel, patches = _conv(module.weight.data, bias, module.stride, module.padding, b, x)
-    return b.emit("conv2d", kernel, patches)
+    """The GEMM over the shared unfold, weight folded to its im2col matrix."""
+    size = module.kernel_size
+    patches = b.unfold(x, size, size, module.stride, module.padding)
+    w_mat = b.const(fold_conv_weight(module.weight.data))
+    bias = b.const(module.bias.data) if module.bias is not None else None
+    return b.emit("conv2d", lambda cols: conv_from_patches(cols, w_mat, bias), patches)
 
 
 @compiles(BatchNorm2d)
@@ -785,260 +703,108 @@ def _lower_feature_extractor(module: FeatureExtractor, b: ProgramBuilder, x: int
     return b.emit("extractor_stats", kernel, feats, x)
 
 
-# -- adapter fast paths -------------------------------------------------------
+# -- adapters: one rule, each family's own add_delta ----------------------------
 
 
-@compiles(LoRALinear)
-def _lower_lora_linear(module: LoRALinear, b: ProgramBuilder, x: int) -> int:
-    base = b.lower(module.base, x)
-    a, bb = b.weight(module.lora_a.data), b.weight(module.lora_b.data)
-    scale = b.scalar(module.scaling)
-    return b.emit("lora_linear", lambda o, x: o + (x @ a @ bb) * scale, base, x)
+class CompiledKernels:
+    """:class:`repro.peft.base.AutogradKernels` over raw arrays, for one adapter.
+
+    ``add_delta`` runs on this at request time.  The adapter's parameters
+    are folded (copied, cast to the tier) when the namespace is built, at
+    compile time; ``fold`` computes each derived factor — a core's conv
+    layout, a conv weight's im2col matrix — once from those copies, on
+    first use (a racing first use computes the same array twice).  The
+    other kernels are the ``*_forward`` functions the autograd ops call.
+    ``conv`` reads the patches of the base conv's unfold step, so its
+    ``x`` is that ``(N, oh, ow, C*kh*kw)`` array and its geometry is the
+    base conv's.
+    """
+
+    einsum = staticmethod(ops.einsum_forward)
+    softmax = staticmethod(ops.softmax_forward)
+    stack = staticmethod(np.stack)
+
+    def __init__(self, adapter: Adapter, b: ProgramBuilder) -> None:
+        self._params = {
+            id(param): b.const(param.data)
+            for name, param in adapter.named_parameters()
+            if not name.startswith("base.")
+        }
+        self._folds: dict[tuple, np.ndarray] = {}
+        self._dtype = np.float64 if b.precision == "f64" else np.float32
+
+    def param(self, param: Parameter) -> np.ndarray:
+        return self._params[id(param)]
+
+    def scalar(self, value: float) -> np.ndarray:
+        return np.asarray(float(value), dtype=self._dtype)
+
+    def fold(self, fn: Kernel, *operands: np.ndarray) -> np.ndarray:
+        key = (fn.__code__, *(id(operand) for operand in operands))
+        folded = self._folds.get(key)
+        if folded is None:
+            folded = self._folds[key] = fn(*operands)
+        return folded
+
+    def conv(self, cols: np.ndarray, weight: np.ndarray, stride: int, padding: int) -> np.ndarray:
+        return conv_from_patches(cols, self.fold(fold_conv_weight, weight), None)
 
 
-@compiles(ConvLoRA)
-def _lower_conv_lora(module: ConvLoRA, b: ProgramBuilder, x: int) -> int:
-    base = b.lower(module.base, x)
-    # The adapter conv shares geometry with the base conv, so it reads the
-    # patches the base conv's im2col step already unfolded.
-    mid_conv, patches = _conv(
-        module.lora_a.data, None, module.base.stride, module.base.padding, b, x
-    )
-    lb = b.weight(module.lora_b.data)
-    scale = b.scalar(module.scaling)
-
-    def kernel(o: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        delta = ops.einsum_forward("nrhw,ro->nohw", mid_conv(cols), lb)
-        return o + delta * scale
-
-    return b.emit("conv_lora", kernel, base, patches)
-
-
-def _fold_gates(module, b: ProgramBuilder) -> list[np.ndarray]:
-    """Per-branch ``gates[k] * scaling`` constants (0-d, as on the Tensor
-    path where the python-float scaling promotes the product — cast to
-    the tier's compute dtype like every other folded constant)."""
-    return [
-        b.const(module.gates.data[k] * _scalar(module.scaling))
-        for k in range(module.branches)
-    ]
-
-
-@compiles(MultiLoRALinear)
-def _lower_multi_lora_linear(module: MultiLoRALinear, b: ProgramBuilder, x: int) -> int:
-    base = b.lower(module.base, x)
-    branches = [
-        (b.weight(branch.lora_a.data), b.weight(branch.lora_b.data))
-        for branch in module.lora_branches
-    ]
-    gates = _fold_gates(module, b)
-
-    def kernel(o: np.ndarray, x: np.ndarray) -> np.ndarray:
-        for (a, bb), gate in zip(branches, gates):
-            o = o + (x @ a @ bb) * gate
-        return o
-
-    return b.emit("multi_lora_linear", kernel, base, x)
-
-
-@compiles(MultiLoRAConv)
-def _lower_multi_lora_conv(module: MultiLoRAConv, b: ProgramBuilder, x: int) -> int:
-    base = b.lower(module.base, x)
-    stride, padding = module.base.stride, module.base.padding
-    branches = []
-    for branch in module.lora_branches:
-        # Every branch conv shares the base conv's geometry, so all of
-        # them read the same patch slot.
-        mid_conv, patches = _conv(branch.lora_a.data, None, stride, padding, b, x)
-        branches.append((mid_conv, b.weight(branch.lora_b.data)))
-    gates = _fold_gates(module, b)
-
-    def kernel(o: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        for (mid_conv, lb), gate in zip(branches, gates):
-            delta = ops.einsum_forward("nrhw,ro->nohw", mid_conv(cols), lb)
-            o = o + delta * gate
-        return o
-
-    return b.emit("multi_lora_conv", kernel, base, patches)
-
-
-@compiles(MetaLoRACPLinear)
-def _lower_meta_cp_linear(module: MetaLoRACPLinear, b: ProgramBuilder, x: int) -> int:
-    base = b.lower(module.base, x)
-    fa, fb = b.weight(module.factor_a.data), b.weight(module.factor_b.data)
-    rank = module.rank
-    out_features = module.base.out_features
-    scale = b.scalar(module.scaling)
-    seed_slot = b.seed_slots.get(id(module))
-    static = b.const(module.static_seed.data.reshape(1, 1, rank))
-
-    def kernel(o: np.ndarray, x: np.ndarray, seed: np.ndarray | None = None) -> np.ndarray:
-        squeeze = x.ndim == 2
-        x3 = x.reshape(x.shape[0], 1, x.shape[1]) if squeeze else x
-        mid = ops.einsum_forward("nti,ir->ntr", x3, fa)
-        if seed is None:
-            mid = mid * static
-        else:
-            mid = mid * seed.reshape(seed.shape[0], 1, rank)
-        delta = ops.einsum_forward("ntr,ro->nto", mid, fb) * scale
-        if squeeze:
-            delta = delta.reshape(x.shape[0], out_features)
-        return o + delta
-
-    if seed_slot is None:
-        return b.emit("meta_cp_linear[static]", kernel, base, x)
-    return b.emit("meta_cp_linear", kernel, base, x, seed_slot)
-
-
-@compiles(MetaLoRACPConv)
-def _lower_meta_cp_conv(module: MetaLoRACPConv, b: ProgramBuilder, x: int) -> int:
-    base = b.lower(module.base, x)
-    mid_conv, patches = _conv(
-        module.factor_a.data, None, module.base.stride, module.base.padding, b, x
-    )
-    fb = b.weight(module.factor_b.data)
-    static = b.const(module.static_seed.data)
-    scale = b.scalar(module.scaling)
-    seed_slot = b.seed_slots.get(id(module))
-
-    def kernel(o: np.ndarray, cols: np.ndarray, seed: np.ndarray | None = None) -> np.ndarray:
-        mid = mid_conv(cols)
-        if seed is None:
-            delta = ops.einsum_forward("nrhw,r,ro->nohw", mid, static, fb)
-        else:
-            delta = ops.einsum_forward("nrhw,nr,ro->nohw", mid, seed, fb)
-        return o + delta * scale
-
-    if seed_slot is None:
-        return b.emit("meta_cp_conv[static]", kernel, base, patches)
-    return b.emit("meta_cp_conv", kernel, base, patches, seed_slot)
-
-
-@compiles(MetaLoRATRLinear)
-def _lower_meta_tr_linear(module: MetaLoRATRLinear, b: ProgramBuilder, x: int) -> int:
-    base = b.lower(module.base, x)
-    ca, cb = b.weight(module.core_a.data), b.weight(module.core_b.data)
-    static = b.const(module.static_seed.data)
-    out_features = module.base.out_features
-    scale = b.scalar(module.scaling)
-    seed_slot = b.seed_slots.get(id(module))
-
-    def kernel(o: np.ndarray, x: np.ndarray, seed: np.ndarray | None = None) -> np.ndarray:
-        squeeze = x.ndim == 2
-        x3 = x.reshape(x.shape[0], 1, x.shape[1]) if squeeze else x
-        t1 = ops.einsum_forward("nti,pir->ntpr", x3, ca)
-        if seed is None:
-            delta = ops.einsum_forward("ntpr,roq,qp->nto", t1, cb, static)
-        else:
-            delta = ops.einsum_forward("ntpr,roq,nqp->nto", t1, cb, seed)
-        delta = delta * scale
-        if squeeze:
-            delta = delta.reshape(x.shape[0], out_features)
-        return o + delta
-
-    if seed_slot is None:
-        return b.emit("meta_tr_linear[static]", kernel, base, x)
-    return b.emit("meta_tr_linear", kernel, base, x, seed_slot)
-
-
-@compiles(MetaLoRATRConv)
-def _lower_meta_tr_conv(module: MetaLoRATRConv, b: ProgramBuilder, x: int) -> int:
-    base = b.lower(module.base, x)
-    r = module.rank
-    k = module.base.kernel_size
-    # The Tensor path rebuilds A's (K, K, I, R·R) conv layout every
-    # forward; fold it (and its im2col matrix) once here.
-    a_conv = module.core_a.data.transpose(1, 2, 3, 0, 4).reshape(
-        k, k, module.base.in_channels, r * r
-    )
-    mid_conv, patches = _conv(
-        a_conv, None, module.base.stride, module.base.padding, b, x
-    )
-    cb = b.weight(module.core_b.data)
-    static = b.const(module.static_seed.data)
-    scale = b.scalar(module.scaling)
-    seed_slot = b.seed_slots.get(id(module))
-
-    def kernel(o: np.ndarray, cols: np.ndarray, seed: np.ndarray | None = None) -> np.ndarray:
-        mid = mid_conv(cols)
-        n, __, h, w = mid.shape
-        mid = mid.reshape(n, r, r, h, w)
-        if seed is None:
-            delta = ops.einsum_forward("nprhw,roq,qp->nohw", mid, cb, static)
-        else:
-            delta = ops.einsum_forward("nprhw,roq,nqp->nohw", mid, cb, seed)
-        return o + delta * scale
-
-    if seed_slot is None:
-        return b.emit("meta_tr_conv[static]", kernel, base, patches)
-    return b.emit("meta_tr_conv", kernel, base, patches, seed_slot)
+@compiles(Adapter)
+def _lower_adapter(module: Adapter, b: ProgramBuilder, x: int) -> int:
+    if type(module).add_delta is Adapter.add_delta:
+        raise _no_rule(module, "forward")
+    out = b.lower(module.base, x)
+    kernels = CompiledKernels(module, b)
+    base = module.base
+    if isinstance(base, Conv2d):
+        # The adapter's convs read the patches the base conv unfolded.
+        x = b.unfold(x, base.kernel_size, base.kernel_size, base.stride, base.padding)
+    name = type(module).__name__
+    seed = b.seed_slots.get(id(module))
+    if seed is not None:
+        return b.emit(name, lambda o, x, s: module.add_delta(kernels, o, x, s), out, x, seed)
+    if module.is_meta:
+        name += "[static]"
+    return b.emit(name, lambda o, x: module.add_delta(kernels, o, x, None), out, x)
 
 
 # -- MetaLoRA: mapping network + seed-fed backbone ----------------------------
 
 
+def _lower_mapping(model: MetaLoRAModel, b: ProgramBuilder, feats: int) -> int:
+    """The mapping net over slot ``feats``: the stacked ``(n, total)``
+    scaled seeds, with the heads fused exactly as ``generate_seeds`` runs
+    them."""
+    hidden = b.lower(model.trunk, feats)
+    hidden = b.emit("relu", ops.relu_forward, hidden)
+    fused_w = b.const(np.concatenate([head.weight.data for head in model.heads], axis=1))
+    fused_b = b.const(np.concatenate([head.bias.data for head in model.heads], axis=0))
+    gains = b.const(model.head_gains.data[model._gain_index])
+    return b.emit(
+        "fused_seed_heads",
+        lambda h: ops.tanh_forward(h @ fused_w + fused_b) * gains,
+        hidden,
+    )
+
+
 @compiles_features(MetaLoRAModel)
 def _features_meta_lora(model: MetaLoRAModel, b: ProgramBuilder, x: int) -> int:
-    adapters = model._meta_adapters
+    # The stacked seeds come from this program's own mapping net, or — with
+    # external_seeds — from a compile_seed_mapping program as a second
+    # input.  The same kernels slice them per adapter either way, so the
+    # split program sequence is bit-identical to the fused program.
     if b.external_seeds:
-        # Seeds arrive pre-computed as the stacked (n, total) matrix from a
-        # compile_seed_mapping program; only slice them per adapter.  The
-        # slice kernels are the same ones the fused path emits, so the
-        # split program sequence is bit-identical to the fused program.
         seeds = b.seed_input()
-        for index, adapter in enumerate(adapters):
-            lo = model._seed_offsets[index]
-            hi = model._seed_offsets[index + 1]
-            shape = adapter.seed_shape
+    else:
+        seeds = _lower_mapping(model, b, b.lower(model.extractor, x))
+    for index, adapter in enumerate(model._meta_adapters):
+        lo = model._seed_offsets[index]
+        hi = model._seed_offsets[index + 1]
+        shape = adapter.seed_shape
 
-            def slice_seed(s: np.ndarray, lo: int = lo, hi: int = hi, shape=shape) -> np.ndarray:
-                return s[:, lo:hi].reshape(s.shape[0], *shape)
+        def slice_seed(s: np.ndarray, lo: int = lo, hi: int = hi, shape=shape) -> np.ndarray:
+            return s[:, lo:hi].reshape(s.shape[0], *shape)
 
-            b.seed_slots[id(adapter)] = b.emit(f"seed[{index}]", slice_seed, seeds)
-        return b.lower_features(model.backbone, x)
-    # The whole seed-generation path (extractor, trunk, heads) is exempt
-    # from int8 weight quantization: seeds parameterize downstream
-    # kernels, and this matches the registry's split compilation.
-    quantize = b.quantize
-    b.quantize = False
-    try:
-        feats = b.lower(model.extractor, x)
-        hidden = b.lower(model.trunk, feats)
-        hidden = b.emit("relu", ops.relu_forward, hidden)
-        # Freeze the seed-generation strategy at compile time, mirroring
-        # generate_seeds' dispatch on FLAGS.batched_seeds.
-        if FLAGS.batched_seeds and len(adapters) > 1:
-            fused_w = b.const(
-                np.concatenate([head.weight.data for head in model.heads], axis=1)
-            )
-            fused_b = b.const(
-                np.concatenate([head.bias.data for head in model.heads], axis=0)
-            )
-            gains = b.const(model.head_gains.data[model._gain_index])
-            scaled = b.emit(
-                "fused_seed_heads",
-                lambda h: np.tanh(h @ fused_w + fused_b) * gains,
-                hidden,
-            )
-            for index, adapter in enumerate(adapters):
-                lo = model._seed_offsets[index]
-                hi = model._seed_offsets[index + 1]
-                shape = adapter.seed_shape
-
-                def slice_seed(s: np.ndarray, lo: int = lo, hi: int = hi, shape=shape) -> np.ndarray:
-                    return s[:, lo:hi].reshape(s.shape[0], *shape)
-
-                b.seed_slots[id(adapter)] = b.emit(f"seed[{index}]", slice_seed, scaled)
-        else:
-            for index, (adapter, head) in enumerate(zip(adapters, model.heads)):
-                raw = b.lower(head, hidden)
-                gain = b.const(np.asarray(model.head_gains.data[index]))
-                shape = adapter.seed_shape
-
-                def seed_kernel(r: np.ndarray, gain=gain, shape=shape) -> np.ndarray:
-                    return (np.tanh(r) * gain).reshape(r.shape[0], *shape)
-
-                b.seed_slots[id(adapter)] = b.emit(f"seed[{index}]", seed_kernel, raw)
-    finally:
-        b.quantize = quantize
+        b.seed_slots[id(adapter)] = b.emit(f"seed[{index}]", slice_seed, seeds)
     return b.lower_features(model.backbone, x)

@@ -39,7 +39,7 @@ def build_engine(
     ``merge=True`` (default) bakes the adapter deltas into the base weights
     via ``AttachResult.merge()`` before compiling — the served program then
     contains no adapter ops at all.  Meta adapters cannot merge; they
-    compile to their pre-planned einsum fast paths instead.  ``precision``
+    compile through their own ``add_delta`` instead.  ``precision``
     picks the tier (explicit, else ``REPRO_SERVE_PRECISION``, else ``f64``).
 
     The program is registered as :data:`DEFAULT_TENANT` and set as the

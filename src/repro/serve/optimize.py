@@ -3,18 +3,13 @@
 Two independent levers sit between :class:`~repro.serve.compile.ProgramBuilder`
 output and execution, each with its own knob:
 
-- **Precision tiers** (``precision={"f64","f32","int8"}``).  ``f64`` is
-  the bit-exactness tier: folded constants stay exactly as the autograd
+- **Precision tiers** (``precision={"f64","f32"}``).  ``f64`` is the
+  bit-exactness tier: folded constants stay exactly as the autograd
   path computes them and compiled output remains byte-identical to
   ``extract_embeddings``.  ``f32`` casts every folded constant (and with
   it all kernel compute) to float32 — the recommended serving tier.
-  ``int8`` additionally fake-quantizes large weight matrices per output
-  channel (symmetric, 127-step) and dequantizes them back to float32 at
-  *compile* time, so runs pay f32 GEMM cost while outputs carry true
-  int8 rounding error — the standard simulated-quantization accuracy
-  model.  The default tier comes from ``REPRO_SERVE_PRECISION`` (f64
-  when unset), so the library default preserves the bit-exactness
-  contract.
+  The default tier comes from ``REPRO_SERVE_PRECISION`` (f64 when
+  unset), so the library default preserves the bit-exactness contract.
 
 - **Chain fusion** (:func:`fuse_program`, ``REPRO_SERVE_FUSION``).
   Collapses single-consumer producer→consumer chains (conv→bn→relu,
@@ -39,7 +34,7 @@ import numpy as np
 from repro.errors import ServeError
 
 #: The compile precision tiers, in decreasing exactness order.
-PRECISIONS = ("f64", "f32", "int8")
+PRECISIONS = ("f64", "f32")
 
 
 def resolve_precision(precision: str | None) -> str:
@@ -64,24 +59,6 @@ def _env_flag(name: str, default: bool) -> bool:
 def fusion_enabled() -> bool:
     """Default for the fusion pass (``REPRO_SERVE_FUSION``, on)."""
     return _env_flag("REPRO_SERVE_FUSION", True)
-
-
-def quantize_weight(array: np.ndarray) -> np.ndarray:
-    """Symmetric per-channel int8 fake-quantization of a weight matrix.
-
-    Channels run along the trailing axis (the output dimension of every
-    folded matrix the compiler produces: linear weights, im2col conv
-    matrices, adapter factor matrices).  The int8 codes are dequantized
-    back to float32 immediately, so the returned matrix folds true int8
-    rounding into an f32-accumulation GEMM — runs measure int8 accuracy
-    at f32 speed.
-    """
-    array = np.asarray(array, dtype=np.float64)
-    reduce_axes = tuple(range(array.ndim - 1))
-    amax = np.max(np.abs(array), axis=reduce_axes, keepdims=True)
-    scale = np.where(amax > 0.0, amax / 127.0, 1.0)
-    codes = np.clip(np.rint(array / scale), -127.0, 127.0)
-    return (codes * scale).astype(np.float32)
 
 
 # -- fusion -------------------------------------------------------------------

@@ -152,14 +152,10 @@ def program_key(
     model: Module,
     *,
     role: str = "features",
-    extra: Mapping | None = None,
     precision: str | None = None,
 ) -> ProgramKey:
     """The :class:`ProgramKey` compiling ``model`` (in ``role``) would get.
 
-    ``extra`` folds additional compile-time inputs into the weights
-    digest — e.g. the mapping programs fold ``FLAGS.batched_seeds``,
-    which freezes the seed-generation strategy at compile time.
     ``precision`` resolves like the compile entry points (explicit tier,
     else ``REPRO_SERVE_PRECISION``, else ``f64``).
     """
@@ -167,14 +163,11 @@ def program_key(
 
     state = model.state_dict()
     meta = _adapter_meta(model)
-    payload = dict(meta)
-    if extra:
-        payload.update(extra)
     return ProgramKey(
         backbone=_architecture_digest(role, model, state),
         families=tuple(meta["families"]),
         ranks=tuple(int(rank) for rank in meta["ranks"]),
-        weights=state_digest(state, extra=payload),
+        weights=state_digest(state, extra=meta),
         precision=resolve_precision(precision),
     )
 
@@ -187,7 +180,6 @@ def _mapping_key(model: MetaLoRAModel, precision: str | None = None) -> ProgramK
     distinct mapping programs while sharing the other two.
     """
     from repro.peft.checkpoint import state_digest
-    from repro.perf import FLAGS
 
     state: dict[str, np.ndarray] = {"head_gains": model.head_gains.data}
     for name, param in model.trunk.named_parameters():
@@ -202,7 +194,7 @@ def _mapping_key(model: MetaLoRAModel, precision: str | None = None) -> ProgramK
         backbone=f"mapping:{hasher.hexdigest()}",
         families=(),
         ranks=(),
-        weights=state_digest(state, extra={"batched_seeds": bool(FLAGS.batched_seeds)}),
+        weights=state_digest(state),
         precision=resolve_precision(precision),
     )
 
@@ -482,11 +474,10 @@ class AdapterRegistry:
         """Optimizer counters summed over every distinct in-use program.
 
         Programs are deduplicated by identity (shared programs count
-        once).  Feeds the ``serve.fusion.steps_eliminated`` /
-        ``serve.quantized.weights`` series the engines fold into
-        ``stats()``.
+        once).  Feeds the ``serve.fusion.steps_eliminated`` series the
+        engines fold into ``stats()``.
         """
-        totals = {"fusion_eliminated": 0, "quantized": 0}
+        totals = {"fusion_eliminated": 0}
         seen: set[int] = set()
         with self._lock:
             entries = list(self._entries.values())
@@ -540,11 +531,8 @@ class AdapterRegistry:
         extractor_key = program_key(model.extractor, role="extractor", precision=precision)
         body_key = program_key(model.backbone, role="body", precision=precision)
         mapping_key = _mapping_key(model, precision)
-        # The extractor feeds the mapping net's f64 trunk: quantizing it
-        # would perturb the seeds and break fused==split at int8.
         extractor = self.programs.get(
-            extractor_key,
-            lambda: compile_forward(model.extractor, precision=precision, quantize=False),
+            extractor_key, lambda: compile_forward(model.extractor, precision=precision)
         )
         mapping = self.programs.get(
             mapping_key, lambda: compile_seed_mapping(model, precision=precision)
@@ -865,10 +853,9 @@ class MultiTenantEngine:
         The engine's own series (bare names, plus ``{tenant=...}``
         labeled twins) are merged with its
         registry's (``serve.program_cache.*``, ``serve.registry.*``) and
-        with the optimizer counters summed over every in-use compiled
-        program (``serve.fusion.steps_eliminated``,
-        ``serve.quantized.weights``) — merged, not inc'd, so the series
-        appear even at zero.
+        with the optimizer counter summed over every in-use compiled
+        program (``serve.fusion.steps_eliminated``) — merged, not inc'd,
+        so the series appears even at zero.
         """
         with self._stats_lock:
             snapshot = self._metrics.snapshot()
@@ -882,10 +869,6 @@ class MultiTenantEngine:
                 "serve.fusion.steps_eliminated": {
                     "kind": "counter",
                     "calls": int(programs["fusion_eliminated"]),
-                },
-                "serve.quantized.weights": {
-                    "kind": "counter",
-                    "calls": int(programs["quantized"]),
                 },
             }
         )

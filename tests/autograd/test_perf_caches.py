@@ -152,7 +152,6 @@ class TestPerfFlags:
             assert not FLAGS.einsum_plan_cache
             assert not FLAGS.einsum_optimize
             assert not FLAGS.conv_patches_cache
-            assert not FLAGS.batched_seeds
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(ValueError, match="not_a_flag"):

@@ -78,18 +78,18 @@ class TestPrecisionSection:
         record = fresh_record("serve")
         validate_bench_record(record)
         precision = record["precision"]
-        assert set(precision["budgets"]) == {"f32", "int8"}
+        assert set(precision["budgets"]) == {"f32"}
         names = [backbone["name"] for backbone in precision["backbones"]]
         assert names == ["resnet", "mixer"]
         for backbone in precision["backbones"]:
             # Identity + accuracy checks run in-process; the record pins them.
             assert backbone["f64_bit_identical"] is True
             accuracy = backbone["knn"]["accuracy"]
-            assert set(accuracy) == {"f64", "f32", "int8"}
+            assert set(accuracy) == {"f64", "f32"}
             for tier, drop in backbone["knn"]["max_drop"].items():
                 assert drop <= precision["budgets"][tier]
             tiers = {row["precision"] for row in backbone["rows"]}
-            assert tiers == {"f64", "f32", "int8"}
+            assert tiers == {"f64", "f32"}
             for row in backbone["rows"]:
                 if row["precision"] == "f64":
                     assert row["max_abs_err_vs_f64"] == 0.0

@@ -170,9 +170,9 @@ class TestCrossFieldChecks:
         assert rejection(robustness).startswith(path)
 
     def test_knn_drop_over_budget(self, serve):
-        serve["precision"]["backbones"][0]["knn"]["max_drop"]["int8"] = 0.9
+        serve["precision"]["backbones"][0]["knn"]["max_drop"]["f32"] = 0.9
         message = rejection(serve)
-        assert message.startswith("precision.backbones[0].knn.max_drop.int8: ")
+        assert message.startswith("precision.backbones[0].knn.max_drop.f32: ")
 
     def test_f64_rows_are_bit_exact(self, serve):
         rows = serve["precision"]["backbones"][1]["rows"]
@@ -183,8 +183,8 @@ class TestCrossFieldChecks:
 
     def test_rows_cover_every_tier(self, serve):
         for row in serve["precision"]["backbones"][0]["rows"]:
-            if row["precision"] == "int8":
-                row["precision"] = "f32"
+            if row["precision"] == "f32":
+                row["precision"] = "f64"
         assert rejection(serve).startswith("precision.backbones[0].rows: ")
 
 

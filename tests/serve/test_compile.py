@@ -4,8 +4,8 @@ The contract under test is exact equality (``max_abs_diff == 0.0``), not
 closeness: the compiled kernels are the same functions the autograd ops
 call, with scalar constants coerced exactly as ``Tensor`` arithmetic
 coerces them.  That contract is pinned to the f64 tier; when the suite
-runs under ``REPRO_SERVE_PRECISION=f32``/``int8`` the same tests assert
-tier-sized closeness instead (see conftest's ``assert_serving_match``).
+runs under ``REPRO_SERVE_PRECISION=f32`` the same tests assert tier-sized
+closeness instead (see conftest's ``assert_serving_match``).
 """
 
 import numpy as np
@@ -16,9 +16,8 @@ from repro.autograd.conv_ops import conv_patch_cache_stats
 from repro.errors import ServeError
 from repro.eval.embeddings import extract_embeddings
 from repro.models import FeatureExtractor, mixer_small, resnet_small
-from repro.nn import BatchNorm2d, Conv2d
+from repro.nn import BatchNorm2d, Conv2d, Linear
 from repro.peft import MetaLoRAModel, attach
-from repro.perf import perf_overrides
 from repro.serve import build_engine, compile_features
 from repro.serve.compile import ProgramBuilder
 
@@ -27,8 +26,21 @@ BACKBONES = {
     "mixer": lambda rng: mixer_small(4, rng),
 }
 
-#: Every adapter family the compiler has a fast path for.
-ADAPTER_METHODS = ("lora", "multi_lora", "meta_cp", "meta_tr")
+#: Every PEFT_METHODS family that writes its update as ``add_delta``
+#: (aliases of the meta formats left out); all of them compile unmerged.
+ADAPTER_METHODS = ("lora", "multi_lora", "meta_cp", "meta_tr", "moe_lora", "tt_lora")
+
+#: Families that adapt Linear layers only.  ResNet's one Linear is the
+#: classifier head, which ``features()`` never runs, so these are tested
+#: on the mixer alone.
+LINEAR_ONLY = ("moe_lora", "tt_lora")
+
+ADAPTED_BACKBONES = [
+    (method, backbone)
+    for method in ADAPTER_METHODS
+    for backbone in sorted(BACKBONES)
+    if backbone == "mixer" or method not in LINEAR_ONLY
+]
 
 
 def images_for(rng, n=5):
@@ -59,11 +71,11 @@ class TestBackboneExactness:
         model = BACKBONES[backbone](rng)
         assert_bit_identical(model, images_for(rng))
 
-    @pytest.mark.parametrize("backbone", sorted(BACKBONES))
-    @pytest.mark.parametrize("method", ADAPTER_METHODS)
+    @pytest.mark.parametrize("method, backbone", ADAPTED_BACKBONES)
     def test_adapted_backbone(self, backbone, method, rng):
         model = BACKBONES[backbone](rng)
-        attach(model, method, rank=2, rng=rng)
+        targets = (Linear,) if method in LINEAR_ONLY else (Linear, Conv2d)
+        attach(model, method, rank=2, rng=rng, targets=targets)
         randomize_zero_params(model, rng)
         assert_bit_identical(model, images_for(rng))
 
@@ -88,16 +100,29 @@ class TestMetaModelExactness:
         randomize_zero_params(model, rng)
         assert_bit_identical(model, images_for(rng))
 
-    def test_meta_model_per_head_seed_path(self, rng):
-        # batched_seeds=False freezes the per-head lowering at compile time;
-        # it must match the reference running under the same flag.
-        base = resnet_small(4, rng)
-        result = attach(base, "meta_tr", rank=2, rng=rng)
+    def test_moe_lora_meta_model(self, rng):
+        """MoE-LoRA's gate logits come from the mapping net like a seed."""
+        base = mixer_small(4, rng)
+        result = attach(base, "moe_lora", rank=2, rng=rng, targets=(Linear,))
         extractor = FeatureExtractor(resnet_small(4, np.random.default_rng(9)))
         model = MetaLoRAModel(base, extractor, rng=rng, adapters=result)
         randomize_zero_params(model, rng)
-        with perf_overrides(batched_seeds=False):
-            assert_bit_identical(model, images_for(rng))
+        assert_bit_identical(model, images_for(rng))
+
+    def test_one_adapter_meta_model(self, rng):
+        """One head: the fused mapping step still matches ``generate_seeds``."""
+        base = resnet_small(4, rng)
+        skip = [
+            name
+            for name, module in base.named_modules()
+            if isinstance(module, (Conv2d, Linear)) and name != "stem"
+        ]
+        result = attach(base, "meta_tr", rank=2, rng=rng, skip=skip)
+        extractor = FeatureExtractor(resnet_small(4, np.random.default_rng(9)))
+        model = MetaLoRAModel(base, extractor, rng=rng, adapters=result)
+        assert len(model.heads) == 1
+        randomize_zero_params(model, rng)
+        assert_bit_identical(model, images_for(rng))
 
 
 class TestMergedFastPath:
@@ -110,7 +135,7 @@ class TestMergedFastPath:
         assert result.state == "merged"
         # The program was compiled from the merged model: no adapter steps.
         program = engine.registry.get(engine.default_adapter).program
-        assert not any("lora" in line for line in program.describe())
+        assert not any("LoRA" in line for line in program.describe())
         from tests.serve.conftest import assert_serving_match, serve_bulk
 
         assert_serving_match(
@@ -124,7 +149,7 @@ class TestMergedFastPath:
         engine = build_engine(result)
         assert result.state == "attached"  # meta adapters cannot merge
         program = engine.registry.get(engine.default_adapter).program
-        assert any("meta_tr" in line for line in program.describe())
+        assert any("MetaLoRATRConv" in line for line in program.describe())
         engine.close()
 
 
@@ -167,6 +192,25 @@ class TestProgramStructure:
         assert np.array_equal(program.run(x), before)
         assert not np.array_equal(compile_features(model).run(x), before)
 
+    @pytest.mark.parametrize(
+        "weight",
+        [
+            lambda model: model.embed.weight,  # a float32 Linear weight
+            lambda model: model.mixer_blocks[0].channel_fc1.core_b,  # a meta factor
+        ],
+        ids=["linear", "meta_factor"],
+    )
+    def test_snapshot_holds_for_every_folded_constant(self, weight, rng):
+        model = mixer_small(4, rng)
+        attach(model, "meta_tr", rank=2, rng=rng, targets=(Linear,), skip=("embed",))
+        randomize_zero_params(model, rng)
+        x = images_for(rng, 2)
+        program = compile_features(model)
+        before = program.run(x)
+        weight(model).data[...] += 1.0
+        assert np.array_equal(program.run(x), before)
+        assert not np.array_equal(compile_features(model).run(x), before)
+
 
 class TestUnfoldSharing:
     """A base conv and its adapter conv read one compile-time unfold, and
@@ -174,10 +218,10 @@ class TestUnfoldSharing:
 
     #: attach() method -> the conv adapter step it lowers to.
     FAMILIES = {
-        "lora": "conv_lora",
-        "multi_lora": "multi_lora_conv",
-        "meta_cp": "meta_cp_conv",
-        "meta_tr": "meta_tr_conv",
+        "lora": "ConvLoRA",
+        "multi_lora": "MultiLoRAConv",
+        "meta_cp": "MetaLoRACPConv",
+        "meta_tr": "MetaLoRATRConv",
     }
 
     @pytest.mark.parametrize("method", sorted(FAMILIES))

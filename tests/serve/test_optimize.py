@@ -6,8 +6,8 @@ Each pass is tested against the identity it must preserve:
   backbone and adapter family, including the split extractor / mapping /
   body programs the multi-tenant registry serves, and the fused program
   is bit-identical to the autograd ``extract_embeddings`` reference;
-- the relaxed tiers stay within their accuracy budgets and never touch
-  the f64 contract.
+- the f32 tier stays within its accuracy budget and never touches the
+  f64 contract.
 """
 
 import numpy as np
@@ -22,7 +22,6 @@ from repro.serve import (
     compile_features,
     compile_forward,
     compile_seed_mapping,
-    quantize_weight,
     resolve_precision,
 )
 from repro.utils.rng import new_rng
@@ -62,41 +61,11 @@ class TestResolvers:
         assert resolve_precision(None) == "f64"
         monkeypatch.setenv("REPRO_SERVE_PRECISION", "f32")
         assert resolve_precision(None) == "f32"
-        assert resolve_precision("int8") == "int8"  # explicit beats env
+        assert resolve_precision("f64") == "f64"  # explicit beats env
 
     def test_unknown_precision_raises(self):
         with pytest.raises(ServeError, match="unknown serve precision"):
             resolve_precision("f16")
-
-
-class TestQuantizeWeight:
-    def test_error_bounded_by_per_channel_scale(self, rng):
-        weight = rng.normal(size=(32, 16)).astype(np.float64)
-        deq = quantize_weight(weight)
-        assert deq.dtype == np.float32
-        scale = np.abs(weight).max(axis=0) / 127.0
-        assert np.all(np.abs(deq - weight) <= scale / 2 + 1e-7)
-
-    def test_channel_extremes_survive(self, rng):
-        weight = rng.normal(size=(8, 4))
-        deq = quantize_weight(weight)
-        # The per-channel max maps exactly to code ±127 and back.
-        rows = np.abs(weight).argmax(axis=0)
-        for col, row in enumerate(rows):
-            assert deq[row, col] == pytest.approx(weight[row, col], rel=1e-6)
-
-    def test_zero_channel_stays_zero(self):
-        weight = np.zeros((4, 3))
-        weight[:, 0] = [1.0, -2.0, 0.5, 0.0]
-        deq = quantize_weight(weight)
-        assert np.all(deq[:, 1:] == 0.0)
-
-    def test_stable_under_requantization(self, rng):
-        # Already-on-grid values stay put bar float32 rounding of the
-        # rebuilt scale.
-        weight = rng.normal(size=(6, 6))
-        once = quantize_weight(weight)
-        np.testing.assert_allclose(quantize_weight(once), once, rtol=1e-5, atol=1e-6)
 
 
 class TestFusionIdentity:
@@ -129,9 +98,7 @@ class TestFusionIdentity:
         images = images_for(rng, 4)
         outputs = {}
         for fuse in (True, False):
-            extractor = compile_forward(
-                model.extractor, precision="f64", fuse=fuse, quantize=False
-            )
+            extractor = compile_forward(model.extractor, precision="f64", fuse=fuse)
             mapping = compile_seed_mapping(model, precision="f64", fuse=fuse)
             body = compile_features(
                 model, external_seeds=True, precision="f64", fuse=fuse
@@ -160,29 +127,6 @@ class TestPrecisionTiers:
         assert out.dtype == np.float32
         np.testing.assert_allclose(out, reference, atol=1e-3, rtol=0)
 
-    def test_int8_quantizes_and_stays_close(self, rng):
-        model = mixer_small(4, rng)
-        images = images_for(rng)
-        reference = compile_features(model, precision="f64").run(images)
-        program = compile_features(model, precision="int8")
-        assert program.quantized > 0
-        out = program.run(images)
-        assert out.dtype == np.float32
-        np.testing.assert_allclose(out, reference, atol=0.5, rtol=0)
-
-    def test_f64_never_quantizes(self, rng):
-        program = compile_features(mixer_small(4, rng), precision="f64")
-        assert program.quantized == 0
-
-    def test_int8_exempts_seed_generation(self, rng):
-        # The registry compiles the extractor with quantize=False so the
-        # seed path is untouched at every tier.
-        model = meta_model()
-        program = compile_forward(
-            model.extractor, precision="int8", quantize=False
-        )
-        assert program.quantized == 0
-
 
 class TestEngineCounters:
     def test_stats_carry_optimizer_series(self, rng):
@@ -191,6 +135,5 @@ class TestEngineCounters:
         with build_engine(resnet_small(4, rng), precision="f32") as engine:
             serve_bulk(engine, images_for(rng, 4))
             stats = engine.stats()
-        for name in ("serve.fusion.steps_eliminated", "serve.quantized.weights"):
-            assert name in stats, name
+        assert "serve.fusion.steps_eliminated" in stats
         assert stats["serve.fusion.steps_eliminated"]["calls"] > 0

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ServeError
-from repro.models import FeatureExtractor, resnet_small
+from repro.eval.embeddings import extract_embeddings
+from repro.models import FeatureExtractor, mixer_small, resnet_small
+from repro.nn import Linear
 from repro.peft import (
     MetaLoRAModel,
     attach,
@@ -27,7 +29,7 @@ from repro.serve import (
     program_key,
 )
 from repro.utils.rng import new_rng
-from tests.serve.conftest import serve_bulk
+from tests.serve.conftest import assert_serving_match, serve_bulk
 
 
 def images_for(rng, n=6):
@@ -126,6 +128,20 @@ class TestRegistry:
         stats = registry.stats()
         assert stats["serve.program_cache.hit"]["calls"] == 2
         assert stats["serve.program_cache.miss"]["calls"] == 4
+
+    def test_shared_program_snapshots_weights(self, rng):
+        """Tenants sharing a program keep their own rows when one of their
+        models is updated in place: programs fold copies, not the live
+        weights."""
+        models = [mixer_small(4, new_rng(5)) for __ in range(2)]
+        images = images_for(rng, 3)
+        with MultiTenantEngine() as engine:
+            a = engine.register("a", models[0])
+            b = engine.register("b", models[1])
+            assert a.program is b.program
+            before = serve_bulk(engine, images, adapter="b")
+            models[0].embed.weight.data += 1.0
+            assert np.array_equal(serve_bulk(engine, images, adapter="b"), before)
 
     def test_program_cache_evicts_lru(self):
         registry = AdapterRegistry(program_cache_size=1)
@@ -368,6 +384,22 @@ class TestMultiTenantServing:
         finally:
             engine.close()
 
+    def test_moe_lora_meta_tenant(self, rng):
+        """MoE-LoRA in a MetaLoRAModel serves unmerged, through both
+        ``build_engine`` and ``register``, as the autograd path computes."""
+        base = mixer_small(4, new_rng(40))
+        result = attach(base, "moe_lora", rank=2, rng=new_rng(41), targets=(Linear,))
+        extractor = FeatureExtractor(resnet_small(4, new_rng(42)))
+        model = MetaLoRAModel(base, extractor, rng=new_rng(43), adapters=result)
+        randomize_zero_params(model, np.random.default_rng(44))
+        images = images_for(rng, 5)
+        reference = extract_embeddings(model, images, batch_size=images.shape[0])
+        with build_engine(model) as single:
+            assert_serving_match(serve_bulk(single, images), reference)
+        with MultiTenantEngine() as engine:
+            engine.register("moe", model)
+            assert_serving_match(serve_bulk(engine, images, adapter="moe"), reference)
+
     def test_unknown_adapter_raises_everywhere(self, rng):
         engine = MultiTenantEngine()
         sample = images_for(rng, 1)
@@ -454,9 +486,7 @@ class TestMultiInputPrograms:
         model = meta_model(seed=10)
         images = images_for(rng, 4)
         fused = compile_features(model)
-        # quantize=False mirrors the registry: the extractor feeds the
-        # seed path, which is exempt from int8 weight quantization.
-        extractor = compile_forward(model.extractor, quantize=False)
+        extractor = compile_forward(model.extractor)
         mapping = compile_seed_mapping(model)
         body = compile_features(model, external_seeds=True)
         assert len(body.input_slots) == 2
