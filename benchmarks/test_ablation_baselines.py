@@ -19,7 +19,7 @@ import pytest
 from repro.config import PAPER_MIXER
 from repro.data.synthetic import generate_task_data
 from repro.data.tasks import TaskDistribution
-from repro.eval.protocol import _adapt, _knn_accuracy, build_backbone, pretrain_backbone
+from repro.eval.protocol import _adapt, build_backbone, knn_accuracy_by_k, pretrain_backbone
 from repro.nn.linear import Linear
 from repro.peft import attach
 from repro.utils.rng import spawn_rngs
@@ -71,7 +71,7 @@ def test_ablation_static_baselines(benchmark, scale):
             model.load_state_dict(state)
             attach(model, name, rank=4, targets=(Linear,), rng=rng)
             _adapt(model, train_sets, config, rng)
-            accuracy = _knn_accuracy(model, eval_sets, 5, config.knn_metric)
+            accuracy = knn_accuracy_by_k(model, eval_sets, (5,), config.knn_metric)[5]
             budget = model.parameter_count(trainable_only=True)
             results[name] = (accuracy, budget)
         return results

@@ -20,8 +20,8 @@ from repro.data.synthetic import generate_task_data
 from repro.data.tasks import TaskDistribution
 from repro.eval.protocol import (
     _adapt,
-    _knn_accuracy,
     build_adapted_model,
+    knn_accuracy_by_k,
     pretrain_backbone,
 )
 from repro.peft.base import iter_adapters
@@ -97,14 +97,14 @@ def test_ablation_meta_vs_static_seed(benchmark, scale):
         # Full MetaLoRA (TR): mapping net generates per-sample seeds.
         meta_model = build_adapted_model("meta_lora_tr", config, state, rng_meta)
         _adapt(meta_model, train_sets, config, rng_meta)
-        meta_acc = _knn_accuracy(meta_model, eval_sets, 5, config.knn_metric)
+        meta_acc = knn_accuracy_by_k(meta_model, eval_sets, (5,), config.knn_metric)[5]
 
         # Static-seed ablation: same TR adapters, no mapping net — the
         # learned static_seed parameters take the seed's place.
         static_backbone = build_adapted_model("meta_lora_tr", config, state, rng_static)
         static_model = _StaticizedMetaModel(static_backbone.backbone)
         _adapt(static_model, train_sets, config, rng_static)
-        static_acc = _knn_accuracy(static_model, eval_sets, 5, config.knn_metric)
+        static_acc = knn_accuracy_by_k(static_model, eval_sets, (5,), config.knn_metric)[5]
         return meta_acc, static_acc
 
     meta_acc, static_acc = benchmark.pedantic(run, rounds=1, iterations=1)

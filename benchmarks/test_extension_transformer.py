@@ -16,7 +16,7 @@ import pytest
 from repro.config import PAPER
 from repro.data.synthetic import generate_task_data
 from repro.data.tasks import TaskDistribution
-from repro.eval.protocol import _adapt, _knn_accuracy
+from repro.eval.protocol import _adapt, knn_accuracy_by_k
 from repro.models import FeatureExtractor, MultiHeadSelfAttention, vit_small
 from repro.nn.linear import Linear
 from repro.peft import MetaLoRAModel, PrefixTuningAttention, attach
@@ -78,12 +78,12 @@ def test_extension_metalora_on_vit(benchmark, scale):
 
         frozen = fresh()
         frozen.freeze()
-        results["frozen"] = _knn_accuracy(frozen, eval_sets, 5, config.knn_metric)
+        results["frozen"] = knn_accuracy_by_k(frozen, eval_sets, (5,), config.knn_metric)[5]
 
         lora = fresh()
         attach(lora, "lora", rank=config.rank, targets=(Linear,), rng=rng_lora)
         _adapt(lora, train_sets, config, rng_lora)
-        results["lora"] = _knn_accuracy(lora, eval_sets, 5, config.knn_metric)
+        results["lora"] = knn_accuracy_by_k(lora, eval_sets, (5,), config.knn_metric)[5]
 
         prefix = fresh()
         # Prefix tuning has no rank: attach with an explicit factory.
@@ -93,7 +93,7 @@ def test_extension_metalora_on_vit(benchmark, scale):
             targets=(MultiHeadSelfAttention,),
         )
         _adapt(prefix, train_sets, config, rng_prefix)
-        results["prefix"] = _knn_accuracy(prefix, eval_sets, 5, config.knn_metric)
+        results["prefix"] = knn_accuracy_by_k(prefix, eval_sets, (5,), config.knn_metric)[5]
 
         meta_backbone = fresh()
         meta_result = attach(
@@ -105,7 +105,7 @@ def test_extension_metalora_on_vit(benchmark, scale):
             mapping_hidden=config.mapping_hidden, rng=rng_meta, adapters=meta_result,
         )
         _adapt(meta, train_sets, config, rng_meta)
-        results["meta_lora_tr"] = _knn_accuracy(meta, eval_sets, 5, config.knn_metric)
+        results["meta_lora_tr"] = knn_accuracy_by_k(meta, eval_sets, (5,), config.knn_metric)[5]
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -24,7 +24,12 @@ import pytest
 from repro.config import PAPER
 from repro.data.synthetic import generate_task_data
 from repro.data.tasks import TaskDistribution
-from repro.eval.protocol import _adapt, _knn_accuracy, build_adapted_model, pretrain_backbone
+from repro.eval.protocol import (
+    _adapt,
+    build_adapted_model,
+    knn_accuracy_by_k,
+    pretrain_backbone,
+)
 from repro.utils.rng import spawn_rngs
 
 METHODS = ("lora", "multi_lora", "meta_lora_tr")
@@ -80,8 +85,8 @@ def test_unseen_task_generalization(benchmark, scale):
         for method, rng in zip(METHODS, method_rngs):
             model = build_adapted_model(method, config, state, rng)
             _adapt(model, train_sets, config, rng)
-            seen_acc = _knn_accuracy(model, seen_eval, 5, config.knn_metric)
-            unseen_acc = _knn_accuracy(model, unseen_eval, 5, config.knn_metric)
+            seen_acc = knn_accuracy_by_k(model, seen_eval, (5,), config.knn_metric)[5]
+            unseen_acc = knn_accuracy_by_k(model, unseen_eval, (5,), config.knn_metric)[5]
             results[method] = (seen_acc, unseen_acc)
         return results
 

@@ -233,22 +233,26 @@ def _adapt(
     model.eval()
 
 
-def _knn_accuracy(
+def knn_accuracy_by_k(
     model: Module,
     eval_sets: list[tuple[SyntheticTaskData, SyntheticTaskData]],
-    k: int,
+    ks: tuple[int, ...],
     metric: str,
-) -> float:
-    """Mean per-task KNN accuracy: fit on support, score on query."""
-    scores = []
+) -> dict[int, float]:
+    """Mean per-task KNN accuracy at each ``k``: fit on support, score on query.
+
+    Each eval set's support and query are embedded, and the classifier
+    fit, once; every ``k`` scores those same embeddings.
+    """
+    scores: dict[int, list[float]] = {k: [] for k in ks}
     for support, query in eval_sets:
         knn = KNNClassifier(metric=metric).fit(
             extract_embeddings(model, support.images), support.labels
         )
-        scores.append(
-            knn.score(extract_embeddings(model, query.images), query.labels, k)
-        )
-    return float(np.mean(scores))
+        queries = extract_embeddings(model, query.images)
+        for k in ks:
+            scores[k].append(knn.score(queries, query.labels, k))
+    return {k: float(np.mean(per_task)) for k, per_task in scores.items()}
 
 
 @dataclass
@@ -363,12 +367,12 @@ def run_table1_cell(
     results bit-identical to the serial :func:`run_table1` loop.
     """
     model = train_table1_model(config, context, method)
-    row = Table1Row(method=method)
-    for k in config.ks:
-        row.accuracy_by_k[k] = _knn_accuracy(
-            model, context.eval_sets, k, config.knn_metric
-        )
-    return row
+    return Table1Row(
+        method=method,
+        accuracy_by_k=knn_accuracy_by_k(
+            model, context.eval_sets, config.ks, config.knn_metric
+        ),
+    )
 
 
 def run_table1(config: Table1Config, seed: int) -> dict[str, Table1Row]:

@@ -55,6 +55,7 @@ from repro.eval.protocol import (
     Table1Config,
     Table1SeedContext,
     build_adapted_model,
+    knn_accuracy_by_k,
     method_rng,
     prepare_table1_seed,
     train_table1_model,
@@ -217,21 +218,14 @@ def run_robustness_cell(
     eval_sets = corrupt_eval_sets(
         context.table1.eval_sets, corruption, severity, rng
     )
-    cell = RobustnessCell(
-        method=context.method, corruption=corruption, severity=int(severity)
+    return RobustnessCell(
+        method=context.method,
+        corruption=corruption,
+        severity=int(severity),
+        accuracy_by_k=knn_accuracy_by_k(
+            model, eval_sets, config.table1.ks, config.table1.knn_metric
+        ),
     )
-    table1 = config.table1
-    for k in table1.ks:
-        scores = []
-        for support, query in eval_sets:
-            knn = KNNClassifier(metric=table1.knn_metric).fit(
-                extract_embeddings(model, support.images), support.labels
-            )
-            scores.append(
-                knn.score(extract_embeddings(model, query.images), query.labels, k)
-            )
-        cell.accuracy_by_k[k] = float(np.mean(scores))
-    return cell
 
 
 def degradation_slope(severities: list[int], accuracies: list[float]) -> float:

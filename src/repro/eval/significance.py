@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import EvaluationError
 
@@ -37,6 +36,10 @@ def two_sided_t_test(
     methods are run on the same seeds, so per-seed differences are the
     natural unit.  Falls back to Welch's test when unpaired.
     """
+    # scipy.stats takes most of a second to import and only this test needs
+    # it, so it loads on first call rather than with ``import repro``.
+    from scipy import stats
+
     candidate = np.asarray(candidate, dtype=np.float64)
     baseline = np.asarray(baseline, dtype=np.float64)
     if candidate.size < 2 or baseline.size < 2:

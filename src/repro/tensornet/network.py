@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import ShapeError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -104,7 +107,13 @@ class TensorNetwork:
         return sorted(label for label, c in counts.items() if c == 2)
 
     def graph(self) -> nx.Graph:
-        """The network as an undirected graph: nodes = tensors, edges = bonds."""
+        """The network as an undirected graph: nodes = tensors, edges = bonds.
+
+        networkx is imported here, on first use, so that only callers of
+        this method pay for loading it.
+        """
+        import networkx as nx
+
         g = nx.Graph()
         for name, tensor in self._tensors.items():
             g.add_node(name, order=tensor.ndim, shape=tensor.shape)
