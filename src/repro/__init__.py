@@ -12,7 +12,7 @@ Subpackages
 - :mod:`repro.peft` — LoRA, Conv-LoRA, Multi-LoRA, MoE-LoRA and the
   MetaLoRA CP/TR adapters with the mapping net (the paper's contribution)
 - :mod:`repro.data` — synthetic multi-task image distribution
-- :mod:`repro.train` — optimizers, schedules, trainer loops
+- :mod:`repro.train` — optimizers, trainer loops
 - :mod:`repro.eval` — KNN protocol, metrics, significance, Table I runner
 
 Quickstart

@@ -1,14 +1,8 @@
 """Evaluation: embedding extraction, KNN protocol, metrics, significance."""
 
-from repro.eval.cluster_quality import (
-    class_centroid_separation,
-    intra_inter_ratio,
-    silhouette_score,
-)
 from repro.eval.embeddings import extract_embeddings
-from repro.eval.retrieval import mean_average_precision, recall_at_k
 from repro.eval.knn import KNNClassifier
-from repro.eval.metrics import accuracy, confusion_matrix
+from repro.eval.metrics import accuracy
 from repro.eval.significance import SignificanceResult, two_sided_t_test
 from repro.eval.protocol import (
     Table1Config,
@@ -35,14 +29,8 @@ __all__ = [
     "Table1Row",
     "accuracy",
     "build_adapted_model",
-    "class_centroid_separation",
-    "confusion_matrix",
     "degradation_slope",
     "extract_embeddings",
-    "intra_inter_ratio",
-    "mean_average_precision",
-    "recall_at_k",
-    "silhouette_score",
     "pretrain_backbone",
     "run_robustness_cell",
     "run_robustness_stream",

@@ -18,18 +18,3 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     if predictions.size == 0:
         raise EvaluationError("accuracy of an empty prediction set")
     return float((predictions == labels).mean())
-
-
-def confusion_matrix(
-    predictions: np.ndarray, labels: np.ndarray, num_classes: int
-) -> np.ndarray:
-    """``matrix[true, predicted]`` counts."""
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if predictions.shape != labels.shape:
-        raise EvaluationError(
-            f"predictions {predictions.shape} and labels {labels.shape} disagree"
-        )
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (labels, predictions), 1)
-    return matrix

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 from repro.errors import EvaluationError
+from repro.eval.significance import two_sided_t_test
 
 
 @dataclass
@@ -76,8 +77,6 @@ def record_from_rows(
     significance: dict[str, dict[str, float]] = {}
     baselines = [m for m in methods if not m.startswith("meta")]
     if len(rows_by_seed) >= 2 and baselines:
-        from repro.eval.significance import two_sided_t_test
-
         for method in methods:
             if not method.startswith("meta"):
                 continue

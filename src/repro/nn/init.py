@@ -21,14 +21,6 @@ def kaiming_uniform(
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
-def xavier_uniform(
-    rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int
-) -> np.ndarray:
-    """Glorot/Xavier uniform init, used for the mixer and mapping nets."""
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
 def normal(
     rng: np.random.Generator, shape: tuple[int, ...], std: float = 0.02
 ) -> np.ndarray:

@@ -39,7 +39,6 @@ from repro.peft.checkpoint import (
 from repro.peft.multi_lora import MultiLoRAConv, MultiLoRALinear
 from repro.peft.moe_lora import MoELoRALinear
 from repro.peft.auto import AdapterPlan, apply_plan, plan_adapters
-from repro.peft.mapping_net import MappingNet
 from repro.peft.meta_cp import MetaLoRACPConv, MetaLoRACPLinear
 from repro.peft.meta_tr import MetaLoRATRConv, MetaLoRATRLinear
 from repro.peft.meta_model import MetaLoRAModel
@@ -64,7 +63,6 @@ __all__ = [
     "model_digest",
     "save_adapter",
     "state_digest",
-    "MappingNet",
     "MetaLoRACPConv",
     "MetaLoRACPLinear",
     "MetaLoRAModel",

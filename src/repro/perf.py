@@ -18,10 +18,6 @@ Flags initialize from the environment:
   it trades the ability to re-run ``backward()`` on the same graph for a
   smaller peak footprint; the parallel experiment runtime enables it per
   worker, where graphs are never reused.
-- ``REPRO_SERVE_EMBEDDINGS=1`` opts in to routing the evaluation
-  protocol's embedding extraction through the compiled ``repro.serve``
-  engine (bit-identical output; see docs/serving.md).  Off by default
-  because the engine snapshots weights at compile time.
 
 Programmatic control uses :func:`perf_overrides` (a context manager), which
 the benchmark harness relies on to time reference vs. optimized runs in the
@@ -91,10 +87,6 @@ class PerfFlags:
     and with them the captured activations) as the backward sweep consumes
     each node.  Bit-identical per sweep, but a released graph cannot be
     backpropagated again — hence opt-in.
-    ``serve_embeddings`` routes ``extract_embeddings`` through the compiled
-    ``repro.serve`` engine (bit-identical chunking; see docs/serving.md).
-    Opt-in because the engine snapshots weights at compile time, which is
-    wrong mid-training.
     """
 
     einsum_plan_cache: bool = True
@@ -102,7 +94,6 @@ class PerfFlags:
     conv_patches_cache: bool = True
     backward_inplace_accum: bool = True
     backward_release: bool = False
-    serve_embeddings: bool = False
 
 
 def _from_env() -> PerfFlags:
@@ -114,7 +105,6 @@ def _from_env() -> PerfFlags:
         conv_patches_cache=_env_bool("REPRO_CONV_PATCHES_CACHE", True),
         backward_inplace_accum=_env_bool("REPRO_BACKWARD_INPLACE_ACCUM", True),
         backward_release=_env_bool("REPRO_BACKWARD_RELEASE", False),
-        serve_embeddings=_env_bool("REPRO_SERVE_EMBEDDINGS", False),
     )
 
 

@@ -42,7 +42,7 @@ from repro.serve.compile import (
     compiles,
     compiles_features,
 )
-from repro.serve.engine import ENGINES, Engines, build_engine
+from repro.serve.engine import build_engine
 from repro.serve.registry import (
     AdapterEntry,
     AdapterRegistry,
@@ -62,9 +62,7 @@ __all__ = [
     "BatchScheduler",
     "CompiledProgram",
     "DEADLINE_MISSED",
-    "ENGINES",
     "ERROR",
-    "Engines",
     "MAX_SEGMENT",
     "MultiTenantEngine",
     "OK",

@@ -3,25 +3,17 @@
 :func:`build_engine` compiles a model (or an ``AttachResult``) into a
 :class:`~repro.serve.registry.MultiTenantEngine` serving that one
 program, mounted as the engine's ``default_adapter`` so requests may
-leave ``adapter`` unset.  Engine caching lives on an explicit
-:class:`Engines` handle, which ``extract_embeddings`` uses when
-``FLAGS.serve_embeddings`` routes it through the compiled path.
+leave ``adapter`` unset.
 """
 
 from __future__ import annotations
-
-import weakref
 
 from repro.errors import ServeError
 from repro.nn.module import Module
 from repro.serve.compile import compile_features
 from repro.serve.registry import MultiTenantEngine
 
-__all__ = [
-    "Engines",
-    "ENGINES",
-    "build_engine",
-]
+__all__ = ["build_engine"]
 
 #: Registry name of the one program a :func:`build_engine` engine serves.
 DEFAULT_TENANT = "default"
@@ -73,48 +65,3 @@ def build_engine(
     engine.default_adapter = DEFAULT_TENANT
     return engine
 
-
-class Engines:
-    """An explicit handle over per-model cached engines.
-
-    One lazily-built engine per model, weakly keyed: dropping the model
-    drops its engine.  Weights mutated after compilation are not picked
-    up — :meth:`clear` (or dropping the model) forces recompilation.  A
-    handle callers can own, scope and close, rather than module-level
-    global state.
-    """
-
-    def __init__(self, *, precision: str | None = None) -> None:
-        self._engines: "weakref.WeakKeyDictionary[Module, MultiTenantEngine]" = (
-            weakref.WeakKeyDictionary()
-        )
-        self._precision = precision
-
-    def get(self, model: Module) -> MultiTenantEngine:
-        """The cached engine for ``model``, compiling on first use."""
-        engine = self._engines.get(model)
-        if engine is None:
-            engine = self._engines[model] = build_engine(
-                model, precision=self._precision
-            )
-        return engine
-
-    def clear(self) -> None:
-        """Drop every cached engine (forces recompilation on next use)."""
-        for engine in list(self._engines.values()):
-            engine.close()
-        self._engines.clear()
-
-    def __len__(self) -> int:
-        return len(self._engines)
-
-    def __contains__(self, model: Module) -> bool:
-        return model in self._engines
-
-
-#: Default handle for the flag-gated protocol path
-#: (``FLAGS.serve_embeddings``).  The tier is pinned to f64 — routing
-#: ``extract_embeddings`` through the engine is contracted bit-identical
-#: to the autograd path, and must stay so even when
-#: ``REPRO_SERVE_PRECISION`` relaxes serving tiers.
-ENGINES = Engines(precision="f64")

@@ -89,6 +89,9 @@ __all__ = ["ShardedEngine", "TenantSpec"]
 #: How long a freshly spawned worker gets to connect back and say hello.
 CONNECT_TIMEOUT = 30.0
 
+#: How often the wait for that hello checks whether the worker has died.
+ACCEPT_POLL = 0.1
+
 #: Default control-op round-trip budget (register/stats/recorded/close).
 CONTROL_TIMEOUT = 60.0
 
@@ -465,7 +468,12 @@ class ShardedEngine:
                 raise ServeError(
                     f"shard {shard.id} did not connect back within {CONNECT_TIMEOUT}s"
                 )
-            self._listener.settimeout(remaining)
+            if process.exitcode is not None:
+                raise ServeError(
+                    f"shard {shard.id} exited with code {process.exitcode} "
+                    f"before connecting back"
+                )
+            self._listener.settimeout(min(remaining, ACCEPT_POLL))
             try:
                 candidate, __ = self._listener.accept()
             except socket.timeout:

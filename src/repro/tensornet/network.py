@@ -12,14 +12,10 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ShapeError
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 @dataclass
@@ -105,22 +101,6 @@ class TensorNetwork:
             for label in labels:
                 counts[label] = counts.get(label, 0) + 1
         return sorted(label for label, c in counts.items() if c == 2)
-
-    def graph(self) -> nx.Graph:
-        """The network as an undirected graph: nodes = tensors, edges = bonds.
-
-        networkx is imported here, on first use, so that only callers of
-        this method pay for loading it.
-        """
-        import networkx as nx
-
-        g = nx.Graph()
-        for name, tensor in self._tensors.items():
-            g.add_node(name, order=tensor.ndim, shape=tensor.shape)
-        for label in self.bond_labels():
-            left, right = self._holders(label)
-            g.add_edge(left, right, label=label, dim=self._dims[label])
-        return g
 
     # -- contraction ------------------------------------------------------------
 

@@ -1,8 +1,6 @@
-"""Training: optimizers, LR schedules, losses and the trainer loops."""
+"""Training: optimizers, losses and the trainer loops."""
 
-from repro.train.early_stopping import EarlyStopping
 from repro.train.optim import SGD, Adam, AdamW, Optimizer
-from repro.train.schedules import ConstantSchedule, CosineSchedule, StepSchedule
 from repro.train.losses import cross_entropy, mse_loss
 from repro.train.trainer import Trainer, TrainResult
 from repro.train.meta_trainer import MetaTrainer
@@ -10,13 +8,9 @@ from repro.train.meta_trainer import MetaTrainer
 __all__ = [
     "Adam",
     "AdamW",
-    "ConstantSchedule",
-    "CosineSchedule",
-    "EarlyStopping",
     "MetaTrainer",
     "Optimizer",
     "SGD",
-    "StepSchedule",
     "TrainResult",
     "Trainer",
     "cross_entropy",

@@ -4,7 +4,7 @@ Observability (:mod:`repro.obs`, off by default): ``fit()`` opens a
 ``train.fit`` span with one ``train.epoch`` child per epoch,
 ``train_step`` opens a ``train.step`` span and bumps the ``train.step``
 counter, and the per-epoch diagnostics land as gauges —
-``train.loss``, ``train.accuracy``, ``train.val_accuracy`` — while
+``train.loss`` and ``train.accuracy`` — while
 :meth:`Trainer.evaluate` records an ``eval.score`` span and the
 ``eval.accuracy`` gauge, so ``repro trace`` splits training from
 evaluation time.  None of it draws from an RNG: trajectories are
@@ -23,7 +23,6 @@ from repro.data.loaders import batches
 from repro.errors import TrainingError
 from repro.nn.module import Module
 from repro.obs import OBS, TRACER
-from repro.train.early_stopping import EarlyStopping
 from repro.train.losses import cross_entropy
 from repro.train.optim import Optimizer
 from repro.utils.logging import get_logger
@@ -37,19 +36,12 @@ class TrainResult:
 
     losses: list[float] = field(default_factory=list)
     accuracies: list[float] = field(default_factory=list)
-    validation_accuracies: list[float] = field(default_factory=list)
 
     @property
     def final_loss(self) -> float:
         if not self.losses:
             raise TrainingError("no training steps were run")
         return self.losses[-1]
-
-    @property
-    def best_validation_accuracy(self) -> float:
-        if not self.validation_accuracies:
-            raise TrainingError("fit() was not given a validation set")
-        return max(self.validation_accuracies)
 
 
 class Trainer:
@@ -60,21 +52,17 @@ class Trainer:
         model: Module,
         optimizer: Optimizer,
         loss_fn: Callable[[Tensor, np.ndarray], Tensor] = cross_entropy,
-        schedule: Callable[[int], float] | None = None,
         grad_clip: float | None = None,
     ) -> None:
         self.model = model
         self.optimizer = optimizer
         self.loss_fn = loss_fn
-        self.schedule = schedule
         self.grad_clip = grad_clip
         self._step = 0
 
     def train_step(self, images: np.ndarray, labels: np.ndarray) -> float:
         """One optimization step; returns the batch loss."""
         with TRACER.span("train.step", step=self._step):
-            if self.schedule is not None:
-                self.optimizer.set_lr(self.schedule(self._step))
             self.model.train()
             self.optimizer.zero_grad()
             logits = self.model(Tensor(images))
@@ -103,7 +91,7 @@ class Trainer:
             for grad in grads:
                 grad *= scale
 
-    #: Training-set subsample size used by ``train_eval="subsampled"``.
+    #: At most this many evenly spaced training samples are re-scored per epoch.
     TRAIN_EVAL_CAP = 256
 
     def fit(
@@ -113,39 +101,21 @@ class Trainer:
         epochs: int,
         batch_size: int,
         rng: np.random.Generator,
-        validation: tuple[np.ndarray, np.ndarray] | None = None,
-        early_stopping: "EarlyStopping | None" = None,
         log_every: int | None = None,
-        train_eval: str = "subsampled",
     ) -> TrainResult:
         """Train for ``epochs`` passes; records per-epoch mean loss/accuracy.
 
-        ``validation``, if given, is a held-out ``(images, labels)`` pair
-        evaluated after every epoch (recorded in
-        ``result.validation_accuracies``).  ``early_stopping`` monitors the
-        validation accuracy and ends training early when it stalls;
-        requires ``validation``.
-
-        ``train_eval`` controls the per-epoch re-score of the *training*
-        set — a diagnostic that can cost more than the epoch itself on
-        large sets: ``"full"`` scores every sample (the original
-        behaviour), ``"subsampled"`` (default) scores a deterministic,
-        evenly spaced subset of at most :data:`TRAIN_EVAL_CAP` samples
-        (exact whenever the set is smaller), ``"off"`` skips it and leaves
-        ``result.accuracies`` empty.  The subsample indices are computed
-        without drawing from ``rng``, so the training trajectory is
-        bit-identical across all three settings.
+        The per-epoch accuracy re-scores the *training* set — a diagnostic
+        that could cost more than the epoch itself on large sets — so it
+        scores a deterministic, evenly spaced subset of at most
+        :data:`TRAIN_EVAL_CAP` samples (exact whenever the set is
+        smaller).  The subsample indices are computed without drawing from
+        ``rng``, so the re-score never changes the training trajectory.
         """
         if epochs <= 0:
             raise TrainingError(f"epochs must be positive, got {epochs}")
-        if early_stopping is not None and validation is None:
-            raise TrainingError("early_stopping requires a validation set")
-        if train_eval not in ("off", "subsampled", "full"):
-            raise TrainingError(
-                f"train_eval must be 'off', 'subsampled' or 'full', got {train_eval!r}"
-            )
         eval_images, eval_labels = images, labels
-        if train_eval == "subsampled" and images.shape[0] > self.TRAIN_EVAL_CAP:
+        if images.shape[0] > self.TRAIN_EVAL_CAP:
             subsample = np.linspace(
                 0, images.shape[0] - 1, self.TRAIN_EVAL_CAP
             ).astype(np.int64)
@@ -160,38 +130,17 @@ class Trainer:
                     mean_loss = float(np.mean(epoch_losses))
                     result.losses.append(mean_loss)
                     OBS.enabled and OBS.gauge("train.loss", mean_loss)
-                    accuracy = None
-                    if train_eval != "off":
-                        accuracy = self.evaluate(eval_images, eval_labels, batch_size)
-                        result.accuracies.append(accuracy)
-                        OBS.enabled and OBS.gauge("train.accuracy", accuracy)
-                    stop = False
-                    if validation is not None:
-                        val_accuracy = self.evaluate(
-                            validation[0], validation[1], batch_size
-                        )
-                        result.validation_accuracies.append(val_accuracy)
-                        OBS.enabled and OBS.gauge("train.val_accuracy", val_accuracy)
-                        if early_stopping is not None and early_stopping.update(
-                            val_accuracy
-                        ):
-                            _logger.info(
-                                "early stop at epoch %d/%d (best val acc %.3f)",
-                                epoch + 1,
-                                epochs,
-                                early_stopping.best,
-                            )
-                            stop = True
+                    accuracy = self.evaluate(eval_images, eval_labels, batch_size)
+                    result.accuracies.append(accuracy)
+                    OBS.enabled and OBS.gauge("train.accuracy", accuracy)
                     if log_every and (epoch + 1) % log_every == 0:
                         _logger.info(
-                            "epoch %d/%d  loss=%.4f  acc=%s",
+                            "epoch %d/%d  loss=%.4f  acc=%.3f",
                             epoch + 1,
                             epochs,
                             mean_loss,
-                            "n/a" if accuracy is None else f"{accuracy:.3f}",
+                            accuracy,
                         )
-                if stop:
-                    break
         return result
 
     def evaluate(

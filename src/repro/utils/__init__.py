@@ -1,6 +1,6 @@
 """Shared utilities: seeded RNG, registries, serialization, timing, logging."""
 
-from repro.utils.rng import RngMixin, new_rng, spawn_rngs
+from repro.utils.rng import new_rng, spawn_rngs
 from repro.utils.registry import Registry
 from repro.utils.serialization import (
     ARTIFACT_VERSION,
@@ -16,7 +16,6 @@ from repro.utils.logging import enable_console_logging, get_logger
 __all__ = [
     "ARTIFACT_VERSION",
     "Registry",
-    "RngMixin",
     "Timer",
     "enable_console_logging",
     "get_logger",

@@ -30,21 +30,3 @@ def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
         raise ValueError(f"count must be non-negative, got {count}")
     children = np.random.SeedSequence(seed).spawn(count)
     return [np.random.default_rng(child) for child in children]
-
-
-class RngMixin:
-    """Mixin giving an object a lazily created, seedable ``rng`` attribute."""
-
-    _rng: np.random.Generator | None = None
-    _seed: int | None = None
-
-    @property
-    def rng(self) -> np.random.Generator:
-        if self._rng is None:
-            self._rng = new_rng(self._seed)
-        return self._rng
-
-    def reseed(self, seed: int) -> None:
-        """Reset the stream so subsequent draws are reproducible."""
-        self._seed = seed
-        self._rng = new_rng(seed)

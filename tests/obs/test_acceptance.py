@@ -105,7 +105,7 @@ class TestBitIdentity:
             (root,) = TRACER.drain()
         assert np.array_equal(plain, watched)
         assert root["name"] == "eval.embed"
-        assert root["attrs"] == {"path": "autograd", "samples": 5}
+        assert root["attrs"] == {"samples": 5}
 
 
 class TestTrainerObservability:

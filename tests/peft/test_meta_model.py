@@ -1,13 +1,13 @@
-"""Tests for the full MetaLoRAModel (Fig. 4 architecture) and MappingNet."""
+"""Tests for the full MetaLoRAModel (Fig. 4 architecture)."""
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.errors import AdapterError, ConfigError
+from repro.errors import AdapterError
 from repro.models import FeatureExtractor, mixer_small, resnet_small
 from repro.nn import Linear
-from repro.peft import MappingNet, MetaLoRAModel, attach
+from repro.peft import MetaLoRAModel, attach
 
 
 def make_meta_resnet(rng, fmt="tr"):
@@ -15,31 +15,6 @@ def make_meta_resnet(rng, fmt="tr"):
     extractor = FeatureExtractor(resnet_small(4, np.random.default_rng(9)))
     result = attach(backbone, f"meta_{fmt}", rank=2, rng=rng)
     return MetaLoRAModel(backbone, extractor, rng=rng, adapters=result)
-
-
-class TestMappingNet:
-    def test_output_shape(self, rng):
-        net = MappingNet(16, 9, hidden_dims=(8,), rng=rng)
-        out = net(Tensor(rng.normal(size=(5, 16)).astype(np.float32)))
-        assert out.shape == (5, 9)
-
-    def test_output_bounded_by_scale(self, rng):
-        net = MappingNet(16, 4, rng=rng)
-        out = net(Tensor((rng.normal(size=(8, 16)) * 100).astype(np.float32)))
-        assert np.all(np.abs(out.data) <= np.abs(net.scale.data[0]) + 1e-6)
-
-    def test_neutral_start_constant_seed(self, rng):
-        net = MappingNet(16, 4, rng=rng)
-        out = net(Tensor(rng.normal(size=(6, 16)).astype(np.float32))).data
-        assert np.allclose(out, out[0])  # same seed for every sample at init
-
-    def test_dim_validation(self, rng):
-        with pytest.raises(ConfigError):
-            MappingNet(0, 4)
-
-    def test_deeper_hidden_stack(self, rng):
-        net = MappingNet(16, 4, hidden_dims=(8, 8), rng=rng)
-        assert len(net.hidden) == 2
 
 
 class TestMetaLoRAModel:

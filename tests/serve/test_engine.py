@@ -1,4 +1,4 @@
-"""build_engine: bulk path, the queued path, lifecycle, protocol routing.
+"""build_engine: bulk path, the queued path, lifecycle.
 
 ``build_engine`` returns a ``MultiTenantEngine`` whose default tenant
 is the compiled model; the queued path is a ``BatchScheduler`` in front
@@ -12,8 +12,7 @@ from repro.errors import ServeError
 from repro.eval.embeddings import extract_embeddings
 from repro.models import resnet_small
 from repro.obs import OBS, observed
-from repro.perf import perf_overrides
-from repro.serve import ENGINES, BatchScheduler, ServeRequest, build_engine
+from repro.serve import BatchScheduler, ServeRequest, build_engine
 
 
 @pytest.fixture
@@ -133,25 +132,3 @@ class TestLifecycle:
     def test_build_engine_rejects_non_models(self):
         with pytest.raises(ServeError, match="Module or AttachResult"):
             build_engine(object())
-
-
-class TestProtocolIntegration:
-    def test_flagged_extract_embeddings_is_bit_identical(self, model, rng):
-        images = samples_for(rng, 5)
-        reference = extract_embeddings(model, images)
-        ENGINES.clear()
-        try:
-            with perf_overrides(serve_embeddings=True):
-                flagged = extract_embeddings(model, images)
-                again = extract_embeddings(model, images)  # reuses the engine
-            assert np.array_equal(flagged, reference)
-            assert np.array_equal(again, reference)
-        finally:
-            ENGINES.clear()
-
-    def test_explicit_engine_argument(self, engine, model, rng):
-        from tests.serve.conftest import assert_serving_match
-
-        images = samples_for(rng, 4)
-        out = extract_embeddings(model, images, engine=engine)
-        assert_serving_match(out, extract_embeddings(model, images))

@@ -449,21 +449,8 @@ class TestBuildEngineValidation:
 
 
 class TestEnginesHandle:
-    def test_handle_caches_per_model(self, rng):
-        from repro.serve.engine import Engines
-
-        handle = Engines()
-        model = resnet_small(4, rng)
-        engine = handle.get(model)
-        assert handle.get(model) is engine
-        assert model in handle and len(handle) == 1
-        handle.clear()
-        assert len(handle) == 0
-        replacement = handle.get(model)
-        assert replacement is not engine
-
     def test_module_level_shims_removed(self):
-        """The deprecated globals are gone — ``Engines`` is the only API."""
+        """The deprecated engine-cache globals are gone."""
         import repro.serve
         import repro.serve.engine
 

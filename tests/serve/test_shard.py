@@ -6,11 +6,14 @@ public surface: typed results, merged stats, digest-verified registry
 sync, and bit-identity against a direct in-process engine.
 """
 
+import multiprocessing
+import os
 import time
 
 import numpy as np
 import pytest
 
+import repro.serve.shard
 from repro.bench import _multi_tenant_models, build_shard_tenant
 from repro.errors import ServeError
 from repro.serve import (
@@ -57,6 +60,11 @@ def sharded(fleet):
     register_all(engine, models)
     yield engine, reference
     engine.close(5.0)
+
+
+def exit_before_hello(shard_id, host, port, token, config) -> None:
+    """Stands in for the shard worker: dies before connecting back."""
+    os._exit(3)
 
 
 def mixed_requests(count: int, seed: int = 0) -> list[ServeRequest]:
@@ -145,6 +153,18 @@ class TestShardedServing:
             assert spills and spills["calls"] >= 1
         finally:
             engine.close(5.0)
+
+
+class TestShardStartup:
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_worker_dying_before_hello_fails_fast(self, monkeypatch, start_method):
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} unavailable here")
+        monkeypatch.setattr(repro.serve.shard, "_shard_worker_main", exit_before_hello)
+        started = time.monotonic()
+        with pytest.raises(ServeError, match="shard 0 exited with code 3"):
+            ShardedEngine(2, start_method=start_method)
+        assert time.monotonic() - started < 5.0
 
 
 class TestShardCrash:

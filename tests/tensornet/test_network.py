@@ -51,12 +51,6 @@ class TestStructure:
         assert net.free_labels() == ["i", "o"]
         assert net.bond_labels() == ["r"]
 
-    def test_graph_export(self, rng):
-        g = lora_network(rng).graph()
-        assert set(g.nodes) == {"A", "B"}
-        assert g.edges["A", "B"]["label"] == "r"
-        assert g.edges["A", "B"]["dim"] == 2
-
     def test_order_query(self, rng):
         net = lora_network(rng)
         assert net.order("A") == 2

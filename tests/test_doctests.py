@@ -4,12 +4,10 @@ import doctest
 
 import pytest
 
-import repro.train.early_stopping
 import repro.utils.registry
 import repro.utils.timing
 
 MODULES = [
-    repro.train.early_stopping,
     repro.utils.registry,
     repro.utils.timing,
 ]

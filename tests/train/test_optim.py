@@ -1,11 +1,11 @@
-"""Tests for optimizers and LR schedules."""
+"""Tests for optimizers."""
 
 import numpy as np
 import pytest
 
 from repro.errors import TrainingError
 from repro.nn.module import Parameter
-from repro.train import SGD, Adam, AdamW, ConstantSchedule, CosineSchedule, StepSchedule
+from repro.train import SGD, Adam, AdamW
 
 
 def quadratic_params(start=5.0):
@@ -101,33 +101,3 @@ class TestAdam:
         opt.set_lr(0.5)
         assert opt.lr == 0.5
 
-
-class TestSchedules:
-    def test_constant(self):
-        schedule = ConstantSchedule(0.3)
-        assert schedule(0) == schedule(1000) == 0.3
-
-    def test_cosine_endpoints(self):
-        schedule = CosineSchedule(1.0, total_steps=100, final_lr=0.1)
-        assert schedule(0) == pytest.approx(1.0)
-        assert schedule(100) == pytest.approx(0.1)
-        assert schedule(50) == pytest.approx(0.55)
-        assert schedule(200) == pytest.approx(0.1)  # clamped past the end
-
-    def test_cosine_monotone_decreasing(self):
-        schedule = CosineSchedule(1.0, total_steps=10)
-        values = [schedule(i) for i in range(11)]
-        assert all(a >= b for a, b in zip(values, values[1:]))
-
-    def test_step_schedule(self):
-        schedule = StepSchedule(1.0, step_size=10, gamma=0.1)
-        assert schedule(0) == 1.0
-        assert schedule(9) == 1.0
-        assert schedule(10) == pytest.approx(0.1)
-        assert schedule(25) == pytest.approx(0.01)
-
-    def test_validation(self):
-        with pytest.raises(TrainingError):
-            CosineSchedule(1.0, total_steps=0)
-        with pytest.raises(TrainingError):
-            StepSchedule(1.0, step_size=0)

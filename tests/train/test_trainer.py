@@ -5,6 +5,7 @@ import pytest
 
 from repro.autograd import Tensor, tensor
 from repro.data import TaskDistribution, generate_task_data
+from repro.data.loaders import batches
 from repro.errors import ShapeError, TrainingError
 from repro.nn import Linear, ReLU, Sequential
 from repro.train import Adam, MetaTrainer, SGD, Trainer, cross_entropy, mse_loss
@@ -70,14 +71,6 @@ class TestTrainer:
         acc = Trainer(model, SGD(model.parameters(), lr=0.1)).evaluate(x, y)
         assert 0.0 <= acc <= 1.0
 
-    def test_schedule_applied(self, rng):
-        x, y = self._toy_problem(rng, n=16)
-        model = Sequential(Linear(8, 3, rng=rng))
-        opt = SGD(model.parameters(), lr=1.0)
-        trainer = Trainer(model, opt, schedule=lambda step: 0.123)
-        trainer.train_step(x, y)
-        assert opt.lr == 0.123
-
     def test_grad_clip_bounds_norm(self, rng):
         x, y = self._toy_problem(rng, n=16)
         model = Sequential(Linear(8, 3, rng=rng))
@@ -103,60 +96,54 @@ class TestTrainer:
 
 
 class TestTrainEval:
-    """The ``train_eval`` knob: what the per-epoch train re-score costs,
-    never what the training trajectory is."""
+    """The per-epoch train re-score: what it costs, never what the
+    training trajectory is."""
 
-    def _fit(self, train_eval, n=600, epochs=2):
+    def _problem(self, n):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(n, 8)).astype(np.float32)
         w = rng.normal(size=(8, 3)).astype(np.float32)
-        y = (x @ w).argmax(axis=1)
+        return x, (x @ w).argmax(axis=1)
+
+    def _fit(self, n=600, epochs=2):
+        x, y = self._problem(n)
         model = Sequential(Linear(8, 3, rng=np.random.default_rng(1)))
         trainer = Trainer(model, SGD(model.parameters(), lr=0.05))
         result = trainer.fit(
-            x,
-            y,
-            epochs=epochs,
-            batch_size=32,
-            rng=np.random.default_rng(2),
-            train_eval=train_eval,
+            x, y, epochs=epochs, batch_size=32, rng=np.random.default_rng(2)
         )
-        return result, model
-
-    def test_off_skips_train_accuracies(self):
-        result, _ = self._fit("off")
-        assert result.accuracies == []
-        assert len(result.losses) == 2
+        return result, trainer
 
     def test_subsampled_caps_the_scored_set(self):
-        # n=600 > cap=256: the subsampled score differs from the full one
-        # (different sample set) but both are real accuracies.
-        full, _ = self._fit("full")
-        sub, _ = self._fit("subsampled")
-        assert len(full.accuracies) == len(sub.accuracies) == 2
-        assert all(0.0 <= a <= 1.0 for a in sub.accuracies)
+        # n=600 > cap=256: the last epoch's score is the accuracy on the
+        # evenly spaced subsample, not on the full set.
+        x, y = self._problem(600)
+        result, trainer = self._fit(n=600)
+        assert len(result.accuracies) == 2
+        subsample = np.linspace(0, 599, Trainer.TRAIN_EVAL_CAP).astype(np.int64)
+        assert result.accuracies[-1] == trainer.evaluate(
+            x[subsample], y[subsample], batch_size=32
+        )
 
     def test_subsampled_is_exact_below_the_cap(self):
-        full, _ = self._fit("full", n=100)
-        sub, _ = self._fit("subsampled", n=100)
-        assert full.accuracies == sub.accuracies
+        x, y = self._problem(100)
+        result, trainer = self._fit(n=100)
+        assert result.accuracies[-1] == trainer.evaluate(x, y, batch_size=32)
 
     def test_trajectory_identical_across_settings(self):
-        # The subsample indices never touch `rng`, so losses (and final
-        # weights) are bit-identical whatever the diagnostic costs.
-        results = {mode: self._fit(mode) for mode in ("off", "subsampled", "full")}
-        losses = {mode: result.losses for mode, (result, _) in results.items()}
-        assert losses["off"] == losses["subsampled"] == losses["full"]
-        weights = {
-            mode: model[0].weight.data.copy()
-            for mode, (_, model) in results.items()
-        }
-        assert np.array_equal(weights["off"], weights["subsampled"])
-        assert np.array_equal(weights["off"], weights["full"])
-
-    def test_invalid_value_rejected(self):
-        with pytest.raises(TrainingError, match="train_eval"):
-            self._fit("sometimes")
+        # The subsample indices never touch `rng`, so fit() trains exactly
+        # like a bare train_step loop over the same batches.
+        result, trainer = self._fit()
+        x, y = self._problem(600)
+        model = Sequential(Linear(8, 3, rng=np.random.default_rng(1)))
+        bare = Trainer(model, SGD(model.parameters(), lr=0.05))
+        rng = np.random.default_rng(2)
+        losses = []
+        for __ in range(2):
+            epoch = [bare.train_step(xb, yb) for xb, yb in batches(x, y, 32, rng)]
+            losses.append(float(np.mean(epoch)))
+        assert result.losses == losses
+        assert np.array_equal(trainer.model[0].weight.data, model[0].weight.data)
 
     def test_evaluate_restores_prior_mode(self, rng):
         x = rng.normal(size=(8, 8)).astype(np.float32)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.utils import Registry, Timer, load_arrays, new_rng, save_arrays, spawn_rngs
-from repro.utils.rng import RngMixin
 
 
 class TestRng:
@@ -24,16 +23,6 @@ class TestRng:
     def test_spawn_negative_count(self):
         with pytest.raises(ValueError):
             spawn_rngs(0, -1)
-
-    def test_mixin_reseed(self):
-        class Thing(RngMixin):
-            pass
-
-        thing = Thing()
-        thing.reseed(7)
-        first = thing.rng.integers(1000)
-        thing.reseed(7)
-        assert thing.rng.integers(1000) == first
 
 
 class TestRegistry:
