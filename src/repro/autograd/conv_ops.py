@@ -17,16 +17,18 @@ included — is one ``np.take``.  The result is the C-contiguous patch
 matrix a strided im2col view would give once copied, bit for bit.
 
 The forward is that unfold followed by one GEMM epilogue,
-:func:`conv_from_patches`.  Autograd :func:`conv2d` reaches the unfold
-through a small patch cache, so an adapter conv that reads the same
-activations as its frozen base conv reuses the base conv's patches; the
-serve compiler instead shares one unfold step between those convs at
-compile time and never touches the cache.  Either way every conv ends in
-the same epilogue, so the two paths are bit-identical by construction.
+:func:`conv_from_patches`.  Autograd :func:`conv2d` runs the unfold as
+its own graph-free op, built once per input and geometry inside a
+:func:`repro.autograd.tensor.sharing` scope (a captured training step,
+one embedding batch), so an adapter conv that reads the same
+activations as its frozen base conv reuses the base conv's patches, in
+the capture and in every replay of it.  The serve compiler shares one
+unfold step between those convs at compile time.  Either way every conv
+ends in the same epilogue, so the paths are bit-identical by
+construction.
 
 No mutable scratch is shared between calls: the index cache holds
-read-only arrays and the patch cache is guarded by a lock, so the kernels
-may run on several threads at once.
+read-only arrays, so the kernels may run on several threads at once.
 
 Layout convention: activations are ``(N, C, H, W)`` and convolution
 weights are ``(K_h, K_w, C_in, C_out)`` — the latter matches the paper's
@@ -36,14 +38,12 @@ weights are ``(K_h, K_w, C_in, C_out)`` — the latter matches the paper's
 from __future__ import annotations
 
 import functools
-import threading
-from collections import OrderedDict
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor
+from repro.autograd.ops import apply
+from repro.autograd.tensor import Tensor, shared_op
 from repro.errors import ShapeError
-from repro.perf import FLAGS
 from repro.obs import OBS
 
 
@@ -102,42 +102,8 @@ def _gather_index(
     return idx, out_h, out_w
 
 
-# -- patch cache ---------------------------------------------------------------
-#
-# A small LRU of materialized patch matrices for autograd ``conv2d``, keyed
-# on the *identity* of the input array plus the convolution geometry.
-# MetaLoRA's conv adapters convolve the same activations twice per layer
-# (frozen base conv + adapter conv, same kernel/stride/padding), so the
-# second conv reuses the first one's unfolded patches.
-#
-# Identity alone is not enough — finite-difference gradient checking (and
-# any caller doing in-place updates) changes the *same* array object
-# between forwards, and an id can be recycled once its array is freed — so
-# each entry stores a snapshot copy of the input, and a lookup hits only
-# when the live array has the snapshot's dtype and equals it elementwise.
-# The copy costs one pass on a miss and the compare one on a hit,
-# both far cheaper than the kh*kw-amplified patch copy they guard.  The
-# lookup/promote and insert/evict sequences run under a lock, so a
-# concurrent eviction cannot pull an entry out between them.
-
-_PATCH_CACHE: "OrderedDict[tuple, tuple[np.ndarray, np.ndarray, int, int]]" = OrderedDict()
-_PATCH_CACHE_CAPACITY = 8
-_PATCH_CACHE_STATS = {"hits": 0, "misses": 0}
-_PATCH_CACHE_LOCK = threading.Lock()
-
-
-def conv_patch_cache_stats() -> dict[str, int]:
-    """Hit/miss counters plus current size of the patches cache."""
-    with _PATCH_CACHE_LOCK:
-        return dict(_PATCH_CACHE_STATS, size=len(_PATCH_CACHE))
-
-
 def clear_conv_caches() -> None:
-    """Drop cached patch matrices and gather indices (frees memory)."""
-    with _PATCH_CACHE_LOCK:
-        _PATCH_CACHE.clear()
-        _PATCH_CACHE_STATS["hits"] = 0
-        _PATCH_CACHE_STATS["misses"] = 0
+    """Drop the cached gather indices (frees memory)."""
     _gather_index.cache_clear()
 
 
@@ -153,40 +119,6 @@ def _unfold(
     np.copyto(ext[:, :-1].reshape(n, c, h, w), x)
     ext[:, -1] = 0
     cols = np.take(ext, idx, axis=1).reshape(n, out_h, out_w, c, kh, kw)
-    return cols, out_h, out_w
-
-
-def _im2col_contiguous(
-    x: np.ndarray, kh: int, kw: int, stride: int, padding: int
-) -> tuple[np.ndarray, int, int]:
-    """Materialized (contiguous) im2col patches, with the LRU fast path."""
-    use_cache = FLAGS.conv_patches_cache
-    if use_cache:
-        key = (id(x), kh, kw, stride, padding)
-        with _PATCH_CACHE_LOCK:
-            entry = _PATCH_CACHE.get(key)
-            hit = (
-                entry is not None
-                and entry[0].dtype == x.dtype
-                and np.array_equal(entry[0], x)
-            )
-            if hit:
-                _PATCH_CACHE_STATS["hits"] += 1
-                _PATCH_CACHE.move_to_end(key)
-        if hit:
-            if OBS.enabled:
-                OBS.inc("conv2d.patches_cache.hit")
-            return entry[1], entry[2], entry[3]
-    cols, out_h, out_w = _unfold(x, kh, kw, stride, padding)
-    if use_cache:
-        if OBS.enabled:
-            OBS.inc("conv2d.patches_cache.miss", bytes=cols.nbytes)
-        snapshot = x.copy()
-        with _PATCH_CACHE_LOCK:
-            _PATCH_CACHE_STATS["misses"] += 1
-            _PATCH_CACHE[key] = (snapshot, cols, out_h, out_w)
-            if len(_PATCH_CACHE) > _PATCH_CACHE_CAPACITY:
-                _PATCH_CACHE.popitem(last=False)
     return cols, out_h, out_w
 
 
@@ -260,18 +192,21 @@ def conv2d_forward(
     stride: int,
     padding: int,
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Graph-free convolution forward on raw arrays, through the patch cache.
+    """Graph-free convolution forward on raw arrays: unfold, then epilogue.
 
     ``w_mat`` is the pre-folded ``(Cin*kh*kw, Cout)`` matrix from
     :func:`fold_conv_weight`.  Returns ``(out, cols, out_h, out_w)`` —
-    ``cols`` is the flattened patch matrix the backward pass needs.
+    ``cols`` is the flattened patch matrix a backward pass needs.
     """
-    n, c_in = x.shape[0], x.shape[1]
-    patches, out_h, out_w = _im2col_contiguous(x, kh, kw, stride, padding)
-    # Patches are contiguous, so this reshape is a view (the copy happened
-    # once, inside the unfold).
-    cols = patches.reshape(n, out_h, out_w, c_in * kh * kw)
-    return conv_from_patches(cols, w_mat, bias), cols, out_h, out_w
+    cols = _patch_matrix(x, kh, kw, stride, padding)
+    return conv_from_patches(cols, w_mat, bias), cols, cols.shape[1], cols.shape[2]
+
+
+def _patch_matrix(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
+    """``(N, out_h, out_w, C*kh*kw)`` patches: a view of the contiguous
+    unfold, so the one copy happens inside :func:`_unfold`."""
+    patches, out_h, out_w = _unfold(x, kh, kw, stride, padding)
+    return patches.reshape(x.shape[0], out_h, out_w, x.shape[1] * kh * kw)
 
 
 def max_pool2d_forward(
@@ -317,43 +252,39 @@ def conv2d(
         )
 
     n = x.shape[0]
-    w_mat = fold_conv_weight(weight.data)
-    out, cols, out_h, out_w = conv2d_forward(
-        x.data, w_mat, bias.data if bias is not None else None, kh, kw, stride, padding
+    x_shape = x.shape
+    patches = shared_op(
+        ("unfold", id(x), kh, kw, stride, padding),
+        lambda: apply(lambda data: _patch_matrix(data, kh, kw, stride, padding), x),
+        x,
     )
 
-    x_shape = x.shape
+    def fwd(data: np.ndarray, w: np.ndarray, b: np.ndarray | None, cols: np.ndarray):
+        w_mat = fold_conv_weight(w)
+        return conv_from_patches(cols, w_mat, b), (w_mat, cols)
 
-    def grad_x(g: np.ndarray) -> np.ndarray:
+    def grad_x(ctx: tuple, g: np.ndarray) -> np.ndarray:
+        out_h, out_w = g.shape[2], g.shape[3]
         g_cols = g.transpose(0, 2, 3, 1)  # (N, oh, ow, Cout)
-        d_cols = g_cols @ w_mat.T  # (N, oh, ow, C*kh*kw)
+        d_cols = g_cols @ ctx[0].T  # (N, oh, ow, C*kh*kw)
         d_patches = d_cols.reshape(n, out_h, out_w, c_in, kh, kw)
         result = _col2im(d_patches, x_shape, kh, kw, stride, padding)
         if OBS.enabled:
             OBS.inc("conv2d.backward", bytes=result.nbytes)
         return result
 
-    def grad_w(g: np.ndarray) -> np.ndarray:
+    def grad_w(ctx: tuple, g: np.ndarray) -> np.ndarray:
         g_cols = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
-        cols_flat = cols.reshape(-1, c_in * kh * kw)
+        cols_flat = ctx[1].reshape(-1, c_in * kh * kw)
         d_w_mat = cols_flat.T @ g_cols  # (C*kh*kw, Cout)
         if OBS.enabled:
             OBS.inc("conv2d.backward", bytes=d_w_mat.nbytes)
         return d_w_mat.reshape(c_in, kh, kw, c_out).transpose(1, 2, 0, 3)
 
-    parents: tuple[Tensor, ...]
-    grad_fns: tuple
-    if bias is not None:
+    def grad_b(ctx: tuple, g: np.ndarray) -> np.ndarray:
+        return g.sum(axis=(0, 2, 3))
 
-        def grad_b(g: np.ndarray) -> np.ndarray:
-            return g.sum(axis=(0, 2, 3))
-
-        parents = (x, weight, bias)
-        grad_fns = (grad_x, grad_w, grad_b)
-    else:
-        parents = (x, weight)
-        grad_fns = (grad_x, grad_w)
-    return Tensor._result(out, parents, grad_fns)
+    return Tensor._op(fwd, (grad_x, grad_w, grad_b, None), x, weight, bias, patches)
 
 
 def pad2d(x: Tensor, padding: int) -> Tensor:
@@ -362,22 +293,26 @@ def pad2d(x: Tensor, padding: int) -> Tensor:
         raise ShapeError(f"padding must be non-negative, got {padding}")
     if padding == 0:
         return x
-    out = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-
-    def grad_fn(g: np.ndarray) -> np.ndarray:
-        return g[:, :, padding:-padding, padding:-padding]
-
-    return Tensor._result(out, (x,), (grad_fn,))
+    width = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    return Tensor._op(
+        lambda data: (np.pad(data, width), None),
+        (lambda ctx, g: g[:, :, padding:-padding, padding:-padding],),
+        x,
+    )
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     """Max pooling over non-overlapping (or strided) spatial windows."""
     stride = stride or kernel
     n, c = x.shape[0], x.shape[1]
-    out, arg, out_h, out_w = max_pool2d_forward(x.data, kernel, stride)
     x_shape = x.shape
 
-    def grad_fn(g: np.ndarray) -> np.ndarray:
+    def fwd(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        out, arg, __, __ = max_pool2d_forward(data, kernel, stride)
+        return out, arg
+
+    def grad_fn(arg: np.ndarray, g: np.ndarray) -> np.ndarray:
+        out_h, out_w = arg.shape[1], arg.shape[2]
         g_windows = np.zeros((n, out_h, out_w, c, kernel * kernel), dtype=g.dtype)
         np.put_along_axis(
             g_windows, arg[..., None], g.transpose(0, 2, 3, 1)[..., None], axis=-1
@@ -385,22 +320,25 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
         d_patches = g_windows.reshape(n, out_h, out_w, c, kernel, kernel)
         return _col2im(d_patches, x_shape, kernel, kernel, stride, padding=0)
 
-    return Tensor._result(out, (x,), (grad_fn,))
+    return Tensor._op(fwd, (grad_fn,), x)
 
 
 def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     """Average pooling over spatial windows."""
     stride = stride or kernel
     n, c = x.shape[0], x.shape[1]
-    out, out_h, out_w = avg_pool2d_forward(x.data, kernel, stride)
     x_shape = x.shape
     scale = 1.0 / (kernel * kernel)
 
-    def grad_fn(g: np.ndarray) -> np.ndarray:
+    def fwd(data: np.ndarray) -> tuple[np.ndarray, None]:
+        return avg_pool2d_forward(data, kernel, stride)[0], None
+
+    def grad_fn(ctx: None, g: np.ndarray) -> np.ndarray:
+        out_h, out_w = g.shape[2], g.shape[3]
         g_spread = np.broadcast_to(
             (g.transpose(0, 2, 3, 1) * scale)[..., None, None],
             (n, out_h, out_w, c, kernel, kernel),
         )
         return _col2im(g_spread, x_shape, kernel, kernel, stride, 0)
 
-    return Tensor._result(out, (x,), (grad_fn,))
+    return Tensor._op(fwd, (grad_fn,), x)

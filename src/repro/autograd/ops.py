@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from typing import Callable
 
 import numpy as np
 
-from repro.autograd.tensor import GradFn, Tensor, grad_enabled, unbroadcast
+from repro.autograd.tensor import GradFn, Tensor, unbroadcast
 from repro.errors import ShapeError
 from repro.perf import FLAGS
 from repro.obs import OBS
@@ -65,105 +66,173 @@ def softmax_forward(data: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 # -- elementwise -------------------------------------------------------------
+#
+# Each op is a forward ``fwd(*arrays) -> (out, ctx)`` and one VJP
+# ``vjp(ctx, g)`` per operand, run through ``Tensor._op``; neither closes
+# over an array, so a captured training step can replay them.
+
+
+def _exp(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    out = np.exp(data)
+    return out, out
+
+
+def _mul_ctx(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return g * out
 
 
 def exp(x: Tensor) -> Tensor:
-    out = np.exp(x.data)
-    return Tensor._result(out, (x,), (lambda g: g * out,))
+    return Tensor._op(_exp, (_mul_ctx,), x)
+
+
+def _log(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.log(data), data
+
+
+def _log_vjp(data: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return g / data
 
 
 def log(x: Tensor) -> Tensor:
-    data = x.data
-    return Tensor._result(np.log(data), (x,), (lambda g: g / data,))
+    return Tensor._op(_log, (_log_vjp,), x)
+
+
+def _sqrt(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    out = np.sqrt(data)
+    return out, out
+
+
+def _sqrt_vjp(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return g * 0.5 / out
 
 
 def sqrt(x: Tensor) -> Tensor:
-    out = np.sqrt(x.data)
-    return Tensor._result(out, (x,), (lambda g: g * 0.5 / out,))
+    return Tensor._op(_sqrt, (_sqrt_vjp,), x)
+
+
+def _tanh(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    out = tanh_forward(data)
+    return out, out
+
+
+def _tanh_vjp(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return g * (1.0 - out**2)
 
 
 def tanh(x: Tensor) -> Tensor:
-    out = tanh_forward(x.data)
-    return Tensor._result(out, (x,), (lambda g: g * (1.0 - out**2),))
+    return Tensor._op(_tanh, (_tanh_vjp,), x)
+
+
+def _sigmoid(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    out = sigmoid_forward(data)
+    return out, out
+
+
+def _sigmoid_vjp(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return g * out * (1.0 - out)
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    out = sigmoid_forward(x.data)
-    return Tensor._result(out, (x,), (lambda g: g * out * (1.0 - out),))
+    return Tensor._op(_sigmoid, (_sigmoid_vjp,), x)
+
+
+def _relu(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return relu_forward(data), data
+
+
+def _relu_vjp(data: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return g * (data > 0)
 
 
 def relu(x: Tensor) -> Tensor:
-    data = x.data
-    out = relu_forward(data)
-    return Tensor._result(out, (x,), (lambda g: g * (data > 0),))
+    return Tensor._op(_relu, (_relu_vjp,), x)
+
+
+def _gelu(data: np.ndarray) -> tuple[np.ndarray, tuple]:
+    out, t = _gelu_parts(data)
+    return out, (data, t)
+
+
+def _gelu_vjp(ctx: tuple, g: np.ndarray) -> np.ndarray:
+    data, t = ctx
+    d_inner = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * data**2)
+    return g * (0.5 * (1.0 + t) + 0.5 * data * (1.0 - t**2) * d_inner)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation, as in MLP-Mixer)."""
-    data = x.data
-    out, t = _gelu_parts(data)
+    return Tensor._op(_gelu, (_gelu_vjp,), x)
 
-    def grad_fn(g: np.ndarray) -> np.ndarray:
-        d_inner = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * data**2)
-        return g * (0.5 * (1.0 + t) + 0.5 * data * (1.0 - t**2) * d_inner)
 
-    return Tensor._result(out, (x,), (grad_fn,))
+def _maximum(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, tuple]:
+    x_wins = (x > y).astype(x.dtype)
+    tie = (x == y).astype(x.dtype) * 0.5
+    return np.maximum(x, y), (x_wins + tie, (1.0 - x_wins) - tie)
 
 
 def maximum(x: Tensor, y: Tensor) -> Tensor:
     """Elementwise max; at ties the gradient is split evenly."""
-    out = np.maximum(x.data, y.data)
-    x_wins = (x.data > y.data).astype(x.data.dtype)
-    tie = (x.data == y.data).astype(x.data.dtype) * 0.5
-    wx, wy = x_wins + tie, (1.0 - x_wins) - tie
-
-    return Tensor._result(
-        out,
-        (x, y),
-        (
-            lambda g: unbroadcast(g * wx, x.shape),
-            lambda g: unbroadcast(g * wy, y.shape),
-        ),
+    x_shape, y_shape = x.shape, y.shape
+    vjps = (
+        lambda ctx, g: unbroadcast(g * ctx[0], x_shape),
+        lambda ctx, g: unbroadcast(g * ctx[1], y_shape),
     )
+    return Tensor._op(_maximum, vjps, x, y)
+
+
+def _where(x: np.ndarray, y: np.ndarray, condition: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    cond = np.asarray(condition, dtype=bool)
+    return np.where(cond, x, y), cond
 
 
 def where(condition: np.ndarray, x: Tensor, y: Tensor) -> Tensor:
     """Select from ``x`` where ``condition`` else ``y`` (condition is constant)."""
-    cond = np.asarray(condition, dtype=bool)
-    out = np.where(cond, x.data, y.data)
-    return Tensor._result(
-        out,
-        (x, y),
-        (
-            lambda g: unbroadcast(g * cond, x.shape),
-            lambda g: unbroadcast(g * ~cond, y.shape),
-        ),
+    x_shape, y_shape = x.shape, y.shape
+    vjps = (
+        lambda cond, g: unbroadcast(g * cond, x_shape),
+        lambda cond, g: unbroadcast(g * ~cond, y_shape),
+        None,
     )
+    return Tensor._op(_where, vjps, x, y, np.asarray(condition))
+
+
+def apply(fn: Callable[..., np.ndarray], *operands: Tensor | np.ndarray) -> Tensor:
+    """A graph-free op: ``fn`` over the operands' arrays, no gradient.
+
+    For module code that computes on activations outside autograd (the
+    feature extractor's normalization and channel statistics): as an op
+    it is one step of a captured training step, where raw numpy on
+    ``.data`` would be frozen into a constant.
+    """
+    return Tensor._op(lambda *arrays: (fn(*arrays), None), None, *operands)
 
 
 # -- softmax family -----------------------------------------------------------
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    out = softmax_forward(x.data, axis=axis)
+    def fwd(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        out = softmax_forward(data, axis=axis)
+        return out, out
 
-    def grad_fn(g: np.ndarray) -> np.ndarray:
+    def grad_fn(out: np.ndarray, g: np.ndarray) -> np.ndarray:
         dot = (g * out).sum(axis=axis, keepdims=True)
         return out * (g - dot)
 
-    return Tensor._result(out, (x,), (grad_fn,))
+    return Tensor._op(fwd, (grad_fn,), x)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    log_sum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - log_sum
-    soft = np.exp(out)
+    def fwd(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        shifted = data - data.max(axis=axis, keepdims=True)
+        log_sum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+        out = shifted - log_sum
+        return out, np.exp(out)
 
-    def grad_fn(g: np.ndarray) -> np.ndarray:
+    def grad_fn(soft: np.ndarray, g: np.ndarray) -> np.ndarray:
         return g - soft * g.sum(axis=axis, keepdims=True)
 
-    return Tensor._result(out, (x,), (grad_fn,))
+    return Tensor._op(fwd, (grad_fn,), x)
 
 
 # -- structural ----------------------------------------------------------------
@@ -173,20 +242,21 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     """Concatenate along ``axis``; gradient splits back to each input."""
     if not tensors:
         raise ShapeError("concat requires at least one tensor")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
     def make_grad(i: int) -> GradFn:
-        def grad_fn(g: np.ndarray) -> np.ndarray:
+        def grad_fn(ctx: None, g: np.ndarray) -> np.ndarray:
             index = [slice(None)] * g.ndim
             index[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
             return g[tuple(index)]
 
         return grad_fn
 
-    return Tensor._result(
-        out, tuple(tensors), tuple(make_grad(i) for i in range(len(tensors)))
+    return Tensor._op(
+        lambda *arrays: (np.concatenate(arrays, axis=axis), None),
+        tuple(make_grad(i) for i in range(len(tensors))),
+        *tensors,
     )
 
 
@@ -194,29 +264,38 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
     """Stack along a new axis; gradient indexes back per input."""
     if not tensors:
         raise ShapeError("stack requires at least one tensor")
-    out = np.stack([t.data for t in tensors], axis=axis)
 
     def make_grad(i: int) -> GradFn:
-        def grad_fn(g: np.ndarray) -> np.ndarray:
+        def grad_fn(ctx: None, g: np.ndarray) -> np.ndarray:
             return np.take(g, i, axis=axis)
 
         return grad_fn
 
-    return Tensor._result(
-        out, tuple(tensors), tuple(make_grad(i) for i in range(len(tensors)))
+    return Tensor._op(
+        lambda *arrays: (np.stack(arrays, axis=axis), None),
+        tuple(make_grad(i) for i in range(len(tensors))),
+        *tensors,
     )
 
 
+def _masked(data: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return data * mask, mask
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout: scales kept units by 1/(1-rate) during training."""
+    """Inverted dropout: scales kept units by 1/(1-rate) during training.
+
+    The mask is drawn by its own graph-free op, so a captured training
+    step draws a fresh mask from ``rng`` on every replay.
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
     keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep).astype(x.data.dtype) / keep
-    out = x.data * mask
-    return Tensor._result(out, (x,), (lambda g: g * mask,))
+    shape, dtype = x.shape, x.data.dtype
+    mask = apply(lambda: (rng.random(shape) < keep).astype(dtype) / keep)
+    return Tensor._op(_masked, (_mul_ctx, None), x, mask)
 
 
 # -- einsum ---------------------------------------------------------------------
@@ -420,21 +499,18 @@ def einsum(spec: str, *operands: Tensor) -> Tensor:
     optimal pairwise contraction list are memoized per ``(spec, shapes)``
     — see :class:`_EinsumPlan`; disable via ``repro.perf.FLAGS``.
     """
-    arrays = [op.data for op in operands]
-    shapes = tuple(a.shape for a in arrays)
+    shapes = tuple(op.shape for op in operands)
     plan = _get_plan(spec, shapes, len(operands))
 
-    out = plan.contraction(arrays)
-    if OBS.enabled:
-        OBS.inc("einsum.forward", bytes=np.asarray(out).nbytes)
-
-    if not grad_enabled():
-        return Tensor(out)
+    def fwd(*arrays: np.ndarray) -> tuple[np.ndarray, tuple]:
+        out = plan.contraction(arrays)
+        if OBS.enabled:
+            OBS.inc("einsum.forward", bytes=np.asarray(out).nbytes)
+        return np.asarray(out), arrays
 
     def make_grad(i: int) -> GradFn:
-        gplan = plan.grad_plans()[i]
-
-        def grad_fn(g: np.ndarray) -> np.ndarray:
+        def grad_fn(arrays: tuple, g: np.ndarray) -> np.ndarray:
+            gplan = plan.grad_plans()[i]
             others = [arrays[j] for j in range(len(arrays)) if j != i]
             partial = gplan.contraction([g, *others])
             if gplan.missing_dims:
@@ -451,6 +527,4 @@ def einsum(spec: str, *operands: Tensor) -> Tensor:
 
         return grad_fn
 
-    return Tensor._result(
-        np.asarray(out), tuple(operands), tuple(make_grad(i) for i in range(len(operands)))
-    )
+    return Tensor._op(fwd, tuple(make_grad(i) for i in range(len(operands))), *operands)

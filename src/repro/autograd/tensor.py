@@ -2,16 +2,27 @@
 
 Design
 ------
-Each differentiable operation creates a result ``Tensor`` holding
+Every operation runs through one choke point, :meth:`Tensor._op`, as a
+pair of kernels that read only what they are handed:
 
-* ``_parents`` — the input tensors the result depends on, and
-* ``_grad_fns`` — one callable per parent that maps the gradient of the
-  result to the gradient contribution for that parent.
+* a *forward* ``fwd(*arrays) -> (out, ctx)`` over the operands' arrays,
+  returning the result and whatever the backward needs (``ctx``), and
+* one *VJP* per operand, ``vjp(ctx, g) -> grad`` (``None`` for operands
+  that take no gradient, such as index arrays or masks).
 
-``backward()`` topologically sorts the graph reachable from the output and
-applies the chain rule.  Gradients broadcast exactly like numpy: a helper
+Kernels bind static arguments (axes, shapes, conv geometry) when the op
+is called and never close over an array: arrays arrive as operands or in
+``ctx``.  A differentiable result holds ``_parents``, ``_grad_fns`` (the
+VJPs of its differentiable parents) and ``_ctx``.  ``backward()``
+topologically sorts the graph reachable from the output and applies the
+chain rule.  Gradients broadcast exactly like numpy: a helper
 (:func:`unbroadcast`) sums gradient contributions back down to each
 parent's shape, so ``(B, N) + (N,)`` behaves as expected.
+
+Because kernels read only their operands, :mod:`repro.autograd.capture`
+can record a training step's kernels once and replay them on the next
+batch; while a recorder is active :meth:`Tensor._op` and the backward
+sweep report to it.
 
 Gradient recording is thread-unsafe by design (the library is
 single-process) and can be paused with the :func:`no_grad` context manager,
@@ -21,6 +32,7 @@ which the evaluation protocol uses to extract embeddings cheaply.
 from __future__ import annotations
 
 import contextlib
+import threading
 import time
 from typing import Callable, Iterator, Sequence
 
@@ -30,9 +42,22 @@ from repro.errors import GradientError, ShapeError
 from repro.perf import FLAGS
 from repro.obs import OBS
 
-GradFn = Callable[[np.ndarray], np.ndarray]
+GradFn = Callable[[object, np.ndarray], np.ndarray]
 
 _grad_enabled = True
+
+#: The active :class:`repro.autograd.capture.Recorder`, if a step is being
+#: captured (see :func:`repro.autograd.capture.recording`), and the thread
+#: capturing it: ops other threads run meanwhile are not part of the step.
+_RECORDER = None
+_RECORDER_THREAD: int | None = None
+
+
+def _recorder():
+    """The active recorder if this thread is the one capturing, else None."""
+    if _RECORDER is not None and _RECORDER_THREAD == threading.get_ident():
+        return _RECORDER
+    return None
 
 
 @contextlib.contextmanager
@@ -52,6 +77,64 @@ def grad_enabled() -> bool:
     return _grad_enabled
 
 
+#: This thread's open :func:`sharing` scope: ``key -> (tensor, alive)``.
+_SHARING = threading.local()
+
+
+@contextlib.contextmanager
+def sharing() -> Iterator[None]:
+    """Let :func:`shared_op` build once per key inside the block.
+
+    Open it around one forward pass (a captured training step, one
+    embedding batch), never around several: what is shared is computed
+    from the inputs as they were when it was built, so an input edited
+    in place between two forwards would be served stale patches.  A
+    nested scope joins the open one.
+    """
+    if getattr(_SHARING, "memo", None) is not None:
+        yield
+        return
+    _SHARING.memo = {}
+    try:
+        yield
+    finally:
+        _SHARING.memo = None
+
+
+def shared_op(key: tuple, build: Callable[[], "Tensor"], *alive: object) -> "Tensor":
+    """``build()``, built once per ``key`` inside a :func:`sharing` scope.
+
+    Outside one every call builds.  Conv adapters use this to read the
+    patches their base conv unfolded from the same input: ``key`` holds
+    the input's id, and ``alive`` keeps the input alive for the scope so
+    that id cannot be recycled.
+    """
+    memo = getattr(_SHARING, "memo", None)
+    if memo is None:
+        return build()
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (build(), alive)
+    return hit[0]
+
+
+def _set_recorder(recorder: object) -> None:
+    """Make ``recorder`` this thread's active capture (``None`` ends it)."""
+    global _RECORDER, _RECORDER_THREAD
+    if recorder is not None and _RECORDER is not None:
+        raise RuntimeError("a step is already being captured")
+    _RECORDER = recorder
+    _RECORDER_THREAD = None if recorder is None else threading.get_ident()
+
+
+def record_effect(run: Callable[[list], None]) -> None:
+    """Record ``run(values)`` as a side-effect step of the step being
+    captured, at this point of its list; a no-op outside a capture."""
+    recorder = _recorder()
+    if recorder is not None:
+        recorder.effect(run)
+
+
 def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` so it matches ``shape`` after numpy broadcasting.
 
@@ -67,10 +150,50 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _unbroadcast_vjp(shape: tuple[int, ...]) -> GradFn:
+    return lambda ctx, g: unbroadcast(g, shape)
+
+
+def _add(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, None]:
+    return x + y, None
+
+
+def _sub(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, None]:
+    return x - y, None
+
+
+def _mul(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, tuple]:
+    return x * y, (x, y)
+
+
+def _div(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, tuple]:
+    return x / y, (x, y)
+
+
+def _neg(x: np.ndarray) -> tuple[np.ndarray, None]:
+    return -x, None
+
+
+def _neg_vjp(ctx: None, g: np.ndarray) -> np.ndarray:
+    return -g
+
+
+def _matmul(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, tuple]:
+    return x @ y, (x, y)
+
+
+def _abs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.abs(x), x
+
+
+def _abs_vjp(data: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return g * np.sign(data)
+
+
 class Tensor:
     """A numpy array that supports reverse-mode automatic differentiation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fns", "_released")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fns", "_ctx")
 
     # Make numpy defer to Tensor.__radd__ etc. instead of elementwise-looping.
     __array_priority__ = 100
@@ -85,9 +208,11 @@ class Tensor:
         array = np.asarray(data)
         if array.dtype.kind != "f":
             array = array.astype(np.float32)
+        if _RECORDER is not None and array is not data and _recorder() is not None:
+            _RECORDER.converted(data, array)
         self.data: np.ndarray = array
         self.grad: np.ndarray | None = None
-        self._released = False
+        self._ctx = None
         self.requires_grad = bool(requires_grad) and _grad_enabled
         if _grad_enabled:
             self._parents = _parents
@@ -136,31 +261,64 @@ class Tensor:
     # -- graph construction -----------------------------------------------
 
     @staticmethod
+    def _op(
+        fwd: Callable[..., tuple[np.ndarray, object]],
+        vjps: Sequence[GradFn | None] | None,
+        *operands: "Tensor | np.ndarray | None",
+        effect: Callable[[object], None] | None = None,
+    ) -> "Tensor":
+        """Run one op: ``fwd`` over the operands' arrays, graph per ``vjps``.
+
+        ``operands`` are Tensors or raw arrays (constants such as labels
+        or an index; ``None`` stands in for an absent operand).  ``vjps``
+        holds one VJP per operand, ``None`` where no gradient flows;
+        ``vjps=None`` makes a graph-free op.  ``effect(ctx)`` runs right
+        after the forward: the op's side effect on module state (batch
+        norm's running statistics), recorded as its own step.
+
+        Under :func:`no_grad`, or when no differentiable operand requires
+        a gradient, the result carries no graph state at all: no parents,
+        no VJPs and no ``ctx``, so whatever the forward saved (patch
+        matrices, pre-activation buffers) is freed immediately.
+        """
+        arrays = [o.data if isinstance(o, Tensor) else o for o in operands]
+        out, ctx = fwd(*arrays)
+        if effect is not None:
+            effect(ctx)
+        result = Tensor(out)
+        if vjps is not None and _grad_enabled:
+            parents = []
+            fns = []
+            for operand, vjp in zip(operands, vjps):
+                if vjp is not None and isinstance(operand, Tensor) and operand.requires_grad:
+                    parents.append(operand)
+                    fns.append(vjp)
+            if parents:
+                result.requires_grad = True
+                result._parents = tuple(parents)
+                result._grad_fns = tuple(fns)
+                result._ctx = ctx
+        if _RECORDER is not None and _recorder() is not None:
+            _RECORDER.op(fwd, operands, out, result, effect)
+        return result
+
+    @staticmethod
     def _result(
         data: np.ndarray,
         parents: tuple["Tensor", ...],
-        grad_fns: tuple[GradFn, ...],
+        grad_fns: tuple[Callable[[np.ndarray], np.ndarray], ...],
     ) -> "Tensor":
-        if not _grad_enabled:
-            # Under no_grad() the result carries no graph state at all: no
-            # parent references, no grad-fn closures.  The closures passed
-            # in are dropped here, so anything they captured (patch
-            # matrices, pre-activation buffers) is freed immediately.
-            return Tensor(data)
-        if not any(p.requires_grad for p in parents):
-            return Tensor(data)
-        kept_parents = []
-        kept_fns = []
-        for parent, fn in zip(parents, grad_fns):
-            if parent.requires_grad or parent._parents:
-                kept_parents.append(parent)
-                kept_fns.append(fn)
-        return Tensor(
-            data,
-            requires_grad=True,
-            _parents=tuple(kept_parents),
-            _grad_fns=tuple(kept_fns),
-        )
+        """A closure-form op: ``data`` computed by the caller, one
+        ``grad_fn(g)`` per parent closing over whatever it needs.
+
+        For one-off ops (tests, gradient checks).  Its closures hold the
+        arrays of the step that built them, so a step that uses one
+        cannot be captured and replayed.
+        """
+        if _recorder() is not None:
+            _RECORDER.opaque("a closure-form op (Tensor._result)")
+        fns = tuple((lambda ctx, g, fn=fn: fn(g)) for fn in grad_fns)
+        return Tensor._op(lambda *arrays: (data, None), fns, *parents)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
@@ -172,29 +330,21 @@ class Tensor:
         """Backpropagate from this tensor through the recorded graph.
 
         ``gradient`` defaults to ones (only valid to omit for scalars,
-        matching common autograd semantics).
+        matching common autograd semantics).  Only leaves (tensors
+        created with ``requires_grad=True``, such as parameters) retain
+        ``.grad``; intermediate gradients live in the sweep and die with it.
 
-        Two flag-guarded memory optimizations (see :mod:`repro.perf`):
-        with ``backward_inplace_accum`` (default on), gradients flowing
-        into a tensor with several consumers accumulate in place once the
-        buffer is owned by this sweep — bit-identical to the reference
-        ``existing + contribution``; with ``backward_release`` (opt-in),
-        each node's parents and gradient closures — which capture the
-        forward activations — are dropped as soon as the sweep has
-        consumed them, so peak memory no longer holds the whole graph.
-        A released graph raises :class:`GradientError` if backpropagated
-        again (the equivalent of PyTorch's ``retain_graph=False``).
+        With ``backward_inplace_accum`` (default on, see
+        :mod:`repro.perf`), gradients flowing into a tensor with several
+        consumers accumulate in place once the buffer is owned by this
+        sweep — bit-identical to the reference ``existing + contribution``.
+        While a step is being captured, the sweep reports each VJP and
+        each routing decision to the recorder, in this order.
         """
-        if self._released:
-            raise GradientError(
-                "backward() on a released graph: backward_release "
-                "(REPRO_BACKWARD_RELEASE) freed this graph during a previous "
-                "backward() pass; rebuild the graph or disable the flag to "
-                "backpropagate the same graph twice"
-            )
         if not self.requires_grad and not self._parents:
             raise GradientError("backward() called on a tensor with no graph")
-        if gradient is None:
+        seeded = gradient is None
+        if seeded:
             if self.data.size != 1:
                 raise GradientError(
                     "backward() without an explicit gradient requires a scalar "
@@ -208,11 +358,12 @@ class Tensor:
             )
 
         inplace = FLAGS.backward_inplace_accum
-        release = FLAGS.backward_release
         profile = OBS.enabled
         start = time.perf_counter() if profile else 0.0
         inplace_adds = 0
-        released_nodes = 0
+        recorder = _recorder()
+        if recorder is not None:
+            recorder.begin_backward(self, seeded)
 
         order = self._topological_order()
         grads: dict[int, np.ndarray] = {id(self): gradient}
@@ -220,23 +371,23 @@ class Tensor:
         #: safe to mutate (first contributions may alias caller arrays).
         owned: set[int] = set()
         for node in order:
-            if node._released:
-                raise GradientError(
-                    "backward() through a released graph: a backward() pass "
-                    "under backward_release (REPRO_BACKWARD_RELEASE) already "
-                    "consumed part of this graph; rebuild it or disable the "
-                    "flag to backpropagate shared subgraphs twice"
-                )
             node_grad = grads.pop(id(node), None)
             if node_grad is None:
                 continue
-            if node.requires_grad:
+            if recorder is not None:
+                recorder.node(node)
+            if not node._parents:
                 node._accumulate(node_grad)
-            for parent, grad_fn in zip(node._parents, node._grad_fns):
-                contribution = grad_fn(node_grad)
+                if recorder is not None:
+                    recorder.accumulate(node)
+                continue
+            ctx = node._ctx
+            for parent, vjp in zip(node._parents, node._grad_fns):
+                contribution = vjp(ctx, node_grad)
                 existing = grads.get(id(parent))
                 if existing is None:
                     grads[id(parent)] = contribution
+                    route = "set"
                 elif (
                     inplace
                     and id(parent) in owned
@@ -246,18 +397,16 @@ class Tensor:
                 ):
                     np.add(existing, contribution, out=existing)
                     inplace_adds += 1
+                    route = "iadd"
                 else:
                     grads[id(parent)] = existing + contribution
                     owned.add(id(parent))
-            if release and node._parents:
-                node._parents = ()
-                node._grad_fns = ()
-                node._released = True
-                released_nodes += 1
+                    route = "add"
+                if recorder is not None:
+                    recorder.vjp(parent, vjp, route)
         if profile:
             OBS.observe("backward.sweep", time.perf_counter() - start)
             OBS.inc("backward.inplace_accum", inplace_adds)
-            OBS.inc("backward.released", released_nodes)
 
     def _topological_order(self) -> list["Tensor"]:
         """Nodes reachable from ``self``, outputs first (reverse topo order)."""
@@ -294,93 +443,78 @@ class Tensor:
 
     def __add__(self, other: "Tensor | float | int | np.ndarray") -> "Tensor":
         other = self._coerce(other)
-        out = self.data + other.data
-        return Tensor._result(
-            out,
-            (self, other),
-            (
-                lambda g: unbroadcast(g, self.shape),
-                lambda g: unbroadcast(g, other.shape),
-            ),
-        )
+        vjps = (_unbroadcast_vjp(self.shape), _unbroadcast_vjp(other.shape))
+        return Tensor._op(_add, vjps, self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other: "Tensor | float | int | np.ndarray") -> "Tensor":
         other = self._coerce(other)
-        out = self.data - other.data
-        return Tensor._result(
-            out,
-            (self, other),
-            (
-                lambda g: unbroadcast(g, self.shape),
-                lambda g: unbroadcast(-g, other.shape),
-            ),
+        other_shape = other.shape
+        vjps = (
+            _unbroadcast_vjp(self.shape),
+            lambda ctx, g: unbroadcast(-g, other_shape),
         )
+        return Tensor._op(_sub, vjps, self, other)
 
     def __rsub__(self, other: "Tensor | float | int | np.ndarray") -> "Tensor":
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other: "Tensor | float | int | np.ndarray") -> "Tensor":
         other = self._coerce(other)
-        out = self.data * other.data
-        return Tensor._result(
-            out,
-            (self, other),
-            (
-                lambda g: unbroadcast(g * other.data, self.shape),
-                lambda g: unbroadcast(g * self.data, other.shape),
-            ),
+        shape, other_shape = self.shape, other.shape
+        vjps = (
+            lambda ctx, g: unbroadcast(g * ctx[1], shape),
+            lambda ctx, g: unbroadcast(g * ctx[0], other_shape),
         )
+        return Tensor._op(_mul, vjps, self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "Tensor | float | int | np.ndarray") -> "Tensor":
         other = self._coerce(other)
-        out = self.data / other.data
-        return Tensor._result(
-            out,
-            (self, other),
-            (
-                lambda g: unbroadcast(g / other.data, self.shape),
-                lambda g: unbroadcast(-g * self.data / (other.data**2), other.shape),
-            ),
+        shape, other_shape = self.shape, other.shape
+        vjps = (
+            lambda ctx, g: unbroadcast(g / ctx[1], shape),
+            lambda ctx, g: unbroadcast(-g * ctx[0] / (ctx[1] ** 2), other_shape),
         )
+        return Tensor._op(_div, vjps, self, other)
 
     def __rtruediv__(self, other: "Tensor | float | int | np.ndarray") -> "Tensor":
         return self._coerce(other).__truediv__(self)
 
     def __neg__(self) -> "Tensor":
-        return Tensor._result(-self.data, (self,), (lambda g: -g,))
+        return Tensor._op(_neg, (_neg_vjp,), self)
 
     def __pow__(self, exponent: float | int) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        out = self.data**exponent
-        base = self.data
 
-        def grad_base(g: np.ndarray) -> np.ndarray:
+        def fwd(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return base**exponent, base
+
+        def grad_base(base: np.ndarray, g: np.ndarray) -> np.ndarray:
             return g * exponent * base ** (exponent - 1)
 
-        return Tensor._result(out, (self,), (grad_base,))
+        return Tensor._op(fwd, (grad_base,), self)
 
     def __matmul__(self, other: "Tensor | np.ndarray") -> "Tensor":
         other = self._coerce(other)
-        out = self.data @ other.data
+        shape, other_shape = self.shape, other.shape
 
-        def grad_left(g: np.ndarray) -> np.ndarray:
-            if other.data.ndim == 1:
-                return unbroadcast(np.multiply.outer(g, other.data), self.shape)
-            grad = g @ np.swapaxes(other.data, -1, -2)
-            return unbroadcast(grad, self.shape)
+        def grad_left(ctx: tuple, g: np.ndarray) -> np.ndarray:
+            right = ctx[1]
+            if right.ndim == 1:
+                return unbroadcast(np.multiply.outer(g, right), shape)
+            return unbroadcast(g @ np.swapaxes(right, -1, -2), shape)
 
-        def grad_right(g: np.ndarray) -> np.ndarray:
-            if self.data.ndim == 1:
-                return unbroadcast(np.multiply.outer(self.data, g), other.shape)
-            grad = np.swapaxes(self.data, -1, -2) @ g
-            return unbroadcast(grad, other.shape)
+        def grad_right(ctx: tuple, g: np.ndarray) -> np.ndarray:
+            left = ctx[0]
+            if left.ndim == 1:
+                return unbroadcast(np.multiply.outer(left, g), other_shape)
+            return unbroadcast(np.swapaxes(left, -1, -2) @ g, other_shape)
 
-        return Tensor._result(out, (self, other), (grad_left, grad_right))
+        return Tensor._op(_matmul, (grad_left, grad_right), self, other)
 
     # -- shaping --------------------------------------------------------------
 
@@ -388,8 +522,11 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         original = self.shape
-        out = self.data.reshape(shape)
-        return Tensor._result(out, (self,), (lambda g: g.reshape(original),))
+        return Tensor._op(
+            lambda data: (data.reshape(shape), None),
+            (lambda ctx, g: g.reshape(original),),
+            self,
+        )
 
     def transpose(self, *axes: int) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
@@ -397,8 +534,11 @@ class Tensor:
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
         inverse = np.argsort(axes)
-        out = self.data.transpose(axes)
-        return Tensor._result(out, (self,), (lambda g: g.transpose(inverse),))
+        return Tensor._op(
+            lambda data: (data.transpose(axes), None),
+            (lambda ctx, g: g.transpose(inverse),),
+            self,
+        )
 
     @property
     def T(self) -> "Tensor":
@@ -410,24 +550,39 @@ class Tensor:
         return self.reshape(*kept, -1)
 
     def __getitem__(self, key) -> "Tensor":
-        out = self.data[key]
+        """Index like numpy.  Array parts of ``key`` (labels, a gather
+        index) are operands of the op, not constants of its kernels."""
         shape = self.shape
         dtype = self.data.dtype
+        parts = key if isinstance(key, tuple) else (key,)
+        arrays = [i for i, part in enumerate(parts) if isinstance(part, np.ndarray)]
 
-        def grad_fn(g: np.ndarray) -> np.ndarray:
+        def rebuild(index_arrays: tuple) -> object:
+            if not arrays:
+                return key
+            rebuilt = list(parts)
+            for i, array in zip(arrays, index_arrays):
+                rebuilt[i] = array
+            return tuple(rebuilt) if isinstance(key, tuple) else rebuilt[0]
+
+        def fwd(data: np.ndarray, *index_arrays: np.ndarray) -> tuple[np.ndarray, object]:
+            index = rebuild(index_arrays)
+            return np.asarray(data[index]), index
+
+        def grad_fn(index: object, g: np.ndarray) -> np.ndarray:
             full = np.zeros(shape, dtype=dtype)
-            np.add.at(full, key, g)
+            np.add.at(full, index, g)
             return full
 
-        return Tensor._result(np.asarray(out), (self,), (grad_fn,))
+        vjps = (grad_fn,) + (None,) * len(arrays)
+        return Tensor._op(fwd, vjps, self, *[parts[i] for i in arrays])
 
     # -- reductions ------------------------------------------------------------
 
     def sum(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
-        out = self.data.sum(axis=axis, keepdims=keepdims)
         shape = self.shape
 
-        def grad_fn(g: np.ndarray) -> np.ndarray:
+        def grad_fn(ctx: None, g: np.ndarray) -> np.ndarray:
             if axis is None:
                 return np.broadcast_to(g, shape).astype(g.dtype)
             axes = (axis,) if isinstance(axis, int) else tuple(axis)
@@ -435,7 +590,11 @@ class Tensor:
                 g = np.expand_dims(g, tuple(a % len(shape) for a in axes))
             return np.broadcast_to(g, shape).astype(g.dtype)
 
-        return Tensor._result(np.asarray(out), (self,), (grad_fn,))
+        return Tensor._op(
+            lambda data: (np.asarray(data.sum(axis=axis, keepdims=keepdims)), None),
+            (grad_fn,),
+            self,
+        )
 
     def mean(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -452,10 +611,12 @@ class Tensor:
         return (centered * centered).mean(axis=axis, keepdims=keepdims)
 
     def max(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        out = self.data.max(axis=axis, keepdims=keepdims)
-        data = self.data
+        def fwd(data: np.ndarray) -> tuple[np.ndarray, tuple]:
+            out = data.max(axis=axis, keepdims=keepdims)
+            return np.asarray(out), (data, out)
 
-        def grad_fn(g: np.ndarray) -> np.ndarray:
+        def grad_fn(ctx: tuple, g: np.ndarray) -> np.ndarray:
+            data, out = ctx
             if axis is None:
                 mask = (data == data.max()).astype(g.dtype)
                 mask /= mask.sum()
@@ -466,23 +627,18 @@ class Tensor:
             g_expanded = g if keepdims else np.expand_dims(g, axis)
             return mask * g_expanded
 
-        return Tensor._result(np.asarray(out), (self,), (grad_fn,))
+        return Tensor._op(fwd, (grad_fn,), self)
 
     # -- misc -------------------------------------------------------------------
 
     def clip(self, low: float, high: float) -> "Tensor":
-        out = np.clip(self.data, low, high)
-        data = self.data
-
-        def grad_fn(g: np.ndarray) -> np.ndarray:
+        def grad_fn(data: np.ndarray, g: np.ndarray) -> np.ndarray:
             return g * ((data >= low) & (data <= high)).astype(g.dtype)
 
-        return Tensor._result(out, (self,), (grad_fn,))
+        return Tensor._op(lambda data: (np.clip(data, low, high), data), (grad_fn,), self)
 
     def abs(self) -> "Tensor":
-        out = np.abs(self.data)
-        data = self.data
-        return Tensor._result(out, (self,), (lambda g: g * np.sign(data),))
+        return Tensor._op(_abs, (_abs_vjp,), self)
 
 
 def tensor(

@@ -5,7 +5,7 @@ in-process bit-identity and accuracy pins perfbench cannot, one JSON
 record per suite:
 
 - ``BENCH_autograd.json`` — the einsum plan cache / contraction planner
-  and the conv2d patch cache against the reference implementation
+  against the reference implementation
   (flipped via :func:`repro.perf.perf_overrides`): per-case timing and
   the max |optimized - reference| output gap;
 - ``BENCH_table1.json`` — the same for one Table I training step of a
@@ -44,8 +44,8 @@ SCHEMA = "repro.bench/v1"
 
 #: problem sizes per scale; "tiny" is the CI smoke setting.
 _SCALES = {
-    "tiny": {"batch": 4, "tokens": 8, "rank": 4, "features": 32, "image": 12, "channels": 8},
-    "small": {"batch": 16, "tokens": 16, "rank": 8, "features": 128, "image": 16, "channels": 16},
+    "tiny": {"batch": 4, "tokens": 8, "rank": 4, "features": 32, "image": 12},
+    "small": {"batch": 16, "tokens": 16, "rank": 8, "features": 128, "image": 16},
 }
 
 
@@ -102,27 +102,6 @@ def _einsum_case(spec: str, shapes: list, grad_of: int, seed: int) -> Callable[[
     return fn
 
 
-def _paired_conv_case(sizes: dict) -> Callable[[], np.ndarray]:
-    """Base conv + adapter conv over the same activations (patch-cache hit)."""
-    rng = np.random.default_rng(2)
-    n, c, hw, r = sizes["batch"], sizes["channels"], sizes["image"], sizes["rank"]
-    x = Tensor(rng.standard_normal((n, c, hw, hw)))
-    w_base = Tensor(rng.standard_normal((3, 3, c, c)) * 0.1, requires_grad=True)
-    w_adapter = Tensor(rng.standard_normal((3, 3, c, r)) * 0.1, requires_grad=True)
-
-    def fn() -> np.ndarray:
-        base = conv_ops.conv2d(x, w_base, None, stride=1, padding=1)
-        delta = conv_ops.conv2d(x, w_adapter, None, stride=1, padding=1)
-        loss = base.sum() + delta.sum()
-        loss.backward()
-        out = np.concatenate([base.data.ravel(), delta.data.ravel()])
-        w_base.zero_grad()
-        w_adapter.zero_grad()
-        return out
-
-    return fn
-
-
 def run_autograd_bench(scale: str = "tiny", repeats: int = 3) -> dict:
     """Reference-vs-optimized timings for the autograd hot paths."""
     sizes = _SCALES[scale]
@@ -133,7 +112,6 @@ def run_autograd_bench(scale: str = "tiny", repeats: int = 3) -> dict:
     entries = [
         _entry("einsum.tr_linear_fwd_bwd", tr_linear, repeats),
         _entry("einsum.cp_conv_fwd_bwd", cp_conv, repeats),
-        _entry("conv2d.paired_same_input", _paired_conv_case(sizes), repeats),
     ]
     return _finish_record("autograd", scale, repeats, entries)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.autograd.ops import apply
 from repro.autograd.tensor import Tensor, no_grad
 from repro.nn.module import Module
 
@@ -59,14 +60,19 @@ class FeatureExtractor(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         with no_grad():
-            feats = self.backbone.features(x).data
+            feats = self.backbone.features(x)
+        return apply(self._describe, feats, x)
+
+    def _describe(self, feats: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Normalize the backbone features and append the channel
+        statistics of the input images (one graph-free op)."""
         if self.normalize:
             norms = np.linalg.norm(feats, axis=1, keepdims=True)
             feats = feats / np.maximum(norms, 1e-12)
         if self.include_stats:
             if x.ndim == 4:
-                means = x.data.mean(axis=(2, 3))
-                stds = x.data.std(axis=(2, 3))
+                means = x.mean(axis=(2, 3))
+                stds = x.std(axis=(2, 3))
             else:
                 # Non-image input: keep the dimension contract with zeros.
                 means = np.zeros((x.shape[0], self.input_channels), dtype=feats.dtype)
@@ -74,4 +80,4 @@ class FeatureExtractor(Module):
             feats = np.concatenate(
                 [feats, means.astype(feats.dtype), stds.astype(feats.dtype)], axis=1
             )
-        return Tensor(feats)
+        return feats

@@ -1,8 +1,8 @@
 """Performance-path feature flags.
 
 Every optimization added on top of the reference implementation (einsum
-plan caching, optimal contraction ordering, im2col patch caching) is
-guarded by a flag here so the two paths can be A/B-tested: the reference
+plan caching, optimal contraction ordering, in-place gradient
+accumulation) is guarded by a flag here so the two paths can be A/B-tested: the reference
 path is the original, straight-line code; the optimized path must match
 it numerically (see ``tests/autograd``) and is what ships by default.
 
@@ -10,14 +10,7 @@ Flags initialize from the environment:
 
 - ``REPRO_PERF=off`` (or ``reference``) disables every optimization;
 - ``REPRO_EINSUM_PLAN_CACHE=0``, ``REPRO_EINSUM_OPTIMIZE=0``,
-  ``REPRO_CONV_PATCHES_CACHE=0``, ``REPRO_BACKWARD_INPLACE_ACCUM=0``
-  disable individual paths;
-- ``REPRO_BACKWARD_RELEASE=1`` opts in to the backward memory diet
-  (graph metadata is dropped as ``backward()`` consumes it; see
-  :meth:`repro.autograd.tensor.Tensor.backward`).  Off by default because
-  it trades the ability to re-run ``backward()`` on the same graph for a
-  smaller peak footprint; the parallel experiment runtime enables it per
-  worker, where graphs are never reused.
+  ``REPRO_BACKWARD_INPLACE_ACCUM=0`` disable individual paths.
 
 Programmatic control uses :func:`perf_overrides` (a context manager), which
 the benchmark harness relies on to time reference vs. optimized runs in the
@@ -83,17 +76,11 @@ class PerfFlags:
     sweep-owned buffer with ``np.add(..., out=...)`` — bit-identical (the
     in-place path only triggers once the buffer is private and dtypes
     match).
-    ``backward_release`` frees graph metadata (parents + grad closures,
-    and with them the captured activations) as the backward sweep consumes
-    each node.  Bit-identical per sweep, but a released graph cannot be
-    backpropagated again — hence opt-in.
     """
 
     einsum_plan_cache: bool = True
     einsum_optimize: bool = True
-    conv_patches_cache: bool = True
     backward_inplace_accum: bool = True
-    backward_release: bool = False
 
 
 def _from_env() -> PerfFlags:
@@ -102,9 +89,7 @@ def _from_env() -> PerfFlags:
     return PerfFlags(
         einsum_plan_cache=_env_bool("REPRO_EINSUM_PLAN_CACHE", True),
         einsum_optimize=_env_bool("REPRO_EINSUM_OPTIMIZE", True),
-        conv_patches_cache=_env_bool("REPRO_CONV_PATCHES_CACHE", True),
         backward_inplace_accum=_env_bool("REPRO_BACKWARD_INPLACE_ACCUM", True),
-        backward_release=_env_bool("REPRO_BACKWARD_RELEASE", False),
     )
 
 

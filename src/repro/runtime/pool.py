@@ -47,10 +47,8 @@ embarrassingly parallel: every cell is a pure function of its key.
   ``retry.recovered`` / ``retry.exhausted`` / ``timeout.cell`` in the
   parent and attach matching events to the open span.
 
-Workers execute cells under ``perf_overrides(**perf)`` — the Table I
-grid uses this to enable the autograd memory diet
-(``backward_release``), which is safe there because training steps never
-backpropagate the same graph twice.  Deterministic fault injection
+Workers execute cells under ``perf_overrides(**perf)``, so an A/B run
+can pin :mod:`repro.perf` flags per cell.  Deterministic fault injection
 (``REPRO_FAULTS``, :func:`repro.perf.fire_faults`) hooks in at the top
 of every cell execution so all of the above is testable.
 """

@@ -17,10 +17,6 @@ protocol onto it as a :class:`~repro.runtime.grid.GridSpec`:
    to the serial :func:`repro.eval.protocol.run_table1` loop at any
    worker count — the property the bench harness asserts in-process.
 
-Cells run under the autograd memory diet (``backward_release``), which is
-safe because the training loops never backpropagate a graph twice, and
-bit-identical because releasing graph metadata does not change numerics.
-
 The shim is pinned bit-identical to the pre-``GridSpec`` implementation
 by the resume/parallel acceptance tests (``tests/runtime/test_resume.py``,
 ``tests/obs/test_acceptance.py``): same span names (``table1.grid`` →
@@ -47,10 +43,6 @@ from repro.eval.protocol import (
 from repro.runtime.grid import GridSpec, run_grid
 from repro.runtime.pool import CellResult
 from repro.runtime.rundir import CELL_KIND
-
-#: Perf overrides applied around every grid cell (see module docstring).
-CELL_PERF = {"backward_release": True}
-
 
 @dataclass
 class Table1GridResult:
@@ -129,7 +121,6 @@ def _table1_spec(config: Table1Config, seeds: tuple[int, ...]) -> GridSpec:
         context_payload=lambda cfg, seed: (cfg, seed),
         context_key=lambda key: key[0],
         manifest_extra={"backbone": config.backbone},
-        perf=CELL_PERF,
     )
 
 

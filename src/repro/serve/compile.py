@@ -20,8 +20,8 @@ into a flat list of steps over raw ``numpy`` arrays:
   conv gather-index cache;
 - each conv's unfold is its own ``im2col`` step, emitted once per input
   slot and geometry (:meth:`ProgramBuilder.unfold`), so an adapter conv
-  reads the patches its base conv already unfolded — the sharing the
-  autograd path gets from its patch cache, decided at compile time.
+  reads the patches its base conv already unfolded — the sharing a
+  captured training step also decides once, at capture time.
 
 On top of lowering sit the :mod:`repro.serve.optimize` passes — all
 selected per program at compile time:

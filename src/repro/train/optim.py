@@ -67,7 +67,18 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam (Kingma & Ba) with bias correction."""
+    """Adam (Kingma & Ba) with bias correction.
+
+    The moments live in one flat ``m`` and one flat ``v`` buffer per
+    parameter dtype, and a step updates each buffer with one set of
+    elementwise ops instead of seven temporaries per parameter.  Each
+    parameter owns a span of its dtype's buffers; ``_m[i]`` and ``_v[i]``
+    are views of parameter ``i``'s spans.  Parameters whose ``grad`` is
+    ``None`` keep their moments and values.  The ops are elementwise, so
+    every value is bit-identical to updating parameter by parameter
+    whenever each gradient has its parameter's dtype, as ``backward()``
+    leaves it.
+    """
 
     def __init__(
         self,
@@ -81,9 +92,24 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
         self._t = 0
+        self._m: list[np.ndarray] = [None] * len(self.parameters)
+        self._v: list[np.ndarray] = [None] * len(self.parameters)
+        by_dtype: dict[np.dtype, list[int]] = {}
+        for i, param in enumerate(self.parameters):
+            by_dtype.setdefault(param.data.dtype, []).append(i)
+        #: ``(indices, spans, m, v, masks)`` per parameter dtype.
+        self._groups = []
+        for dtype, indices in by_dtype.items():
+            ends = np.cumsum([self.parameters[i].data.size for i in indices]).tolist()
+            spans = [slice(end - self.parameters[i].data.size, end) for i, end in zip(indices, ends)]
+            m = np.zeros(ends[-1], dtype=dtype)
+            v = np.zeros(ends[-1], dtype=dtype)
+            for i, span in zip(indices, spans):
+                shape = self.parameters[i].data.shape
+                self._m[i] = m[span].reshape(shape)
+                self._v[i] = v[span].reshape(shape)
+            self._groups.append((indices, spans, m, v, {}))
 
     def _apply_decay(self, param: Parameter, grad: np.ndarray) -> np.ndarray:
         # Classic Adam: L2 folded into the gradient.
@@ -95,15 +121,34 @@ class Adam(Optimizer):
         self._t += 1
         bias1 = 1.0 - self.beta1**self._t
         bias2 = 1.0 - self.beta2**self._t
-        for i, param in enumerate(self.parameters):
-            if param.grad is None:
+        for indices, spans, m, v, masks in self._groups:
+            active = tuple(self.parameters[i].grad is not None for i in indices)
+            if not any(active):
                 continue
-            grad = self._apply_decay(param, param.grad)
-            self._m[i] = self.beta1 * self._m[i] + (1 - self.beta1) * grad
-            self._v[i] = self.beta2 * self._v[i] + (1 - self.beta2) * grad**2
-            m_hat = self._m[i] / bias1
-            v_hat = self._v[i] / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            partial = not all(active)
+            grad = (np.zeros if partial else np.empty)(m.shape, m.dtype)
+            for i, span, on in zip(indices, spans, active):
+                if on:
+                    param = self.parameters[i]
+                    grad[span] = self._apply_decay(param, param.grad).reshape(-1)
+            new_m = self.beta1 * m + (1 - self.beta1) * grad
+            new_v = self.beta2 * v + (1 - self.beta2) * grad**2
+            if partial:
+                mask = masks.get(active)
+                if mask is None:
+                    mask = masks[active] = np.zeros(m.shape, dtype=bool)
+                    for span, on in zip(spans, active):
+                        mask[span] = on
+                np.copyto(m, new_m, where=mask)
+                np.copyto(v, new_v, where=mask)
+            else:
+                m[...] = new_m
+                v[...] = new_v
+            update = self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            for i, span, on in zip(indices, spans, active):
+                if on:
+                    param = self.parameters[i]
+                    param.data -= update[span].reshape(param.data.shape)
 
 
 class AdamW(Adam):

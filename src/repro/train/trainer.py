@@ -1,9 +1,20 @@
 """Supervised training loop.
 
+Each step is captured once and replayed (:mod:`repro.autograd.capture`).
+The first :meth:`Trainer.train_step` for a *capture key* runs
+define-by-run under a recorder; every later step with the same key
+replays the recorded kernels on the new batch, bit-identical to running
+it define-by-run.  The key is the model, the loss function, the batch's
+shapes and dtypes, whether gradients are enabled, and every module's
+identity and train/eval mode and every parameter's identity,
+``requires_grad``, dtype and shape; any change captures a new program
+(docs/training.md).
+
 Observability (:mod:`repro.obs`, off by default): ``fit()`` opens a
 ``train.fit`` span with one ``train.epoch`` child per epoch,
-``train_step`` opens a ``train.step`` span and bumps the ``train.step``
-counter, and the per-epoch diagnostics land as gauges —
+``train_step`` opens a ``train.step`` span with ``train.forward``,
+``train.backward`` and ``train.optim`` children and bumps the
+``train.step`` counter, and the per-epoch diagnostics land as gauges —
 ``train.loss`` and ``train.accuracy`` — while
 :meth:`Trainer.evaluate` records an ``eval.score`` span and the
 ``eval.accuracy`` gauge, so ``repro trace`` splits training from
@@ -13,12 +24,14 @@ bit-identical with observability on or off.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, no_grad
+from repro.autograd.capture import Recorder, StepProgram, recording
+from repro.autograd.tensor import Tensor, grad_enabled, no_grad, sharing
 from repro.data.loaders import batches
 from repro.errors import TrainingError
 from repro.nn.module import Module
@@ -59,26 +72,96 @@ class Trainer:
         self.loss_fn = loss_fn
         self.grad_clip = grad_clip
         self._step = 0
+        #: Captured step programs by capture key; ``None`` marks a key
+        #: whose step could not be captured (it trains define-by-run).
+        self._programs: dict[tuple, StepProgram | None] = {}
+
+    #: At most this many captured programs are kept (oldest evicted).
+    MAX_PROGRAMS = 8
 
     def train_step(self, images: np.ndarray, labels: np.ndarray) -> float:
         """One optimization step; returns the batch loss."""
         with TRACER.span("train.step", step=self._step):
             self.model.train()
             self.optimizer.zero_grad()
-            logits = self.model(Tensor(images))
-            loss = self.loss_fn(logits, labels)
-            if not np.isfinite(loss.data).all():
-                raise TrainingError(
-                    f"non-finite loss at step {self._step}; "
-                    "lower the learning rate or enable grad_clip"
-                )
-            loss.backward()
-            if self.grad_clip is not None:
-                self._clip_gradients()
-            self.optimizer.step()
+            labels = np.asarray(labels)
+            key = self._capture_key(images, labels)
+            program = self._programs.get(key)
+            if program is not None:
+                values = program.start(images, labels)
+                with TRACER.span("train.forward"):
+                    loss = program.forward(values)
+                self._check_loss(loss)
+                with TRACER.span("train.backward"):
+                    program.backward(values)
+            else:
+                loss = self._define_by_run(images, labels, key)
+            with TRACER.span("train.optim"):
+                if self.grad_clip is not None:
+                    self._clip_gradients()
+                self.optimizer.step()
             self._step += 1
             OBS.enabled and OBS.inc("train.step")
-            return float(loss.data)
+            return float(loss)
+
+    def _define_by_run(self, images: np.ndarray, labels: np.ndarray, key: tuple) -> np.ndarray:
+        """Forward and backward through the autograd graph.
+
+        The first step for ``key`` runs under a recorder and keeps the
+        program it yields; a key already known to be uncapturable runs
+        plain.
+        """
+        x = Tensor(images)
+        if key in self._programs:
+            context = contextlib.nullcontext()
+        else:
+            recorder = Recorder(x, labels)
+            context = recording(recorder)
+        with context:
+            with TRACER.span("train.forward"):
+                loss = self.loss_fn(self.model(x), labels)
+            self._check_loss(loss.data)
+            with TRACER.span("train.backward"):
+                loss.backward()
+        if key not in self._programs:
+            if len(self._programs) >= self.MAX_PROGRAMS:
+                del self._programs[next(iter(self._programs))]
+            self._programs[key] = recorder.program()
+            OBS.enabled and OBS.inc("train.capture")
+        return loss.data
+
+    def _check_loss(self, loss: np.ndarray) -> None:
+        if not np.isfinite(loss).all():
+            raise TrainingError(
+                f"non-finite loss at step {self._step}; "
+                "lower the learning rate or enable grad_clip"
+            )
+
+    def _capture_key(self, images: np.ndarray, labels: np.ndarray) -> tuple:
+        """What a captured program depends on (see the module docstring)."""
+        modules = []
+        stack = [self.model]
+        while stack:
+            module = stack.pop()
+            modules.append(module)
+            stack.extend(module._modules.values())
+        params = [param for module in modules for param in module._parameters.values()]
+        arrays = [param.data for param in params]
+        return (
+            id(self.model),
+            id(self.loss_fn),
+            grad_enabled(),
+            images.shape,
+            images.dtype,
+            labels.shape,
+            labels.dtype,
+            tuple(map(id, modules)),
+            tuple([module.training for module in modules]),
+            tuple(map(id, params)),
+            tuple([param.requires_grad for param in params]),
+            tuple([array.dtype for array in arrays]),
+            tuple([array.shape for array in arrays]),
+        )
 
     def _clip_gradients(self) -> None:
         total = 0.0
@@ -157,7 +240,8 @@ class Trainer:
         correct = 0
         with TRACER.span("eval.score", samples=int(images.shape[0])), no_grad():
             for x_batch, y_batch in batches(images, labels, batch_size):
-                logits = self.model(Tensor(x_batch))
+                with sharing():
+                    logits = self.model(Tensor(x_batch))
                 predictions = logits.data.argmax(axis=1)
                 correct += int((predictions == y_batch).sum())
         self.model.train(was_training)

@@ -1,20 +1,16 @@
-"""Gradient equivalence of the backward memory-diet modes.
+"""Gradient equivalence of in-place gradient accumulation.
 
-``backward_inplace_accum`` (on by default) and ``backward_release``
-(opt-in, enabled per-cell by the parallel runtime) must not change a
-single bit of any gradient — they only change where the accumulation
-buffer lives and when graph metadata is freed.  These tests compare the
-diet paths against reference mode on graphs that fan out (a tensor used
-twice is what makes gradients *accumulate* at all).
+``backward_inplace_accum`` (on by default) must not change a single bit
+of any gradient — it only changes where the accumulation buffer lives.
+These tests compare it against reference mode on graphs that fan out (a
+tensor used twice is what makes gradients *accumulate* at all), and pin
+that only leaves retain ``.grad``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
-
 from repro.autograd import Tensor, relu
-from repro.errors import GradientError
 from repro.perf import perf_overrides, reference_mode
 
 
@@ -41,26 +37,11 @@ class TestGradEquivalence:
         assert np.array_equal(ref[0], fast[0])
         assert np.array_equal(ref[1], fast[1])
 
-    def test_release_is_bit_identical_to_reference(self):
-        ref = _grads(
-            np.random.default_rng(7),
-            backward_inplace_accum=False,
-            backward_release=False,
-        )
-        diet = _grads(
-            np.random.default_rng(7),
-            backward_inplace_accum=True,
-            backward_release=True,
-        )
-        assert np.array_equal(ref[0], diet[0])
-        assert np.array_equal(ref[1], diet[1])
-
-    def test_reference_mode_disables_both_flags(self):
+    def test_reference_mode_disables_inplace_accum(self):
         from repro.perf import FLAGS
 
         with reference_mode():
             assert FLAGS.backward_inplace_accum is False
-            assert FLAGS.backward_release is False
 
     def test_inplace_never_writes_into_caller_arrays(self, rng):
         # The first contribution to a parent can alias an array the caller
@@ -77,39 +58,19 @@ class TestGradEquivalence:
         assert np.array_equal(x.grad, before)
 
 
-class TestReleaseSemantics:
-    def test_double_backward_raises_clear_error(self, rng):
-        x = Tensor(rng.normal(size=(4,)), requires_grad=True)
-        y = (x * x).sum()
-        with perf_overrides(backward_release=True):
-            y.backward()
-        first = x.grad.copy()
-        with pytest.raises(GradientError, match="released"):
-            y.backward()
-        assert np.array_equal(x.grad, first)  # failed pass left grads alone
-
-    def test_release_frees_graph_metadata_but_keeps_grads(self, rng):
-        x = Tensor(rng.normal(size=(4,)), requires_grad=True)
-        h = x * 2.0
+class TestGraphSemantics:
+    def test_only_leaves_retain_grad(self, rng):
+        # Intermediate gradients live in the sweep and die with it.
+        x = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        h = x * x
         y = h.sum()
-        with perf_overrides(backward_release=True):
-            y.backward()
-        assert y._parents == () and y._grad_fns == ()
-        assert h._parents == () and h._grad_fns == ()
-        assert x.grad is not None
-
-    def test_leaves_are_never_marked_released(self, rng):
-        # A leaf has no graph to free; it must stay usable in new graphs.
-        x = Tensor(rng.normal(size=(4,)), requires_grad=True)
-        with perf_overrides(backward_release=True):
-            (x * 3.0).sum().backward()
-        second = (x * 5.0).sum()
-        second.backward()
-        assert x.grad is not None
+        y.backward()
+        assert h.grad is None and y.grad is None
+        assert np.array_equal(x.grad, 2.0 * x.data)
 
     def test_default_mode_still_allows_graph_reuse(self, rng):
-        # backward_release defaults OFF precisely so existing double-backward
-        # semantics (gradient accumulation over reused graphs) survive.
+        # The sweep frees nothing of the graph, so backpropagating the
+        # same graph twice accumulates (PyTorch's retain_graph=True).
         x = Tensor(rng.normal(size=(4,)), requires_grad=True)
         y = (x * x).sum()
         y.backward()

@@ -1,10 +1,19 @@
-"""Tests for the einsum plan cache and the conv2d patch cache."""
+"""Tests for the einsum plan cache and conv2d patch sharing.
+
+Autograd ``conv2d`` used to reuse patches through a snapshot-and-compare
+cache; a ``sharing()`` scope around one forward (a captured training
+step, one embedding batch) now shares each input's unfold instead
+(:func:`repro.autograd.tensor.shared_op`), and ``TestConvPatchCache``
+pins the same contracts on that sharing.
+"""
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor
 from repro.autograd import conv_ops, ops
+from repro.autograd.tensor import _SHARING
+from repro.autograd.capture import Recorder, recording
 from repro.perf import FLAGS, perf_overrides, reference_mode
 
 
@@ -71,11 +80,20 @@ class TestEinsumPlanCache:
 
 
 class TestConvPatchCache:
+    """Patch sharing: within one scope only, exact, and bit-identical."""
+
     def paired_convs(self, x, w1, w2):
         a = conv_ops.conv2d(x, w1, None, stride=1, padding=1)
         b = conv_ops.conv2d(x, w2, None, stride=1, padding=1)
         (a.sum() + b.sum()).backward()
         return a.data, b.data, w1.grad, w2.grad
+
+    def captured_convs(self, x, w1, w2):
+        """``paired_convs`` under a recorder; returns its values and steps."""
+        recorder = Recorder(x, np.zeros(0))
+        with recording(recorder):
+            values = self.paired_convs(x, w1, w2)
+        return values, recorder
 
     def make_inputs(self, rng):
         x = Tensor(rng.normal(size=(2, 3, 8, 8)))
@@ -83,61 +101,62 @@ class TestConvPatchCache:
         w2 = Tensor(rng.normal(size=(3, 3, 3, 2)), requires_grad=True)
         return x, w1, w2
 
-    def test_same_input_second_conv_hits(self, rng):
+    def test_same_input_second_conv_hits(self, rng, monkeypatch):
+        unfolds = []
+        real = conv_ops._unfold
+        monkeypatch.setattr(
+            conv_ops, "_unfold", lambda *args: unfolds.append(1) or real(*args)
+        )
+        self.captured_convs(*self.make_inputs(rng))
+        assert len(unfolds) == 1  # the second conv read the first one's patches
         self.paired_convs(*self.make_inputs(rng))
-        stats = conv_ops.conv_patch_cache_stats()
-        assert stats["hits"] >= 1
+        assert len(unfolds) == 3  # outside a capture every conv unfolds
 
     def test_cached_matches_reference(self, rng):
         x, w1, w2 = self.make_inputs(rng)
-        with reference_mode():
-            reference = self.paired_convs(
-                Tensor(x.data),
-                Tensor(w1.data, requires_grad=True),
-                Tensor(w2.data, requires_grad=True),
-            )
-        cached = self.paired_convs(x, w1, w2)
-        for ref, got in zip(reference, cached):
+        reference = self.paired_convs(
+            Tensor(x.data),
+            Tensor(w1.data, requires_grad=True),
+            Tensor(w2.data, requires_grad=True),
+        )
+        shared, __ = self.captured_convs(x, w1, w2)
+        for ref, got in zip(reference, shared):
             np.testing.assert_array_equal(ref, got)
 
     def test_inplace_mutation_invalidates_fingerprint(self, rng):
-        """Gradient checkers perturb x.data in place — the cache must notice."""
+        """Gradient checkers perturb x.data in place between forwards; no
+        patches outlive the forward that unfolded them."""
         x, w1, w2 = self.make_inputs(rng)
-        self.paired_convs(x, w1, w2)
+        self.captured_convs(x, w1, w2)
         x.data[0, 0, 0, 0] += 1.0
         w1.zero_grad()
         w2.zero_grad()
-        mutated = self.paired_convs(x, w1, w2)
-        with reference_mode():
-            reference = self.paired_convs(
-                Tensor(x.data.copy()),
-                Tensor(w1.data, requires_grad=True),
-                Tensor(w2.data, requires_grad=True),
-            )
+        mutated, __ = self.captured_convs(x, w1, w2)
+        reference = self.paired_convs(
+            Tensor(x.data.copy()),
+            Tensor(w1.data, requires_grad=True),
+            Tensor(w2.data, requires_grad=True),
+        )
         for ref, got in zip(reference, mutated):
             np.testing.assert_array_equal(ref, got)
 
     def test_inplace_permutation_misses(self, rng):
         """A permutation of integer values keeps every sum and sum of
-        squares; the cache must still see that the input changed."""
+        squares; the second forward must still see the new input."""
         x = rng.integers(0, 2, size=(2, 3, 8, 8)).astype(np.float64)
         t = Tensor(x)
         w = Tensor(rng.normal(size=(3, 3, 3, 4)))
         first = conv_ops.conv2d(t, w, padding=1).data.copy()
         x[...] = x[:, :, ::-1, :].copy()
         second = conv_ops.conv2d(t, w, padding=1).data
-        with reference_mode():
-            fresh = conv_ops.conv2d(Tensor(x.copy()), w, padding=1).data
+        fresh = conv_ops.conv2d(Tensor(x.copy()), w, padding=1).data
         assert not np.array_equal(second, first)
         np.testing.assert_array_equal(second, fresh)
 
     def test_capacity_bounded(self, rng):
-        for __ in range(2 * conv_ops._PATCH_CACHE_CAPACITY):
-            x = Tensor(rng.normal(size=(1, 2, 6, 6)))
-            w = Tensor(rng.normal(size=(3, 3, 2, 2)), requires_grad=True)
-            conv_ops.conv2d(x, w, None, stride=1, padding=1).sum().backward()
-        stats = conv_ops.conv_patch_cache_stats()
-        assert stats["size"] <= conv_ops._PATCH_CACHE_CAPACITY
+        # Shared patches live only as long as the scope that built them.
+        self.captured_convs(*self.make_inputs(rng))
+        assert _SHARING.memo is None
 
 
 class TestPerfFlags:
@@ -151,7 +170,7 @@ class TestPerfFlags:
         with reference_mode():
             assert not FLAGS.einsum_plan_cache
             assert not FLAGS.einsum_optimize
-            assert not FLAGS.conv_patches_cache
+            assert not FLAGS.backward_inplace_accum
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(ValueError, match="not_a_flag"):

@@ -109,6 +109,25 @@ class TestBitIdentity:
 
 
 class TestTrainerObservability:
+    def test_replayed_steps_split_into_forward_backward_optim(self, rng):
+        trainer, x, y = toy_trainer(rng)
+        with observed():
+            for __ in range(3):
+                trainer.train_step(x[:16], y[:16])
+            snap = OBS.snapshot()
+            steps = TRACER.drain()
+        assert snap["train.capture"]["calls"] == 1  # then two replays
+        for step in steps:
+            assert step["name"] == "train.step"
+            children = step["children"]
+            assert [c["name"] for c in children] == [
+                "train.forward", "train.backward", "train.optim"
+            ]
+            covered = sum(c["seconds"] for c in children)
+            # The rest is the capture-key walk and zero_grad.
+            assert covered <= step["seconds"]
+            assert covered >= 0.5 * step["seconds"]
+
     def test_fit_publishes_gauges_and_a_span_tree(self, rng):
         trainer, x, y = toy_trainer(rng)
         with observed():

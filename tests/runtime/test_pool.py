@@ -42,7 +42,7 @@ def _pid(_):
 
 
 def _flags(_):
-    return FLAGS.backward_release, FLAGS.backward_inplace_accum
+    return FLAGS.einsum_optimize, FLAGS.backward_inplace_accum
 
 
 def _marker(_):
@@ -126,12 +126,12 @@ class TestJobsResolution:
 class TestPerfAndProfiler:
     @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
     def test_perf_overrides_scoped_to_the_cell(self, jobs):
-        assert FLAGS.backward_release is False  # default outside the cells
+        assert FLAGS.einsum_optimize is True  # default outside the cells
         results = run_cells(
-            _flags, [1, 2], jobs=jobs, perf={"backward_release": True}
+            _flags, [1, 2], jobs=jobs, perf={"einsum_optimize": False}
         )
-        assert [r.value for r in results] == [(True, True), (True, True)]
-        assert FLAGS.backward_release is False  # restored after the grid
+        assert [r.value for r in results] == [(False, True), (False, True)]
+        assert FLAGS.einsum_optimize is True  # restored after the grid
 
     @needs_fork
     def test_worker_profiler_counters_merge_into_parent(self):

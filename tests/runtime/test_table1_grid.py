@@ -19,7 +19,6 @@ from repro.eval.protocol import (
     run_table1,
     run_table1_cell,
 )
-from repro.perf import FLAGS
 from repro.runtime import fork_available, run_table1_grid
 from repro.runtime import table1 as table1_runtime
 
@@ -93,17 +92,3 @@ class TestFailureHandling:
         assert [f.key for f in grid.failures] == [(0, "lora")]
 
 
-def test_cells_run_under_the_memory_diet(monkeypatch):
-    # The grid flips backward_release on around every cell (and only there).
-    seen = {}
-
-    def probe(cell):
-        seen[cell[2]] = (FLAGS.backward_release, FLAGS.backward_inplace_accum)
-        return object()
-
-    monkeypatch.setattr(table1_runtime, "_run_cell", probe)
-    config = Table1Config().quick()
-    run_table1_grid(config, (0,), jobs=1)
-    assert set(seen) == set(config.methods)
-    assert all(flags == (True, True) for flags in seen.values())
-    assert FLAGS.backward_release is False

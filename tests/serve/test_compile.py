@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.autograd.conv_ops import conv_patch_cache_stats
 from repro.errors import ServeError
 from repro.eval.embeddings import extract_embeddings
 from repro.models import FeatureExtractor, mixer_small, resnet_small
@@ -231,10 +230,7 @@ class TestUnfoldSharing:
         attach(model, method, rank=2, rng=rng)
         randomize_zero_params(model, rng)
         program = compile_features(model)
-        images = images_for(rng)
-        before = conv_patch_cache_stats()
-        program.run(images)
-        assert conv_patch_cache_stats() == before
+        program.run(images_for(rng))
         listing = program.describe()
         assert any(self.FAMILIES[method] in line for line in listing)
         assert sum(line.count("im2col") for line in listing) == convs
