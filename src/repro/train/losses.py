@@ -22,14 +22,33 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ShapeError(
             f"labels shape {labels.shape} does not match batch {logits.shape[0]}"
         )
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
-        raise ShapeError(
-            f"labels out of range [0, {logits.shape[1]}): "
-            f"[{labels.min()}, {labels.max()}]"
-        )
     log_probs = log_softmax(logits, axis=1)
-    picked = log_probs[np.arange(labels.shape[0]), labels]
-    return -picked.mean()
+    return -_pick(log_probs, labels).mean()
+
+
+def _pick(log_probs: Tensor, labels: np.ndarray) -> Tensor:
+    """``log_probs[i, labels[i]]`` for every row ``i``.
+
+    ``log_probs[np.arange(n), labels]`` as an op whose kernel checks the
+    label range, so a replayed training step checks every batch's labels
+    too (numpy would wrap a negative label around silently).
+    """
+    shape, dtype = log_probs.shape, log_probs.dtype
+
+    def fwd(data: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, tuple]:
+        if labels.min() < 0 or labels.max() >= shape[1]:
+            raise ShapeError(
+                f"labels out of range [0, {shape[1]}): [{labels.min()}, {labels.max()}]"
+            )
+        index = (np.arange(shape[0]), labels)
+        return np.asarray(data[index]), index
+
+    def grad_fn(index: tuple, g: np.ndarray) -> np.ndarray:
+        full = np.zeros(shape, dtype=dtype)
+        np.add.at(full, index, g)
+        return full
+
+    return Tensor._op(fwd, (grad_fn, None), log_probs, labels)
 
 
 def mse_loss(prediction: Tensor, target: np.ndarray | Tensor) -> Tensor:

@@ -101,8 +101,9 @@ class Adam(Optimizer):
         #: ``(indices, spans, m, v, masks)`` per parameter dtype.
         self._groups = []
         for dtype, indices in by_dtype.items():
-            ends = np.cumsum([self.parameters[i].data.size for i in indices]).tolist()
-            spans = [slice(end - self.parameters[i].data.size, end) for i, end in zip(indices, ends)]
+            sizes = [self.parameters[i].data.size for i in indices]
+            ends = np.cumsum(sizes).tolist()
+            spans = [slice(end - size, end) for size, end in zip(sizes, ends)]
             m = np.zeros(ends[-1], dtype=dtype)
             v = np.zeros(ends[-1], dtype=dtype)
             for i, span in zip(indices, spans):

@@ -84,7 +84,7 @@ class Trainer:
         with TRACER.span("train.step", step=self._step):
             self.model.train()
             self.optimizer.zero_grad()
-            labels = np.asarray(labels)
+            images, labels = np.asarray(images), np.asarray(labels)
             key = self._capture_key(images, labels)
             program = self._programs.get(key)
             if program is not None:

@@ -63,3 +63,27 @@ class TestRecorder:
             Tensor._result(h.data * 3.0, (h,), (lambda g: g * 3.0,)).sum().backward()
         assert recorder.program() is None
         assert w.grad is not None  # the step itself still trained
+
+    def test_a_tensor_converted_from_the_labels_is_a_step(self, rng):
+        # mse_loss wraps integer targets in a float32 Tensor: a fresh array
+        # each step, so the recorder must record the conversion, not
+        # freeze the first batch's targets as a constant.
+        from repro.nn import Linear
+        from repro.train import SGD, Trainer, mse_loss
+
+        def loss(out, target):
+            return mse_loss(out.reshape(-1), target)
+
+        model = Linear(3, 1, rng=np.random.default_rng(0))
+        oracle = Linear(3, 1, rng=np.random.default_rng(0))
+        trainer = Trainer(model, SGD(model.parameters(), lr=0.1), loss_fn=loss)
+        optimizer = SGD(oracle.parameters(), lr=0.1)
+        for __ in range(3):
+            x, y = rng.normal(size=(5, 3)), rng.integers(0, 3, size=5)
+            got = trainer.train_step(x, y)
+            optimizer.zero_grad()
+            want = loss(oracle(Tensor(x)), y)
+            want.backward()
+            optimizer.step()
+            assert got == float(want.data)
+        assert None not in trainer._programs.values()

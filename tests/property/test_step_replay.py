@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.autograd import Tensor
+from repro.errors import ShapeError
 from repro.eval.protocol import Table1Config, build_adapted_model, build_backbone
 from repro.nn.module import Module
 from repro.train.losses import cross_entropy
@@ -97,7 +98,8 @@ def reference_backward(loss):
         if g is None:
             continue
         if node.requires_grad:
-            node.grad = g.astype(node.data.dtype, copy=True) if node.grad is None else node.grad + g
+            fresh = node.grad is None
+            node.grad = g.astype(node.data.dtype, copy=True) if fresh else node.grad + g
         for parent, vjp in zip(node._parents, node._grad_fns):
             contribution = vjp(node._ctx, g)
             existing = grads.get(id(parent))
@@ -286,6 +288,19 @@ class TestRecapture:
             step_both(trainer, oracle_model, oracle, *batch(rng, config, 4))
         assert list(trainer._programs.values()) == [None]
         assert_same_state(trainer, oracle_model, oracle)
+
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_replayed_step_checks_the_labels(self, bad):
+        # The range check is part of the loss kernel, so a replay runs it:
+        # a negative label must not wrap around to the last class.
+        config, (trainer, __, __) = _resnet_pair()
+        rng = np.random.default_rng(6)
+        images, labels = batch(rng, config, 4)
+        trainer.train_step(images, labels)
+        labels[0] = bad
+        with pytest.raises(ShapeError, match="labels out of range"):
+            trainer.train_step(images, labels)
 
 
 class _ClosureScale(Module):
