@@ -101,3 +101,37 @@ class TestAdam:
         opt.set_lr(0.5)
         assert opt.lr == 0.5
 
+
+
+class TestFlatAdam:
+    """The flat-buffer Adam against the per-parameter loop, bit for bit."""
+
+    @pytest.mark.parametrize("decoupled", [False, True])
+    def test_matches_per_parameter_loop(self, rng, decoupled):
+        from tests.property.test_step_replay import ReferenceAdam
+
+        shapes = [(3, 4), (5,), (2, 2, 2), ()]
+        dtypes = [np.float32, np.float32, np.float64, np.float64]
+
+        def params():
+            gen = np.random.default_rng(0)
+            return [Parameter(gen.normal(size=s).astype(d)) for s, d in zip(shapes, dtypes)]
+
+        mine, theirs = params(), params()
+        cls = AdamW if decoupled else Adam
+        opt = cls(mine, lr=0.05, weight_decay=0.1)
+        oracle = ReferenceAdam(theirs, lr=0.05, weight_decay=0.1, decoupled=decoupled)
+        for step in range(5):
+            for i, (p, q) in enumerate(zip(mine, theirs)):
+                # Parameter 1 has no gradient on odd steps, parameter 3 never.
+                if i == 3 or (i == 1 and step % 2):
+                    p.grad = q.grad = None
+                else:
+                    grad = rng.normal(size=p.data.shape).astype(p.data.dtype)
+                    p.grad, q.grad = grad, grad.copy()
+            opt.step()
+            oracle.step()
+            moments = zip(opt._m, opt._v, oracle._m, oracle._v)
+            for p, q, (m, v, m_ref, v_ref) in zip(mine, theirs, moments):
+                for got, want in ((p.data, q.data), (m, m_ref), (v, v_ref)):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
