@@ -32,7 +32,7 @@ from repro.train.losses import cross_entropy
 from repro.train.optim import Adam, AdamW
 from repro.train.trainer import Trainer
 
-SETTINGS = dict(max_examples=12, deadline=None)
+SETTINGS = dict(max_examples=6, deadline=None)
 FAMILIES = ("lora", "multi_lora", "meta_lora_cp", "meta_lora_tr")
 
 
@@ -118,25 +118,25 @@ def to_float64(model: Module) -> Module:
     return model
 
 
-configs = st.builds(
-    lambda backbone, classes, widths, hidden, rank, branches, mapping: Table1Config(
-        backbone=backbone,
-        num_classes=classes,
-        image_size=8,
-        rank=rank,
-        branches=branches,
-        mapping_hidden=mapping,
-        resnet_channels=widths,
-        mixer_hidden=hidden,
-    ),
-    st.sampled_from(["resnet", "mixer"]),
-    st.integers(2, 4),
-    st.sampled_from([(2, 4), (4, 8), (2, 4, 4)]),
-    st.sampled_from([4, 8]),
-    st.integers(1, 3),
-    st.integers(2, 3),
-    st.sampled_from([4, 8]),
-)
+def configs(backbone: str):
+    return st.builds(
+        lambda classes, widths, hidden, rank, branches, mapping: Table1Config(
+            backbone=backbone,
+            num_classes=classes,
+            image_size=8,
+            rank=rank,
+            branches=branches,
+            mapping_hidden=mapping,
+            resnet_channels=widths,
+            mixer_hidden=hidden,
+        ),
+        st.integers(2, 4),
+        st.sampled_from([(2, 4), (4, 8), (2, 4, 4)]),
+        st.sampled_from([4, 8]),
+        st.integers(1, 3),
+        st.integers(2, 3),
+        st.sampled_from([4, 8]),
+    )
 
 
 def build(config: Table1Config, method: str | None, seed: int) -> Module:
@@ -195,10 +195,13 @@ def step_both(trainer, oracle_model, oracle, images, labels):
 
 
 class TestReplayMatchesDefineByRun:
-    @given(configs, st.sampled_from((None,) + FAMILIES), st.integers(0, 2**16),
-           st.integers(2, 5), st.sampled_from([None, 0.05]))
+    @pytest.mark.parametrize("method", (None,) + FAMILIES)
+    @pytest.mark.parametrize("backbone", ["resnet", "mixer"])
+    @given(data=st.data(), seed=st.integers(0, 2**16), n=st.integers(2, 5),
+           grad_clip=st.sampled_from([None, 0.05]))
     @settings(**SETTINGS)
-    def test_steps_are_bit_identical(self, config, method, seed, n, grad_clip):
+    def test_steps_are_bit_identical(self, backbone, method, data, seed, n, grad_clip):
+        config = data.draw(configs(backbone))
         trainer, oracle_model, oracle = pair(config, method, seed, grad_clip)
         rng = np.random.default_rng(seed)
         for __ in range(3):
