@@ -16,8 +16,8 @@ of steps over integer *slots*, the form of
 
 - **forward kernels**, each ``slots[out], slots[ctx] = fwd(*slots[in])``;
 - **side effects** in their places: batch norm's running-statistic
-  update (the op's ``effect``), MetaLoRA's seed removal, dropout draws
-  (a graph-free op with no operands, so it draws again on every replay);
+  update (the op's ``effect``) and dropout draws (a graph-free op with
+  no operands, so it draws again on every replay);
 - **VJPs** in the sweep's order, each fused with the routing the sweep
   chose for its contribution: the first contribution to a gradient is
   kept as is, the second adds into a new buffer, later ones add in place
@@ -29,17 +29,21 @@ Last-use liveness drops every slot after its final reader.
 Operands resolve to slots by identity: the step's inputs (image tensor,
 label array), earlier ops' results and arrays, and ``Tensor`` wrappers of
 those (a dtype conversion becomes a step).  ``Parameter`` operands are
-read live, from ``param.data`` when each replay starts.  Any other operand
-is a constant of the program, held by reference (so a view of a module
-buffer stays live).  Module code that computes an array from activations
-in raw numpy and wraps it in a ``Tensor`` would be frozen into a constant;
-such work must be an op (:func:`repro.autograd.ops.apply`).  Replay calls
-the same kernels on the same operands in the same order, so every value
-it produces has the bits the define-by-run step would have produced.
+read live, from ``param.data`` when each replay starts.  Two kinds of
+other operand are constants of the program, held by reference: scalars,
+and arrays the model held before the step began (an ndarray attribute or
+buffer of one of its modules, or a view of one, so a view of a batch
+norm buffer stays live).  Any other array was computed during the step
+outside the recorded ops, say from the labels or activations in raw
+numpy, and would be frozen at the first batch's values; such work must
+be an op (:func:`repro.autograd.ops.apply`).  Replay calls the same
+kernels on the same operands in the same order, so every value it
+produces has the bits the define-by-run step would have produced.
 
-A step that runs a closure-form op (:meth:`Tensor._result`) or reaches a
-graph node the recorder did not see is not captured: :meth:`Recorder.program`
-returns ``None`` and the caller keeps training that key define-by-run.
+A step that reads such an array, reaches a graph node the recorder did
+not see, or accumulates into a leaf that is not a ``Parameter`` is not
+captured: :meth:`Recorder.program` returns ``None`` and the caller keeps
+training that key define-by-run.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.autograd.tensor import Tensor, _set_recorder, sharing
-from repro.nn.module import Parameter
+from repro.nn.module import Module, Parameter
 from repro.obs import OBS
 
 #: One step: ``run(values)`` plus the slots it reads (for liveness).
@@ -172,12 +176,13 @@ def _run(steps: tuple, values: list) -> None:
 class Recorder:
     """Records one define-by-run step as a :class:`StepProgram`.
 
-    Slot 0 is the image tensor and slot 1 the label array.  Every object
-    keyed by ``id`` is kept alive until the capture ends, so an id is
-    never recycled mid-capture.
+    Slot 0 is the image tensor and slot 1 the label array.  ``model``'s
+    arrays, taken before the step runs, are the non-scalar constants the
+    program may hold.  Every object keyed by ``id`` is kept alive until
+    the capture ends, so an id is never recycled mid-capture.
     """
 
-    def __init__(self, x: Tensor, labels: np.ndarray) -> None:
+    def __init__(self, x: Tensor, labels: np.ndarray, model: Module | None = None) -> None:
         self.steps: list[_Step] = []
         self.n_slots = 2
         self.failed: str | None = None
@@ -191,6 +196,11 @@ class Recorder:
         self._split: int | None = None
         self._loss_slot = -1
         self._keep: list[object] = [x, labels]
+        self._state: dict[int, np.ndarray] = {}
+        for module in model.modules() if model is not None else ():
+            for value in (*vars(module).values(), *getattr(module, "_buffers", {}).values()):
+                if isinstance(value, np.ndarray):
+                    self._state[id(value)] = value
 
     def _new(self) -> int:
         self.n_slots += 1
@@ -221,9 +231,21 @@ class Recorder:
             return slot
         entry = self._consts.get(id(operand))
         if entry is None:
+            if not self._constant(operand):
+                self.opaque("an array computed outside the recorded ops")
             entry = self._consts[id(operand)] = (self._new(), operand)
             self._keep.append(operand)
         return entry[0]
+
+    def _constant(self, array: object) -> bool:
+        """Whether ``array`` may be frozen: a scalar or the model's own."""
+        if np.size(array) <= 1:
+            return True
+        while isinstance(array, np.ndarray):
+            if id(array) in self._state:
+                return True
+            array = array.base
+        return False
 
     def converted(self, data: object, array: np.ndarray) -> None:
         """``Tensor(data)`` copied a recorded array: record the copy."""
@@ -258,15 +280,11 @@ class Recorder:
         out_slot, ctx_slot = self._new(), self._new()
         self.steps.append((_forward_step(fwd, ins, out_slot, ctx_slot), ins))
         if effect is not None:
-            self.effect(lambda v: effect(v[ctx_slot]), (ctx_slot,))
+            self.steps.append((lambda v: effect(v[ctx_slot]), (ctx_slot,)))
         self._tensor_slot[id(result)] = out_slot
         self._array_slot[id(result.data)] = out_slot
         self._ctx_slot[id(result)] = ctx_slot
         self._keep.append(result)
-
-    def effect(self, run: Callable[[list], None], reads: tuple[int, ...] = ()) -> None:
-        """A side-effect step: ``run(values)`` at this point of the list."""
-        self.steps.append((run, reads))
 
     # -- backward ------------------------------------------------------------
 

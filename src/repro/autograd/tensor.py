@@ -127,14 +127,6 @@ def _set_recorder(recorder: object) -> None:
     _RECORDER_THREAD = None if recorder is None else threading.get_ident()
 
 
-def record_effect(run: Callable[[list], None]) -> None:
-    """Record ``run(values)`` as a side-effect step of the step being
-    captured, at this point of its list; a no-op outside a capture."""
-    recorder = _recorder()
-    if recorder is not None:
-        recorder.effect(run)
-
-
 def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` so it matches ``shape`` after numpy broadcasting.
 
@@ -301,24 +293,6 @@ class Tensor:
         if _RECORDER is not None and _recorder() is not None:
             _RECORDER.op(fwd, operands, out, result, effect)
         return result
-
-    @staticmethod
-    def _result(
-        data: np.ndarray,
-        parents: tuple["Tensor", ...],
-        grad_fns: tuple[Callable[[np.ndarray], np.ndarray], ...],
-    ) -> "Tensor":
-        """A closure-form op: ``data`` computed by the caller, one
-        ``grad_fn(g)`` per parent closing over whatever it needs.
-
-        For one-off ops (tests, gradient checks).  Its closures hold the
-        arrays of the step that built them, so a step that uses one
-        cannot be captured and replayed.
-        """
-        if _recorder() is not None:
-            _RECORDER.opaque("a closure-form op (Tensor._result)")
-        fns = tuple((lambda ctx, g, fn=fn: fn(g)) for fn in grad_fns)
-        return Tensor._op(lambda *arrays: (data, None), fns, *parents)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from repro.autograd import ops
-from repro.autograd.tensor import Tensor, record_effect
+from repro.autograd.tensor import Tensor
 from repro.errors import AdapterError
 from repro.models.feature_extractor import FeatureExtractor
 from repro.nn.linear import Linear
@@ -116,19 +116,13 @@ class MetaLoRAModel(Module):
         for i, adapter in enumerate(self._meta_adapters):
             adapter.set_seed(None if seeds is None else seeds[i])
 
-    def _remove_seeds(self) -> None:
-        """Restore the static seeds; a step of a captured training step,
-        whose replay reads the generated seeds from slots instead."""
-        self._install(None)
-        record_effect(lambda values: self._install(None))
-
     def forward(self, x: Tensor) -> Tensor:
         seeds = self.generate_seeds(x)
         self._install(seeds)
         try:
             return self.backbone(x)
         finally:
-            self._remove_seeds()
+            self._install(None)
 
     def features(self, x: Tensor) -> Tensor:
         """Task-adapted embedding of ``x`` (what the KNN protocol consumes)."""
@@ -137,7 +131,7 @@ class MetaLoRAModel(Module):
         try:
             return self.backbone.features(x)
         finally:
-            self._remove_seeds()
+            self._install(None)
 
     @property
     def embedding_dim(self) -> int:

@@ -115,7 +115,7 @@ class Trainer:
         if key in self._programs:
             context = contextlib.nullcontext()
         else:
-            recorder = Recorder(x, labels)
+            recorder = Recorder(x, labels, self.model)
             context = recording(recorder)
         with context:
             with TRACER.span("train.forward"):

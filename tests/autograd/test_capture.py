@@ -54,15 +54,38 @@ class TestRecorder:
                 with recording(Recorder(x, np.zeros(2))):
                     pass
 
-    def test_closure_form_op_is_uncapturable(self, rng):
+    def test_a_leaf_that_is_not_a_parameter_is_uncapturable(self, rng):
+        x = Tensor(rng.normal(size=(2, 2)))
+        w = Parameter(rng.normal(size=(2, 2)))
+        scale = Tensor(np.array(3.0), requires_grad=True)
+        recorder = Recorder(x, np.zeros(2))
+        with recording(recorder):
+            ((x @ w) * scale).sum().backward()
+        assert recorder.program() is None
+        assert w.grad is not None  # the step itself still trained
+
+    def test_an_array_computed_outside_the_ops_is_uncapturable(self, rng):
+        # Tensor(x.data * 2) is a fresh array: as a constant it would
+        # replay the first batch's values.
         x = Tensor(rng.normal(size=(2, 2)))
         w = Parameter(rng.normal(size=(2, 2)))
         recorder = Recorder(x, np.zeros(2))
         with recording(recorder):
-            h = x @ w
-            Tensor._result(h.data * 3.0, (h,), (lambda g: g * 3.0,)).sum().backward()
+            ((Tensor(x.data * 2.0) @ w) * 0.5).sum().backward()
         assert recorder.program() is None
-        assert w.grad is not None  # the step itself still trained
+
+    def test_scalars_and_the_models_arrays_are_constants(self, rng):
+        from repro.nn import Linear
+
+        model = Linear(2, 2, rng=rng)
+        model.register_buffer("shift", rng.normal(size=(1, 2)))
+        model.offset = rng.normal(size=(2, 2))
+        x = Tensor(rng.normal(size=(2, 2)))
+        recorder = Recorder(x, np.zeros(2), model)
+        with recording(recorder):
+            out = model(x) + Tensor(model._buffers["shift"].reshape(2)) + model.offset
+            (out * 0.5).sum().backward()
+        assert recorder.program() is not None
 
     def test_a_tensor_converted_from_the_labels_is_a_step(self, rng):
         # mse_loss wraps integer targets in a float32 Tensor: a fresh array

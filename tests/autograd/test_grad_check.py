@@ -18,7 +18,7 @@ class TestCheckGradients:
 
         def broken(t: Tensor) -> Tensor:
             # Correct value, doubled gradient.
-            return Tensor._result(t.data.copy(), (t,), (lambda g: 2.0 * g,))
+            return Tensor._op(lambda data: (data.copy(), None), (lambda ctx, g: 2.0 * g,), t)
 
         with pytest.raises(GradientError, match="mismatch"):
             check_gradients(broken, [x])

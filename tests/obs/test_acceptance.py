@@ -123,10 +123,10 @@ class TestTrainerObservability:
             assert [c["name"] for c in children] == [
                 "train.forward", "train.backward", "train.optim"
             ]
-            covered = sum(c["seconds"] for c in children)
-            # The rest is the capture-key walk and zero_grad.
-            assert covered <= step["seconds"]
-            assert covered >= 0.5 * step["seconds"]
+            # The rest is the capture-key walk and zero_grad; on a toy
+            # model that is as large as the kernels, so only nesting is
+            # asserted, not a share.
+            assert sum(c["seconds"] for c in children) <= step["seconds"]
 
     def test_fit_publishes_gauges_and_a_span_tree(self, rng):
         trainer, x, y = toy_trainer(rng)

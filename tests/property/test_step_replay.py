@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 from repro.autograd import Tensor
 from repro.errors import ShapeError
 from repro.eval.protocol import Table1Config, build_adapted_model, build_backbone
+from repro.nn import Dropout, Linear, Sequential
 from repro.nn.module import Module
 from repro.train.losses import cross_entropy
 from repro.train.optim import Adam, AdamW
@@ -264,6 +265,9 @@ class TestRecapture:
         for __ in range(2):
             step_both(trainer, oracle_model, oracle, *batch(rng, config, 4))
         assert len(trainer._programs) == 2
+        # The eval-mode batch norm reads views of its running statistics:
+        # constants of the program, so the step is still captured.
+        assert None not in trainer._programs.values()
         assert_same_state(trainer, oracle_model, oracle)
 
     def test_toggled_requires_grad_recaptures(self):
@@ -280,15 +284,28 @@ class TestRecapture:
         assert_same_state(trainer, oracle_model, oracle)
 
     def test_uncapturable_step_trains_define_by_run(self):
-        # A closure-form op holds last step's arrays, so its key is never
-        # replayed: every step goes through the graph.
+        # A leaf that requires grad but is not a Parameter has no place in
+        # a program, so its key is never replayed: every step goes
+        # through the graph.
         config, (trainer, oracle_model, oracle) = _resnet_pair()
         for model in (trainer.model, oracle_model):
-            head = model.head
-            model.head = _ClosureScale(head)
+            model.head = _LeafScale(model.head)
         rng = np.random.default_rng(5)
         for __ in range(3):
             step_both(trainer, oracle_model, oracle, *batch(rng, config, 4))
+        assert list(trainer._programs.values()) == [None]
+        assert_same_state(trainer, oracle_model, oracle)
+        assert_same_bits(trainer.model.head.scale.grad, oracle_model.head.scale.grad)
+
+    def test_labels_converted_in_the_loss_train_define_by_run(self):
+        # astype() makes a fresh label array every step; frozen as a
+        # constant, replay would train on the first batch's labels.
+        config, (trainer, oracle_model, oracle) = _resnet_pair()
+        trainer.loss_fn = lambda out, y: cross_entropy(out, y.astype(np.int64))
+        rng = np.random.default_rng(7)
+        for __ in range(3):
+            images, labels = batch(rng, config, 4)
+            step_both(trainer, oracle_model, oracle, images, labels.astype(np.int32))
         assert list(trainer._programs.values()) == [None]
         assert_same_state(trainer, oracle_model, oracle)
 
@@ -306,14 +323,50 @@ class TestRecapture:
             trainer.train_step(images, labels)
 
 
-class _ClosureScale(Module):
+class _SpyRng:
+    """A generator that keeps a copy of every array it draws."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), []
+
+    def random(self, shape):
+        draw = self.rng.random(shape)
+        self.draws.append(draw.copy())
+        return draw
+
+
+def test_dropout_draws_a_fresh_mask_on_every_replay():
+    def build_mlp():
+        rng = np.random.default_rng(0)
+        model = Sequential(Linear(6, 16, rng=rng), Dropout(0.5), Linear(16, 3, rng=rng))
+        model[1]._rng = _SpyRng(1)
+        return to_float64(model)
+
+    model, oracle_model = build_mlp(), build_mlp()
+    trainer = Trainer(model, Adam(list(model.parameters()), lr=3e-3))
+    oracle = ReferenceAdam(list(oracle_model.parameters()), lr=3e-3)
+    rng = np.random.default_rng(8)
+    for __ in range(4):
+        images, labels = rng.normal(size=(5, 6)), rng.integers(0, 3, size=5)
+        step_both(trainer, oracle_model, oracle, images, labels)
+    assert None not in trainer._programs.values() and len(trainer._programs) == 1
+    assert_same_state(trainer, oracle_model, oracle)
+    draws, want = model[1]._rng.draws, oracle_model[1]._rng.draws
+    assert len(draws) == len(want) == 4
+    for got, expected in zip(draws, want):
+        assert_same_bits(got, expected)
+    masks = {(draw < 0.5).tobytes() for draw in draws}
+    assert len(masks) == 4  # a frozen first mask would repeat
+
+
+class _LeafScale(Module):
     def __init__(self, inner):
         super().__init__()
         self.inner = inner
+        self.scale = Tensor(np.array(2.0), requires_grad=True)
 
     def forward(self, x):
-        out = self.inner(x)
-        return Tensor._result(out.data * 2.0, (out,), (lambda g: g * 2.0,))
+        return self.inner(x) * self.scale
 
 
 # -- backward oracle ----------------------------------------------------------------
