@@ -54,7 +54,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, _set_recorder, sharing
+from repro.autograd.tensor import Tensor, _set_recorder
 from repro.nn.module import Module, Parameter
 from repro.obs import OBS
 
@@ -348,15 +348,10 @@ class Recorder:
 
 @contextlib.contextmanager
 def recording(recorder: Recorder) -> Iterator[Recorder]:
-    """Route every op and backward sweep in the block to ``recorder``.
-
-    The block is one :func:`~repro.autograd.tensor.sharing` scope, so
-    each conv unfold is recorded once per input and geometry.
-    """
+    """Route every op and backward sweep in the block to ``recorder``."""
     _set_recorder(recorder)
     try:
-        with sharing():
-            yield recorder
+        yield recorder
     finally:
         _set_recorder(None)
         recorder._keep.clear()

@@ -17,15 +17,16 @@ included — is one ``np.take``.  The result is the C-contiguous patch
 matrix a strided im2col view would give once copied, bit for bit.
 
 The forward is that unfold followed by one GEMM epilogue,
-:func:`conv_from_patches`.  Autograd :func:`conv2d` runs the unfold as
-its own graph-free op, built once per input and geometry inside a
-:func:`repro.autograd.tensor.sharing` scope (a captured training step,
-one embedding batch), so an adapter conv that reads the same
-activations as its frozen base conv reuses the base conv's patches, in
-the capture and in every replay of it.  The serve compiler shares one
-unfold step between those convs at compile time.  Either way every conv
-ends in the same epilogue, so the paths are bit-identical by
-construction.
+:func:`conv_from_patches`.  Autograd splits it the same way into two
+ops: :func:`unfold`, whose VJP is the col2im scatter-add, and
+:func:`conv_patches`, the epilogue, whose VJP to the patches is one GEMM
+against the folded weight.  :func:`conv2d` is the two composed.  A conv
+adapter (:class:`repro.peft.base.Adapter` around a ``Conv2d``) unfolds
+its input once and runs its base conv and its own convs over those
+patches, so the backward sweep sums their patch gradients and scatters
+them back with one col2im.  The serve compiler shares one unfold step
+between those convs the same way.  Every conv ends in the same
+epilogue, so the paths are bit-identical by construction.
 
 No mutable scratch is shared between calls: the index cache holds
 read-only arrays, so the kernels may run on several threads at once.
@@ -41,8 +42,7 @@ import functools
 
 import numpy as np
 
-from repro.autograd.ops import apply
-from repro.autograd.tensor import Tensor, shared_op
+from repro.autograd.tensor import Tensor
 from repro.errors import ShapeError
 from repro.obs import OBS
 
@@ -229,6 +229,69 @@ def avg_pool2d_forward(x: np.ndarray, kernel: int, stride: int) -> tuple[np.ndar
     return out.transpose(0, 3, 1, 2), out_h, out_w
 
 
+def unfold(x: Tensor, kh: int, kw: int, stride: int, padding: int) -> Tensor:
+    """Eq. 2's dummy tensor applied to ``x``: the ``(N, out_h, out_w,
+    C*kh*kw)`` patch matrix, as a differentiable op.
+
+    Its VJP is the col2im scatter-add, so convs that read the same
+    patches (an adapter's and its base conv's) sum their patch gradients
+    first and scatter them back once.
+    """
+    if x.ndim != 4:
+        raise ShapeError(f"conv2d expects 4-d input (N, C, H, W), got {x.shape}")
+    x_shape = x.shape
+
+    def fwd(data: np.ndarray) -> tuple[np.ndarray, None]:
+        return _patch_matrix(data, kh, kw, stride, padding), None
+
+    def grad_fn(ctx: None, g: np.ndarray) -> np.ndarray:
+        n, out_h, out_w = g.shape[:3]
+        d_patches = g.reshape(n, out_h, out_w, x_shape[1], kh, kw)
+        result = _col2im(d_patches, x_shape, kh, kw, stride, padding)
+        if OBS.enabled:
+            OBS.inc("conv2d.backward", bytes=result.nbytes)
+        return result
+
+    return Tensor._op(fwd, (grad_fn,), x)
+
+
+def conv_patches(cols: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """:func:`conv_from_patches` as a differentiable op.
+
+    ``cols`` is an :func:`unfold` result and ``weight`` a ``(K_h, K_w,
+    C_in, C_out)`` kernel of the same geometry; returns ``(N, C_out,
+    out_h, out_w)``.
+    """
+    if weight.ndim != 4:
+        raise ShapeError(f"conv2d expects 4-d weight (Kh, Kw, Cin, Cout), got {weight.shape}")
+    kh, kw, c_in, c_out = weight.shape
+    if cols.shape[-1] != c_in * kh * kw:
+        raise ShapeError(
+            f"patch width {cols.shape[-1]} does not match the weight's "
+            f"C_in*K_h*K_w = {c_in * kh * kw}"
+        )
+
+    def fwd(cols: np.ndarray, w: np.ndarray, b: np.ndarray | None):
+        w_mat = fold_conv_weight(w)
+        return conv_from_patches(cols, w_mat, b), (w_mat, cols)
+
+    def grad_cols(ctx: tuple, g: np.ndarray) -> np.ndarray:
+        return g.transpose(0, 2, 3, 1) @ ctx[0].T  # (N, oh, ow, C*kh*kw)
+
+    def grad_w(ctx: tuple, g: np.ndarray) -> np.ndarray:
+        g_cols = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
+        cols_flat = ctx[1].reshape(-1, c_in * kh * kw)
+        d_w_mat = cols_flat.T @ g_cols  # (C*kh*kw, Cout)
+        if OBS.enabled:
+            OBS.inc("conv2d.backward", bytes=d_w_mat.nbytes)
+        return d_w_mat.reshape(c_in, kh, kw, c_out).transpose(1, 2, 0, 3)
+
+    def grad_b(ctx: tuple, g: np.ndarray) -> np.ndarray:
+        return g.sum(axis=(0, 2, 3))
+
+    return Tensor._op(fwd, (grad_cols, grad_w, grad_b), cols, weight, bias)
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -245,46 +308,12 @@ def conv2d(
         raise ShapeError(f"conv2d expects 4-d input (N, C, H, W), got {x.shape}")
     if weight.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d weight (Kh, Kw, Cin, Cout), got {weight.shape}")
-    kh, kw, c_in, c_out = weight.shape
+    kh, kw, c_in, __ = weight.shape
     if x.shape[1] != c_in:
         raise ShapeError(
             f"input channels {x.shape[1]} do not match weight channels {c_in}"
         )
-
-    n = x.shape[0]
-    x_shape = x.shape
-    patches = shared_op(
-        ("unfold", id(x), kh, kw, stride, padding),
-        lambda: apply(lambda data: _patch_matrix(data, kh, kw, stride, padding), x),
-        x,
-    )
-
-    def fwd(data: np.ndarray, w: np.ndarray, b: np.ndarray | None, cols: np.ndarray):
-        w_mat = fold_conv_weight(w)
-        return conv_from_patches(cols, w_mat, b), (w_mat, cols)
-
-    def grad_x(ctx: tuple, g: np.ndarray) -> np.ndarray:
-        out_h, out_w = g.shape[2], g.shape[3]
-        g_cols = g.transpose(0, 2, 3, 1)  # (N, oh, ow, Cout)
-        d_cols = g_cols @ ctx[0].T  # (N, oh, ow, C*kh*kw)
-        d_patches = d_cols.reshape(n, out_h, out_w, c_in, kh, kw)
-        result = _col2im(d_patches, x_shape, kh, kw, stride, padding)
-        if OBS.enabled:
-            OBS.inc("conv2d.backward", bytes=result.nbytes)
-        return result
-
-    def grad_w(ctx: tuple, g: np.ndarray) -> np.ndarray:
-        g_cols = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
-        cols_flat = ctx[1].reshape(-1, c_in * kh * kw)
-        d_w_mat = cols_flat.T @ g_cols  # (C*kh*kw, Cout)
-        if OBS.enabled:
-            OBS.inc("conv2d.backward", bytes=d_w_mat.nbytes)
-        return d_w_mat.reshape(c_in, kh, kw, c_out).transpose(1, 2, 0, 3)
-
-    def grad_b(ctx: tuple, g: np.ndarray) -> np.ndarray:
-        return g.sum(axis=(0, 2, 3))
-
-    return Tensor._op(fwd, (grad_x, grad_w, grad_b, None), x, weight, bias, patches)
+    return conv_patches(unfold(x, kh, kw, stride, padding), weight, bias)
 
 
 def pad2d(x: Tensor, padding: int) -> Tensor:

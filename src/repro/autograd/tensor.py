@@ -77,47 +77,6 @@ def grad_enabled() -> bool:
     return _grad_enabled
 
 
-#: This thread's open :func:`sharing` scope: ``key -> (tensor, alive)``.
-_SHARING = threading.local()
-
-
-@contextlib.contextmanager
-def sharing() -> Iterator[None]:
-    """Let :func:`shared_op` build once per key inside the block.
-
-    Open it around one forward pass (a captured training step, one
-    embedding batch), never around several: what is shared is computed
-    from the inputs as they were when it was built, so an input edited
-    in place between two forwards would be served stale patches.  A
-    nested scope joins the open one.
-    """
-    if getattr(_SHARING, "memo", None) is not None:
-        yield
-        return
-    _SHARING.memo = {}
-    try:
-        yield
-    finally:
-        _SHARING.memo = None
-
-
-def shared_op(key: tuple, build: Callable[[], "Tensor"], *alive: object) -> "Tensor":
-    """``build()``, built once per ``key`` inside a :func:`sharing` scope.
-
-    Outside one every call builds.  Conv adapters use this to read the
-    patches their base conv unfolded from the same input: ``key`` holds
-    the input's id, and ``alive`` keeps the input alive for the scope so
-    that id cannot be recycled.
-    """
-    memo = getattr(_SHARING, "memo", None)
-    if memo is None:
-        return build()
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = (build(), alive)
-    return hit[0]
-
-
 def _set_recorder(recorder: object) -> None:
     """Make ``recorder`` this thread's active capture (``None`` ends it)."""
     global _RECORDER, _RECORDER_THREAD

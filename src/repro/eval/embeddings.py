@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, no_grad, sharing
+from repro.autograd.tensor import Tensor, no_grad
 from repro.errors import EvaluationError
 from repro.nn.module import Module, eval_mode
 from repro.obs import TRACER
@@ -33,6 +33,5 @@ def extract_embeddings(
             batch = Tensor(images[start : start + batch_size])
             # .data is safe to hand out uncopied: the final concatenate
             # always allocates a fresh result array.
-            with sharing():
-                chunks.append(model.features(batch).data)
+            chunks.append(model.features(batch).data)
         return np.concatenate(chunks, axis=0)

@@ -16,9 +16,10 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.autograd import ops
-from repro.autograd.conv_ops import conv2d
+from repro.autograd.conv_ops import conv_patches, unfold
 from repro.autograd.tensor import Tensor
 from repro.errors import AdapterError, ShapeError
+from repro.nn.conv import Conv2d
 from repro.nn.module import Module, Parameter
 
 
@@ -34,7 +35,8 @@ class AutogradKernels:
       folded compile-time copy there);
     - ``scalar(v)`` — ``v`` as the strong 0-d float64 operand ``Tensor``
       arithmetic coerces python floats to;
-    - ``einsum``, ``softmax``, ``stack`` and ``conv(x, w, stride, padding)``;
+    - ``einsum``, ``softmax``, ``stack`` and ``conv(x, w)``, a conv over
+      the patches ``x`` with the base conv's geometry;
     - ``fold(fn, *operands)`` — a parameter-only expression (a factor's
       layout change): run every forward here, once per program there.
     """
@@ -52,8 +54,8 @@ class AutogradKernels:
         return float(value)
 
     @staticmethod
-    def conv(x: Tensor, weight: Tensor, stride: int, padding: int) -> Tensor:
-        return conv2d(x, weight, stride=stride, padding=padding)
+    def conv(x: Tensor, weight: Tensor) -> Tensor:
+        return conv_patches(x, weight)
 
     @staticmethod
     def fold(fn: Callable[..., Tensor], *operands: Tensor) -> Tensor:
@@ -93,13 +95,22 @@ class Adapter(Module):
         ``None`` for the static-seed path.  ``x`` and ``out`` are Tensors
         under autograd and arrays when compiled, so the body uses only
         ``k`` and what both share (``@``, ``*``, ``+``, ``reshape``,
-        ``shape``, ``ndim``, indexing).  Compiled conv adapters receive
-        the base conv's unfolded patches as ``x``; only ``k.conv`` reads it.
+        ``shape``, ``ndim``, indexing).  Conv adapters receive the base
+        conv's unfolded patches as ``x`` in both namespaces; only
+        ``k.conv`` reads it.
         """
         raise AdapterError(f"{type(self).__name__} defines no add_delta")
 
     def forward(self, x: Tensor) -> Tensor:
-        out = self.base(x)
+        base = self.base
+        if isinstance(base, Conv2d):
+            # One unfold feeds the base conv and every adapter conv, so
+            # backward scatters their summed patch gradients once.
+            size = base.kernel_size
+            x = unfold(x, size, size, base.stride, base.padding)
+            out = conv_patches(x, base.weight, base.bias)
+        else:
+            out = base(x)
         seed = self._seed
         if seed is not None and seed.shape[0] != x.shape[0]:
             raise ShapeError(f"seed batch {seed.shape[0]} != input batch {x.shape[0]}")

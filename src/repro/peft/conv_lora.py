@@ -23,6 +23,17 @@ from repro.nn.module import Parameter
 from repro.peft.base import Adapter, AutogradKernels
 
 
+def recover_channels(mid: Tensor, b: Tensor) -> Tensor:
+    """Fig. 3's 1x1 channel-recovery conv ``(N, R, H, W) -> (N, O, H, W)``
+    as one GEMM over ``mid``'s NHWC storage (a conv output's layout).
+
+    Tensors under autograd, arrays when compiled: the same ops either way.
+    """
+    n, r, h, w = mid.shape
+    rows = mid.transpose(0, 2, 3, 1).reshape(n * h * w, r) @ b
+    return rows.reshape(n, h, w, b.shape[1]).transpose(0, 3, 1, 2)
+
+
 class ConvLoRA(Adapter):
     """Conv-LoRA adapter around a frozen :class:`~repro.nn.conv.Conv2d`."""
 
@@ -51,8 +62,8 @@ class ConvLoRA(Adapter):
 
     def add_delta(self, k: AutogradKernels, out: Tensor, x: Tensor, seed: None) -> Tensor:
         # Fig. 3: small conv to R channels, then a 1x1 conv recovers O channels.
-        mid = k.conv(x, k.param(self.lora_a), self.base.stride, self.base.padding)
-        delta = k.einsum("nrhw,ro->nohw", mid, k.param(self.lora_b))
+        mid = k.conv(x, k.param(self.lora_a))
+        delta = recover_channels(mid, k.param(self.lora_b))
         return out + delta * k.scalar(self.scaling)
 
     def delta_weight(self) -> np.ndarray:

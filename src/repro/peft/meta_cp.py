@@ -124,7 +124,7 @@ class MetaLoRACPConv(Adapter):
     def add_delta(
         self, k: AutogradKernels, out: Tensor, x: Tensor, seed: Tensor | None
     ) -> Tensor:
-        mid = k.conv(x, k.param(self.factor_a), self.base.stride, self.base.padding)
+        mid = k.conv(x, k.param(self.factor_a))
         fb = k.param(self.factor_b)
         if seed is None:
             delta = k.einsum("nrhw,r,ro->nohw", mid, k.param(self.static_seed), fb)

@@ -141,7 +141,7 @@ class MetaLoRATRConv(Adapter):
             ),
             k.param(self.core_a),
         )
-        mid = k.conv(x, a_conv, self.base.stride, self.base.padding)
+        mid = k.conv(x, a_conv)
         n, __, h, w = mid.shape
         mid = mid.reshape(n, r, r, h, w)  # (N, p, r1, H, W)
         cb = k.param(self.core_b)

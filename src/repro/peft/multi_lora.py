@@ -18,6 +18,7 @@ from repro.nn.conv import Conv2d
 from repro.nn.linear import Linear
 from repro.nn.module import Module, ModuleList, Parameter
 from repro.peft.base import AUTOGRAD, Adapter, AutogradKernels
+from repro.peft.conv_lora import recover_channels
 
 
 class _LinearBranch(Module):
@@ -59,11 +60,8 @@ class _ConvBranch(Module):
         )
         self.lora_b = Parameter(init.zeros((rank, out_channels)))
 
-    def delta(
-        self, x: Tensor, stride: int, padding: int, k: AutogradKernels = AUTOGRAD
-    ) -> Tensor:
-        mid = k.conv(x, k.param(self.lora_a), stride, padding)
-        return k.einsum("nrhw,ro->nohw", mid, k.param(self.lora_b))
+    def delta(self, x: Tensor, k: AutogradKernels = AUTOGRAD) -> Tensor:
+        return recover_channels(k.conv(x, k.param(self.lora_a)), k.param(self.lora_b))
 
     def delta_weight(self) -> np.ndarray:
         return np.einsum("abir,ro->abio", self.lora_a.data, self.lora_b.data)
@@ -152,8 +150,7 @@ class MultiLoRAConv(Adapter):
     def add_delta(self, k: AutogradKernels, out: Tensor, x: Tensor, seed: None) -> Tensor:
         gates = k.param(self.gates)
         for i, branch in enumerate(self.lora_branches):
-            delta = branch.delta(x, self.base.stride, self.base.padding, k)
-            out = out + delta * (gates[i] * k.scalar(self.scaling))
+            out = out + branch.delta(x, k) * (gates[i] * k.scalar(self.scaling))
         return out
 
     def delta_weight(self) -> np.ndarray:

@@ -20,8 +20,8 @@ into a flat list of steps over raw ``numpy`` arrays:
   conv gather-index cache;
 - each conv's unfold is its own ``im2col`` step, emitted once per input
   slot and geometry (:meth:`ProgramBuilder.unfold`), so an adapter conv
-  reads the patches its base conv already unfolded — the sharing a
-  captured training step also decides once, at capture time.
+  reads the patches its base conv already unfolded, as
+  :meth:`repro.peft.base.Adapter.forward` does in training.
 
 On top of lowering sit the :mod:`repro.serve.optimize` passes — all
 selected per program at compile time:
@@ -516,16 +516,34 @@ def _lower_batchnorm2d(module: BatchNorm2d, b: ProgramBuilder, x: int) -> int:
     denom = b.const(np.sqrt(var4 + _scalar(module.eps)))
     gamma4 = b.const(module.gamma.data.reshape(1, module.channels, 1, 1))
     beta4 = b.const(module.beta.data.reshape(1, module.channels, 1, 1))
+    consts = (mean4, denom, gamma4, beta4)
+    #: ``(H, W) -> the four constants tiled along one H*W*C image row``
+    #: (a racing first use tiles the same arrays twice).
+    rows: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
-    def kernel(x: np.ndarray) -> np.ndarray:
-        # (x - mean4) / denom * gamma4 + beta4, allocating a new array only
+    def normalize(x: np.ndarray, mean, denom, gamma, beta) -> np.ndarray:
+        # (x - mean) / denom * gamma + beta, allocating a new array only
         # where the dtype promotes (f32 params against the f64 denom);
         # every other step runs in place on the fresh temporary.
-        out = x - mean4
-        for ufunc, operand in ((np.divide, denom), (np.multiply, gamma4), (np.add, beta4)):
+        out = x - mean
+        for ufunc, operand in ((np.divide, denom), (np.multiply, gamma), (np.add, beta)):
             inplace = np.result_type(out, operand) == out.dtype
             out = ufunc(out, operand, out=out if inplace else None)
         return out
+
+    def kernel(x: np.ndarray) -> np.ndarray:
+        n, c, h, w = x.shape
+        nhwc = x.transpose(0, 2, 3, 1)
+        if not nhwc.flags.c_contiguous:
+            return normalize(x, *consts)
+        # A conv output's NHWC storage: the same elementwise ops over whole
+        # (N, H*W*C) rows instead of a C-long inner loop, so the same bits,
+        # returned as the same NHWC-storage view.
+        tiled = rows.get((h, w))
+        if tiled is None:
+            tiled = rows[(h, w)] = tuple(np.tile(const.reshape(c), h * w) for const in consts)
+        out = normalize(nhwc.reshape(n, h * w * c), *tiled)
+        return out.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
     return b.emit("batchnorm2d", kernel, x)
 
@@ -714,10 +732,9 @@ class CompiledKernels:
     compile time; ``fold`` computes each derived factor — a core's conv
     layout, a conv weight's im2col matrix — once from those copies, on
     first use (a racing first use computes the same array twice).  The
-    other kernels are the ``*_forward`` functions the autograd ops call.
-    ``conv`` reads the patches of the base conv's unfold step, so its
-    ``x`` is that ``(N, oh, ow, C*kh*kw)`` array and its geometry is the
-    base conv's.
+    other kernels are the ``*_forward`` functions the autograd ops call;
+    ``conv`` is :func:`~repro.autograd.conv_ops.conv_patches`'s forward
+    over the base conv's unfold step.
     """
 
     einsum = staticmethod(ops.einsum_forward)
@@ -746,7 +763,7 @@ class CompiledKernels:
             folded = self._folds[key] = fn(*operands)
         return folded
 
-    def conv(self, cols: np.ndarray, weight: np.ndarray, stride: int, padding: int) -> np.ndarray:
+    def conv(self, cols: np.ndarray, weight: np.ndarray) -> np.ndarray:
         return conv_from_patches(cols, self.fold(fold_conv_weight, weight), None)
 
 

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from repro.autograd.capture import Recorder, StepProgram, recording
-from repro.autograd.tensor import Tensor, grad_enabled, no_grad, sharing
+from repro.autograd.tensor import Tensor, grad_enabled, no_grad
 from repro.data.loaders import batches
 from repro.errors import TrainingError
 from repro.nn.module import Module
@@ -240,8 +240,7 @@ class Trainer:
         correct = 0
         with TRACER.span("eval.score", samples=int(images.shape[0])), no_grad():
             for x_batch, y_batch in batches(images, labels, batch_size):
-                with sharing():
-                    logits = self.model(Tensor(x_batch))
+                logits = self.model(Tensor(x_batch))
                 predictions = logits.data.argmax(axis=1)
                 correct += int((predictions == y_batch).sum())
         self.model.train(was_training)

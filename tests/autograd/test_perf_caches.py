@@ -1,10 +1,10 @@
-"""Tests for the einsum plan cache and conv2d patch sharing.
+"""Tests for the einsum plan cache and conv patch sharing.
 
-Autograd ``conv2d`` used to reuse patches through a snapshot-and-compare
-cache; a ``sharing()`` scope around one forward (a captured training
-step, one embedding batch) now shares each input's unfold instead
-(:func:`repro.autograd.tensor.shared_op`), and ``TestConvPatchCache``
-pins the same contracts on that sharing.
+Autograd ``conv2d`` is an unfold op followed by a GEMM over the patches;
+a conv adapter unfolds its input once for its base conv and its own
+convs (``Adapter.forward``).  ``TestConvPatchCache`` pins that: one
+unfold per adapted conv in every training and evaluation path, bitwise
+equal to unshared convs, and no patches outliving their forward.
 """
 
 import numpy as np
@@ -12,9 +12,13 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.autograd import conv_ops, ops
-from repro.autograd.tensor import _SHARING
-from repro.autograd.capture import Recorder, recording
+from repro.eval.embeddings import extract_embeddings
+from repro.models import FeatureExtractor, resnet_small
+from repro.nn import Conv2d, Linear
+from repro.peft import MetaLoRAModel, attach
 from repro.perf import FLAGS, perf_overrides, reference_mode
+from repro.train.optim import Adam
+from repro.train.trainer import Trainer
 
 
 @pytest.fixture(autouse=True)
@@ -80,65 +84,111 @@ class TestEinsumPlanCache:
 
 
 class TestConvPatchCache:
-    """Patch sharing: within one scope only, exact, and bit-identical."""
+    """Patch sharing: structural, per adapted conv, exact, and bit-identical."""
 
-    def paired_convs(self, x, w1, w2):
-        a = conv_ops.conv2d(x, w1, None, stride=1, padding=1)
-        b = conv_ops.conv2d(x, w2, None, stride=1, padding=1)
+    FAMILIES = ("lora", "multi_lora", "meta_lora_cp", "meta_lora_tr", "moe_lora", "tt_lora")
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Calls of the unfold and col2im kernels, by name."""
+        calls = {"unfold": 0, "col2im": 0}
+        for name, kernel in (("unfold", conv_ops._unfold), ("col2im", conv_ops._col2im)):
+
+            def counted(*args, name=name, kernel=kernel):
+                calls[name] += 1
+                return kernel(*args)
+
+            monkeypatch.setattr(conv_ops, "_" + name, counted)
+        return calls
+
+    def adapted_model(self, method, rng):
+        """``resnet_small`` wearing ``method``; every Conv2d it holds, and
+        those of the backbone alone (a meta model's extractor runs without
+        a graph)."""
+        backbone = resnet_small(3, rng)
+        # moe_lora and tt_lora adapt Linear layers only: their convs stay plain.
+        targets = (Linear,) if method in ("moe_lora", "tt_lora") else (Linear, Conv2d)
+        result = attach(backbone, method, rank=2, rng=rng, targets=targets)
+        model = backbone
+        if result.is_meta:
+            extractor = FeatureExtractor(resnet_small(3, np.random.default_rng(7)))
+            model = MetaLoRAModel(backbone, extractor, rng=rng, adapters=result)
+        convs = sum(isinstance(m, Conv2d) for m in model.modules())
+        return model, convs, sum(isinstance(m, Conv2d) for m in backbone.modules())
+
+    def paired_convs(self, x, w1, w2, shared):
+        if shared:
+            cols = conv_ops.unfold(x, 3, 3, 1, 1)
+            a, b = conv_ops.conv_patches(cols, w1), conv_ops.conv_patches(cols, w2)
+        else:
+            a = conv_ops.conv2d(x, w1, None, stride=1, padding=1)
+            b = conv_ops.conv2d(x, w2, None, stride=1, padding=1)
         (a.sum() + b.sum()).backward()
-        return a.data, b.data, w1.grad, w2.grad
-
-    def captured_convs(self, x, w1, w2):
-        """``paired_convs`` under a recorder; returns its values and steps."""
-        recorder = Recorder(x, np.zeros(0))
-        with recording(recorder):
-            values = self.paired_convs(x, w1, w2)
-        return values, recorder
+        return a.data, b.data, w1.grad, w2.grad, x.grad
 
     def make_inputs(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 8, 8)))
+        x = Tensor(rng.normal(size=(2, 3, 8, 8)), requires_grad=True)
         w1 = Tensor(rng.normal(size=(3, 3, 3, 4)), requires_grad=True)
         w2 = Tensor(rng.normal(size=(3, 3, 3, 2)), requires_grad=True)
         return x, w1, w2
 
-    def test_same_input_second_conv_hits(self, rng, monkeypatch):
-        unfolds = []
-        real = conv_ops._unfold
-        monkeypatch.setattr(
-            conv_ops, "_unfold", lambda *args: unfolds.append(1) or real(*args)
-        )
-        self.captured_convs(*self.make_inputs(rng))
-        assert len(unfolds) == 1  # the second conv read the first one's patches
-        self.paired_convs(*self.make_inputs(rng))
-        assert len(unfolds) == 3  # outside a capture every conv unfolds
+    @pytest.mark.parametrize("method", FAMILIES)
+    def test_adapted_conv_unfolds_once(self, method, rng, counts):
+        """Define-by-run, capture, replay and embedding extraction: one
+        unfold per conv, and one col2im per conv the gradient reaches."""
+        model, convs, backbone_convs = self.adapted_model(method, rng)
+        images = rng.normal(size=(2, 3, 16, 16))
+        labels = np.array([0, 2])
+        trainer = Trainer(model, Adam(list(model.trainable_parameters()), lr=1e-3))
+        for step in ("capture", "replay"):
+            trainer.train_step(images, labels)
+            assert counts["unfold"] == convs, step
+            if method not in ("moe_lora", "tt_lora"):
+                # Every backbone conv but the stem (it reads the images) has
+                # a trainable adapter upstream: one scatter per conv.
+                assert counts["col2im"] == backbone_convs - 1, step
+            counts.update(unfold=0, col2im=0)
+        assert list(trainer._programs.values()) != [None]  # it did replay
+        model.train()
+        loss = model(Tensor(images)).sum()
+        assert counts["unfold"] == convs
+        loss.backward()
+        counts.update(unfold=0)
+        extract_embeddings(model, images, batch_size=2)
+        assert counts["unfold"] == convs
+
+    def test_same_input_second_conv_hits(self, rng, counts):
+        """Two convs over one unfold unfold once; two raw convs on one input
+        unfold twice (sharing is structural, never looked up)."""
+        self.paired_convs(*self.make_inputs(rng), shared=True)
+        assert counts == {"unfold": 1, "col2im": 1}
+        self.paired_convs(*self.make_inputs(rng), shared=False)
+        assert counts == {"unfold": 3, "col2im": 3}
 
     def test_cached_matches_reference(self, rng):
+        """Shared patches give the unshared outputs and weight gradients bit
+        for bit; the input gradient is col2im of the summed patch
+        gradients, within rounding of the per-conv sum."""
         x, w1, w2 = self.make_inputs(rng)
-        reference = self.paired_convs(
-            Tensor(x.data),
-            Tensor(w1.data, requires_grad=True),
-            Tensor(w2.data, requires_grad=True),
-        )
-        shared, __ = self.captured_convs(x, w1, w2)
-        for ref, got in zip(reference, shared):
+        reference = self.paired_convs(x, w1, w2, shared=False)
+        reference = [array.copy() for array in reference]
+        for t in (x, w1, w2):
+            t.zero_grad()
+        shared = self.paired_convs(x, w1, w2, shared=True)
+        for ref, got in zip(reference[:4], shared[:4]):
             np.testing.assert_array_equal(ref, got)
+        np.testing.assert_allclose(shared[4], reference[4], rtol=1e-12, atol=1e-12)
 
     def test_inplace_mutation_invalidates_fingerprint(self, rng):
         """Gradient checkers perturb x.data in place between forwards; no
         patches outlive the forward that unfolded them."""
-        x, w1, w2 = self.make_inputs(rng)
-        self.captured_convs(x, w1, w2)
+        model, __, __ = self.adapted_model("lora", rng)
+        model.eval()
+        x = Tensor(rng.normal(size=(2, 3, 16, 16)))
+        model(x)
         x.data[0, 0, 0, 0] += 1.0
-        w1.zero_grad()
-        w2.zero_grad()
-        mutated, __ = self.captured_convs(x, w1, w2)
-        reference = self.paired_convs(
-            Tensor(x.data.copy()),
-            Tensor(w1.data, requires_grad=True),
-            Tensor(w2.data, requires_grad=True),
-        )
-        for ref, got in zip(reference, mutated):
-            np.testing.assert_array_equal(ref, got)
+        mutated = model(x).data
+        np.testing.assert_array_equal(mutated, model(Tensor(x.data.copy())).data)
 
     def test_inplace_permutation_misses(self, rng):
         """A permutation of integer values keeps every sum and sum of
@@ -152,11 +202,6 @@ class TestConvPatchCache:
         fresh = conv_ops.conv2d(Tensor(x.copy()), w, padding=1).data
         assert not np.array_equal(second, first)
         np.testing.assert_array_equal(second, fresh)
-
-    def test_capacity_bounded(self, rng):
-        # Shared patches live only as long as the scope that built them.
-        self.captured_convs(*self.make_inputs(rng))
-        assert _SHARING.memo is None
 
 
 class TestPerfFlags:

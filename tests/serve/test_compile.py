@@ -263,7 +263,9 @@ class TestBatchNormKernel:
         contiguous = rng.normal(size=(3, channels, 5, 4)).astype(np.float32)
         # Conv outputs reach batch norm as transposed NHWC-storage views.
         nhwc = np.ascontiguousarray(contiguous.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-        for x in (contiguous, nhwc):
+        # Those take the row-wise path, with constants tiled per (H, W).
+        other = rng.normal(size=(2, 3, 7, channels)).astype(np.float32).transpose(0, 3, 1, 2)
+        for x in (contiguous, nhwc, other, nhwc):
             reference = bn(Tensor(x)).data
             got = step.fn(x)
             assert bn.gamma.data.dtype == x.dtype == np.float32
