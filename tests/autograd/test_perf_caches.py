@@ -102,9 +102,8 @@ class TestConvPatchCache:
         return calls
 
     def adapted_model(self, method, rng):
-        """``resnet_small`` wearing ``method``; every Conv2d it holds, and
-        those of the backbone alone (a meta model's extractor runs without
-        a graph)."""
+        """``resnet_small`` wearing ``method``, with its Conv2d count and
+        the backbone's alone (a meta model's extractor runs graph-free)."""
         backbone = resnet_small(3, rng)
         # moe_lora and tt_lora adapt Linear layers only: their convs stay plain.
         targets = (Linear,) if method in ("moe_lora", "tt_lora") else (Linear, Conv2d)
