@@ -11,14 +11,11 @@ cd "$(dirname "$0")/.."
 out_dir="${1:-.}"
 
 PYTHONPATH=src python -m pytest tests/bench -m bench_smoke -q
-# All three default suites run (autograd, table1, serve); the serve suite
-# asserts compiled-vs-reference bit-exactness in-process, so
-# BENCH_serve.json existing at all means the compiled engine matched
-# exactly.
+# The default run is the serve suite, which asserts compiled-vs-reference
+# bit-exactness in-process, so BENCH_serve.json existing at all means the
+# compiled engine matched exactly.
 PYTHONPATH=src python -m repro bench --out "$out_dir" --scale tiny --repeats 2
-for record in BENCH_autograd.json BENCH_table1.json BENCH_serve.json; do
-  test -f "$out_dir/$record" || { echo "bench_smoke: missing $record" >&2; exit 1; }
-done
+test -f "$out_dir/BENCH_serve.json" || { echo "bench_smoke: missing BENCH_serve.json" >&2; exit 1; }
 
 # The precision matrix must be present and validated: every tier covered
 # on both backbones, f64 rows bit-exact, KNN accuracy within budget

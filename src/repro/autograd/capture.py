@@ -20,8 +20,7 @@ of steps over integer *slots*, the form of
   no operands, so it draws again on every replay);
 - **VJPs** in the sweep's order, each fused with the routing the sweep
   chose for its contribution: the first contribution to a gradient is
-  kept as is, the second adds into a new buffer, later ones add in place
-  into that buffer;
+  kept as is, each later one adds into a new buffer;
 - **leaf accumulation** into each parameter's ``.grad``.
 
 Last-use liveness drops every slot after its final reader.
@@ -95,16 +94,10 @@ def _vjp_step(vjp: Callable, ctx: int, g: int, route: str, into: int, out: int) 
         def run(v: list) -> None:
             v[out] = vjp(v[ctx], v[g])
 
-    elif route == "add":
+    else:  # "add"
 
         def run(v: list) -> None:
             v[out] = v[into] + vjp(v[ctx], v[g])
-
-    else:  # "iadd": ``into`` is a buffer an earlier "add" step allocated
-
-        def run(v: list) -> None:
-            existing = v[into]
-            np.add(existing, vjp(v[ctx], v[g]), out=existing)
 
     return run
 
@@ -321,8 +314,8 @@ class Recorder:
 
     def vjp(self, parent: Tensor, vjp: Callable, route: str) -> None:
         into = self._grad_slot.get(id(parent), -1)
-        out = into if route == "iadd" else self._new()
-        reads = (self._node_ctx, self._node_grad) + ((into,) if route != "set" else ())
+        out = self._new()
+        reads = (self._node_ctx, self._node_grad) + ((into,) if route == "add" else ())
         self.steps.append(
             (_vjp_step(vjp, self._node_ctx, self._node_grad, route, into, out), reads)
         )

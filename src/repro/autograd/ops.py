@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.autograd.tensor import GradFn, Tensor, unbroadcast
 from repro.errors import ShapeError
-from repro.perf import FLAGS
 from repro.obs import OBS
 
 try:  # numpy >= 2.4: the pairwise kernel ``np.einsum(optimize=...)`` runs.
@@ -330,10 +329,8 @@ class _Contraction:
     re-derives on every call.  :meth:`__call__` replays that list with the
     same pairwise kernels ``np.einsum`` uses (``bmm_einsum`` for two
     operands, ``c_einsum`` otherwise), so its bits equal that call's while
-    skipping its per-call input parsing and path rebuild.  Pairwise
-    contraction changes floating-point summation order, so the path is
-    only *applied* when ``FLAGS.einsum_optimize`` is set; 1- and
-    2-operand einsums always use numpy's direct kernel.
+    skipping its per-call input parsing and path rebuild.  1- and
+    2-operand einsums use numpy's direct kernel.
     """
 
     __slots__ = ("spec", "path", "contractions")
@@ -350,7 +347,7 @@ class _Contraction:
             )
 
     def __call__(self, arrays) -> np.ndarray:
-        if self.path is None or not FLAGS.einsum_optimize:
+        if self.path is None:
             return np.einsum(self.spec, *arrays)
         if _bmm_einsum is None:
             return np.einsum(self.spec, *arrays, optimize=self.path)
@@ -453,8 +450,6 @@ def clear_einsum_plan_cache() -> None:
 
 
 def _get_plan(spec: str, shapes: tuple[tuple[int, ...], ...], count: int) -> _EinsumPlan:
-    if not FLAGS.einsum_plan_cache:
-        return _EinsumPlan(spec, shapes, count)
     key = (spec, shapes)
     plan = _PLAN_CACHE.get(key)
     if plan is not None:
@@ -478,7 +473,7 @@ def einsum_forward(spec: str, *arrays: np.ndarray) -> np.ndarray:
     request populates :data:`_PLAN_CACHE` (including the pairwise
     contraction list for >=3 operands) and every subsequent request
     replays it.  The differentiable :func:`einsum` runs the identical
-    forward, so the two paths are bit-exact under the same ``FLAGS``.
+    forward, so the two paths are bit-exact.
     """
     shapes = tuple(a.shape for a in arrays)
     out = _get_plan(spec, shapes, len(arrays)).contraction(arrays)
@@ -497,7 +492,7 @@ def einsum(spec: str, *operands: Tensor) -> Tensor:
 
     Spec parsing, gradient-spec derivation and (for >=3 operands) the
     optimal pairwise contraction list are memoized per ``(spec, shapes)``
-    — see :class:`_EinsumPlan`; disable via ``repro.perf.FLAGS``.
+    — see :class:`_EinsumPlan`.
     """
     shapes = tuple(op.shape for op in operands)
     plan = _get_plan(spec, shapes, len(operands))

@@ -39,7 +39,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from repro.errors import GradientError, ShapeError
-from repro.perf import FLAGS
 from repro.obs import OBS
 
 GradFn = Callable[[object, np.ndarray], np.ndarray]
@@ -267,12 +266,11 @@ class Tensor:
         created with ``requires_grad=True``, such as parameters) retain
         ``.grad``; intermediate gradients live in the sweep and die with it.
 
-        With ``backward_inplace_accum`` (default on, see
-        :mod:`repro.perf`), gradients flowing into a tensor with several
-        consumers accumulate in place once the buffer is owned by this
-        sweep — bit-identical to the reference ``existing + contribution``.
-        While a step is being captured, the sweep reports each VJP and
-        each routing decision to the recorder, in this order.
+        A tensor with several consumers sums their contributions out of
+        place (``existing + contribution``), so no array the caller passed
+        in is ever written.  While a step is being captured, the sweep
+        reports each VJP and each routing decision to the recorder, in
+        this order.
         """
         if not self.requires_grad and not self._parents:
             raise GradientError("backward() called on a tensor with no graph")
@@ -290,19 +288,14 @@ class Tensor:
                 f"gradient shape {gradient.shape} does not match output shape {self.shape}"
             )
 
-        inplace = FLAGS.backward_inplace_accum
         profile = OBS.enabled
         start = time.perf_counter() if profile else 0.0
-        inplace_adds = 0
         recorder = _recorder()
         if recorder is not None:
             recorder.begin_backward(self, seeded)
 
         order = self._topological_order()
         grads: dict[int, np.ndarray] = {id(self): gradient}
-        #: ids whose accumulation buffer is private to this sweep, hence
-        #: safe to mutate (first contributions may alias caller arrays).
-        owned: set[int] = set()
         for node in order:
             node_grad = grads.pop(id(node), None)
             if node_grad is None:
@@ -321,25 +314,13 @@ class Tensor:
                 if existing is None:
                     grads[id(parent)] = contribution
                     route = "set"
-                elif (
-                    inplace
-                    and id(parent) in owned
-                    and type(existing) is np.ndarray  # np scalars reject out=
-                    and existing.dtype == contribution.dtype
-                    and existing.shape == contribution.shape
-                ):
-                    np.add(existing, contribution, out=existing)
-                    inplace_adds += 1
-                    route = "iadd"
                 else:
                     grads[id(parent)] = existing + contribution
-                    owned.add(id(parent))
                     route = "add"
                 if recorder is not None:
                     recorder.vjp(parent, vjp, route)
         if profile:
             OBS.observe("backward.sweep", time.perf_counter() - start)
-            OBS.inc("backward.inplace_accum", inplace_adds)
 
     def _topological_order(self) -> list["Tensor"]:
         """Nodes reachable from ``self``, outputs first (reverse topo order)."""

@@ -4,12 +4,6 @@ Speed is perfbench's job (``perfbench/``).  These suites run the
 in-process bit-identity and accuracy pins perfbench cannot, one JSON
 record per suite:
 
-- ``BENCH_autograd.json`` — the einsum plan cache / contraction planner
-  against the reference implementation
-  (flipped via :func:`repro.perf.perf_overrides`): per-case timing and
-  the max |optimized - reference| output gap;
-- ``BENCH_table1.json`` — the same for one Table I training step of a
-  MetaLoRA model at reduced scale;
 - ``BENCH_serve.json`` — the compiled engine against autograd, asserted
   bit-exact in-process, plus the ``precision`` section: the precision ×
   fusion matrix, f64 rows bit-exact, per-tier KNN accuracy budgets;
@@ -33,31 +27,22 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from repro.autograd import conv_ops, ops
-from repro.autograd.tensor import Tensor
 from repro.errors import ConfigError
 from repro.obs import OBS
 from repro.obs.metrics import KINDS
-from repro.perf import reference_mode
 from repro.utils.timing import time_calls
 
 SCHEMA = "repro.bench/v1"
 
-#: problem sizes per scale; "tiny" is the CI smoke setting.
-_SCALES = {
-    "tiny": {"batch": 4, "tokens": 8, "rank": 4, "features": 32, "image": 12},
-    "small": {"batch": 16, "tokens": 16, "rank": 8, "features": 128, "image": 16},
-}
-
-
-def _clear_caches() -> None:
-    ops.clear_einsum_plan_cache()
-    conv_ops.clear_conv_caches()
+#: bench scales; "tiny" is the CI smoke setting.
+_SCALES = ("tiny", "small")
 
 
 def _observed(fn: Callable[[], object]) -> tuple[object, dict]:
     """Run ``fn`` on cold caches with :data:`repro.obs.OBS` on; returns its
     result and the metrics snapshot (unified schema)."""
-    _clear_caches()
+    ops.clear_einsum_plan_cache()
+    conv_ops.clear_conv_caches()
     OBS.reset()
     OBS.enable()
     try:
@@ -65,95 +50,6 @@ def _observed(fn: Callable[[], object]) -> tuple[object, dict]:
     finally:
         OBS.disable()
     return result, OBS.snapshot()
-
-
-def _entry(name: str, fn: Callable[[], np.ndarray], repeats: int) -> dict:
-    """Time ``fn`` under reference then optimized flags; ``counters`` is
-    the optimized run's metrics snapshot."""
-    with reference_mode():
-        _clear_caches()
-        ref_seconds, ref_out = time_calls(fn, repeats=repeats)
-    (opt_seconds, opt_out), counters = _observed(lambda: time_calls(fn, repeats=repeats))
-    return {
-        "name": name,
-        "reference_seconds": float(ref_seconds),
-        "optimized_seconds": float(opt_seconds),
-        "speedup": float(ref_seconds / max(opt_seconds, 1e-12)),
-        "max_abs_diff": float(np.max(np.abs(np.asarray(ref_out) - np.asarray(opt_out)))),
-        "counters": counters,
-    }
-
-
-# -- autograd micro-benches ----------------------------------------------------
-
-
-def _einsum_case(spec: str, shapes: list, grad_of: int, seed: int) -> Callable[[], np.ndarray]:
-    """``ops.einsum(spec, ...)`` forward + backward over seeded operands;
-    returns the output and operand ``grad_of``'s gradient."""
-    rng = np.random.default_rng(seed)
-    arrays = [rng.standard_normal(shape) for shape in shapes]
-
-    def fn() -> np.ndarray:
-        operands = [Tensor(array, requires_grad=True) for array in arrays]
-        out = ops.einsum(spec, *operands)
-        out.sum().backward()
-        return np.concatenate([out.data.ravel(), operands[grad_of].grad.ravel()])
-
-    return fn
-
-
-def run_autograd_bench(scale: str = "tiny", repeats: int = 3) -> dict:
-    """Reference-vs-optimized timings for the autograd hot paths."""
-    sizes = _SCALES[scale]
-    n, t, r, o, hw = (sizes[key] for key in ("batch", "tokens", "rank", "features", "image"))
-    # The MetaLoRA-TR linear and MetaLoRA-CP conv mixing contractions.
-    tr_linear = _einsum_case("ntpr,roq,nqp->nto", [(n, t, r, r), (r, o, r), (n, r, r)], 1, 0)
-    cp_conv = _einsum_case("nrhw,nr,ro->nohw", [(n, r, hw, hw), (n, r), (r, o)], 1, 1)
-    entries = [
-        _entry("einsum.tr_linear_fwd_bwd", tr_linear, repeats),
-        _entry("einsum.cp_conv_fwd_bwd", cp_conv, repeats),
-    ]
-    return _finish_record("autograd", scale, repeats, entries)
-
-
-# -- Table I protocol micro-bench ---------------------------------------------
-
-
-def _meta_step_case(sizes: dict) -> Callable[[], np.ndarray]:
-    """One Table I adaptation step: MetaLoRA-TR forward + backward."""
-    from repro.models import FeatureExtractor, resnet_small
-    from repro.peft import MetaLoRAModel, attach
-    from repro.train.losses import cross_entropy
-    from repro.utils.rng import new_rng
-
-    rng = new_rng(0)
-    num_classes = 4
-    backbone = resnet_small(num_classes, rng)
-    result = attach(backbone, "meta_tr", rank=sizes["rank"] // 2 or 2, rng=rng)
-    extractor = FeatureExtractor(resnet_small(num_classes, new_rng(1)))
-    model = MetaLoRAModel(backbone, extractor, rng=rng, adapters=result)
-    data_rng = np.random.default_rng(2)
-    x = Tensor(data_rng.normal(size=(sizes["batch"], 3, 16, 16)).astype(np.float32))
-    labels = data_rng.integers(0, num_classes, size=sizes["batch"])
-
-    def fn() -> np.ndarray:
-        model.zero_grad()
-        logits = model(x)
-        loss = cross_entropy(logits, labels)
-        loss.backward()
-        grads = [
-            p.grad.ravel() for p in model.trainable_parameters() if p.grad is not None
-        ]
-        return np.concatenate([logits.data.ravel(), loss.data.reshape(1)] + grads)
-
-    return fn
-
-
-def run_table1_bench(scale: str = "tiny", repeats: int = 3) -> dict:
-    """Reference-vs-optimized timing of the Table I protocol training step."""
-    sizes = _SCALES[scale]
-    entries = [_entry("table1.meta_tr_train_step", _meta_step_case(sizes), repeats)]
-    return _finish_record("table1", scale, repeats, entries)
 
 
 # -- robustness-under-shift bench ---------------------------------------------
@@ -617,14 +513,12 @@ def run_precision_bench(scale: str = "tiny", repeats: int = 3) -> dict:
 def run_serve_bench(scale: str = "tiny", repeats: int = 3) -> dict:
     """Naive / batched-autograd / compiled-engine serving comparison.
 
-    Unlike :func:`_entry`, every path here runs under the *same* (default)
-    perf flags: the claim is that the compiled engine is bit-identical to
-    ``extract_embeddings`` under identical flags, asserted in-process.  The
-    entries pin ``precision="f64"`` so that holds whatever
-    ``REPRO_SERVE_PRECISION`` says.  ``reference_seconds`` is the naive
-    per-sample autograd total over the sample set, ``optimized_seconds``
-    the compiled engine's batched total; the ``precision`` section is
-    :func:`run_precision_bench`.
+    The claim is that the compiled engine is bit-identical to
+    ``extract_embeddings``, asserted in-process.  The entries pin
+    ``precision="f64"`` so that holds whatever ``REPRO_SERVE_PRECISION``
+    says.  ``reference_seconds`` is the naive per-sample autograd total
+    over the sample set, ``optimized_seconds`` the compiled engine's
+    batched total; the ``precision`` section is :func:`run_precision_bench`.
     """
     from repro.eval.embeddings import extract_embeddings
     from repro.serve import build_engine
@@ -679,25 +573,10 @@ def run_serve_bench(scale: str = "tiny", repeats: int = 3) -> dict:
                 "counters": counters,
             }
         )
-    return _finish_record(
-        "serve",
-        scale,
-        repeats,
-        entries,
-        precision=run_precision_bench(scale=scale, repeats=repeats),
-    )
-
-
-# -- record assembly -----------------------------------------------------------
-
-
-def _finish_record(
-    kind: str, scale: str, repeats: int, entries: list[dict], **sections
-) -> dict:
     speedups = [e["speedup"] for e in entries]
     record = {
         "schema": SCHEMA,
-        "kind": kind,
+        "kind": "serve",
         "scale": scale,
         "repeats": repeats,
         "entries": entries,
@@ -705,7 +584,7 @@ def _finish_record(
             "min_speedup": float(min(speedups)),
             "geomean_speedup": float(np.exp(np.mean(np.log(speedups)))),
         },
-        **sections,
+        "precision": run_precision_bench(scale=scale, repeats=repeats),
     }
     validate_bench_record(record)
     return record
@@ -784,26 +663,6 @@ def _header(kind: str) -> dict:
 
 
 _TIERS = ("f64", *PRECISION_ACCURACY_BUDGETS)
-_ENTRY = {
-    "name": NAME,
-    "reference_seconds": FINITE_POS,
-    "optimized_seconds": FINITE_POS,
-    "speedup": FINITE_POS,
-    "max_abs_diff": FINITE_NONNEG,
-    # one series of the unified metrics-snapshot schema each
-    "counters": MapOf(
-        {
-            "kind": one_of(*KINDS),
-            "calls": NONNEG_INT,
-            "seconds": FINITE_NONNEG,
-            "bytes": NONNEG_INT,
-            "value": Opt(FINITE),  # gauges only
-            "buckets": Opt(MapOf(NONNEG_INT, min_len=0)),  # histograms only
-        },
-        min_len=0,
-    ),
-}
-_SUMMARY = {"min_speedup": FINITE_POS, "geomean_speedup": FINITE_POS}
 _STREAM_STEP = {
     "step": NONNEG_INT,
     "corruption": NAME,
@@ -815,14 +674,27 @@ _STREAM_STEP = {
 #: Record kind -> spec.  :func:`validate_bench_record` walks it; the
 #: corruption tests enumerate its leaves.
 RECORD_SCHEMAS = {
-    "autograd": {**_header("autograd"), "entries": ListOf(_ENTRY), "summary": _SUMMARY},
-    "table1": {**_header("table1"), "entries": ListOf(_ENTRY), "summary": _SUMMARY},
     "serve": {
         **_header("serve"),
         "entries": ListOf(
             {
-                **_ENTRY,
+                "name": NAME,
+                "reference_seconds": FINITE_POS,
+                "optimized_seconds": FINITE_POS,
+                "speedup": FINITE_POS,
                 "max_abs_diff": ZERO,  # compiled == extract_embeddings, bit for bit
+                # one series of the unified metrics-snapshot schema each
+                "counters": MapOf(
+                    {
+                        "kind": one_of(*KINDS),
+                        "calls": NONNEG_INT,
+                        "seconds": FINITE_NONNEG,
+                        "bytes": NONNEG_INT,
+                        "value": Opt(FINITE),  # gauges only
+                        "buckets": Opt(MapOf(NONNEG_INT, min_len=0)),  # histograms only
+                    },
+                    min_len=0,
+                ),
                 "samples": POS_INT,
                 "batch_size": POS_INT,
                 "batched_autograd_seconds": FINITE_POS,
@@ -831,7 +703,7 @@ RECORD_SCHEMAS = {
                 ),
             }
         ),
-        "summary": _SUMMARY,
+        "summary": {"min_speedup": FINITE_POS, "geomean_speedup": FINITE_POS},
         "precision": {
             "budgets": dict.fromkeys(PRECISION_ACCURACY_BUDGETS, UNIT_INTERVAL),
             "backbones": ListOf(
@@ -1024,15 +896,13 @@ def validate_bench_record(record: dict) -> None:
 
 #: Suite name -> bench runner, in emission order.
 _BENCH_SUITES = {
-    "autograd": run_autograd_bench,
-    "table1": run_table1_bench,
     "serve": run_serve_bench,
     "robustness": run_robustness_bench,
 }
 
 #: Suites the no-``--suite`` default runs (robustness runs a whole grid,
 #: so it is opt-in).
-_DEFAULT_SUITES = ("autograd", "table1", "serve")
+_DEFAULT_SUITES = ("serve",)
 
 
 def run_bench_suites(
@@ -1139,8 +1009,6 @@ def format_bench_record(record: dict) -> str:
         f"{'summary':<28} min {summary['min_speedup']:.2f}x   "
         f"geomean {summary['geomean_speedup']:.2f}x",
     ]
-    if record["kind"] != "serve":
-        return "\n".join(lines)
     lines += [
         f"{e['name']:<28} throughput (samples/s): "
         f"naive {e['throughput']['naive_per_sample']:.1f}   "

@@ -34,9 +34,8 @@ and prints the step listing (``--describe`` adds per-step output
 dtypes/shapes — the view of what the fusion pass and precision tier
 actually produced); ``figures`` runs the Figure 1-3 numerical checks;
 ``bench`` runs the in-process bit-identity and accuracy pins and emits
-``BENCH_autograd.json`` / ``BENCH_table1.json`` / ``BENCH_serve.json``
-(``--suite`` selects one; ``--suite robustness`` is the opt-in shift
-matrix emitting ``BENCH_robustness.json``; speed is perfbench's job);
+``BENCH_serve.json`` (``--suite robustness`` is the opt-in shift matrix
+emitting ``BENCH_robustness.json``; speed is perfbench's job);
 ``serve`` binds the asyncio TCP frontend (continuous batching,
 admission control, SLO-aware ordering — see docs/serving_frontend.md)
 over a demo multi-tenant fleet, with ``--selftest`` doing one
@@ -637,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeats", type=int, default=3)
     bench.add_argument(
         "--suite",
-        choices=("all", "autograd", "table1", "serve", "robustness"),
+        choices=("all", "serve", "robustness"),
         default="all",
         help="run a single bench suite; the robustness suite (the full "
         "shift grid with its bit-identity pins, --jobs workers) is opt-in "

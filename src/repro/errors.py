@@ -97,6 +97,6 @@ class FaultInjected(ReproError):
     """A deterministic test fault (``REPRO_FAULTS``) fired in a worker.
 
     Never raised in normal operation — only when fault injection is armed
-    via :func:`repro.perf.fire_faults`, which the retry/timeout/resume
+    via :func:`repro.faults.fire_faults`, which the retry/timeout/resume
     tests use to crash or stall chosen cells on chosen attempts.
     """

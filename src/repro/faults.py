@@ -1,23 +1,4 @@
-"""Performance-path feature flags.
-
-Every optimization added on top of the reference implementation (einsum
-plan caching, optimal contraction ordering, in-place gradient
-accumulation) is guarded by a flag here so the two paths can be A/B-tested: the reference
-path is the original, straight-line code; the optimized path must match
-it numerically (see ``tests/autograd``) and is what ships by default.
-
-Flags initialize from the environment:
-
-- ``REPRO_PERF=off`` (or ``reference``) disables every optimization;
-- ``REPRO_EINSUM_PLAN_CACHE=0``, ``REPRO_EINSUM_OPTIMIZE=0``,
-  ``REPRO_BACKWARD_INPLACE_ACCUM=0`` disable individual paths.
-
-Programmatic control uses :func:`perf_overrides` (a context manager), which
-the benchmark harness relies on to time reference vs. optimized runs in the
-same process.
-
-Deterministic fault injection
------------------------------
+"""Deterministic fault injection.
 
 ``REPRO_FAULTS`` arms the runtime's fault-injection hook so the
 retry/timeout/resume machinery in :mod:`repro.runtime` is testable
@@ -47,88 +28,11 @@ faults are visible in ``repro trace`` output.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import time
-from dataclasses import dataclass, fields
-from typing import Iterator
+from dataclasses import dataclass
 
 from repro.errors import ConfigError, FaultInjected
-
-
-def _env_bool(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "off", "no", "")
-
-
-@dataclass
-class PerfFlags:
-    """Which optimized paths are active.
-
-    ``einsum_plan_cache`` memoizes spec parsing and gradient-spec
-    derivation — bit-identical to the reference path.
-    ``einsum_optimize`` additionally contracts >=3-operand einsums in the
-    optimal pairwise order — numerically equivalent but not bit-identical
-    (floating-point summation order changes).
-    ``backward_inplace_accum`` accumulates multi-consumer gradients into a
-    sweep-owned buffer with ``np.add(..., out=...)`` — bit-identical (the
-    in-place path only triggers once the buffer is private and dtypes
-    match).
-    """
-
-    einsum_plan_cache: bool = True
-    einsum_optimize: bool = True
-    backward_inplace_accum: bool = True
-
-
-def _from_env() -> PerfFlags:
-    if os.environ.get("REPRO_PERF", "").strip().lower() in ("off", "reference", "0"):
-        return PerfFlags(**{f.name: False for f in fields(PerfFlags)})
-    return PerfFlags(
-        einsum_plan_cache=_env_bool("REPRO_EINSUM_PLAN_CACHE", True),
-        einsum_optimize=_env_bool("REPRO_EINSUM_OPTIMIZE", True),
-        backward_inplace_accum=_env_bool("REPRO_BACKWARD_INPLACE_ACCUM", True),
-    )
-
-
-#: Process-wide flag singleton; mutate via :func:`perf_overrides`.
-FLAGS = _from_env()
-
-
-@contextlib.contextmanager
-def perf_overrides(**overrides: bool) -> Iterator[PerfFlags]:
-    """Temporarily override flags by name (restores previous values on exit).
-
-    >>> from repro.perf import FLAGS, perf_overrides
-    >>> with perf_overrides(einsum_plan_cache=False):
-    ...     assert not FLAGS.einsum_plan_cache
-    >>> FLAGS.einsum_plan_cache
-    True
-    """
-    valid = {f.name for f in fields(PerfFlags)}
-    unknown = set(overrides) - valid
-    if unknown:
-        raise ValueError(f"unknown perf flags: {sorted(unknown)}; valid: {sorted(valid)}")
-    previous = {name: getattr(FLAGS, name) for name in overrides}
-    for name, value in overrides.items():
-        setattr(FLAGS, name, bool(value))
-    try:
-        yield FLAGS
-    finally:
-        for name, value in previous.items():
-            setattr(FLAGS, name, value)
-
-
-@contextlib.contextmanager
-def reference_mode() -> Iterator[PerfFlags]:
-    """Run the block with every optimization disabled (the reference path)."""
-    with perf_overrides(**{f.name: False for f in fields(PerfFlags)}) as flags:
-        yield flags
-
-
-# -- deterministic fault injection (REPRO_FAULTS) ------------------------------
 
 #: Environment variable holding the armed fault specs (see module docstring).
 FAULTS_ENV = "REPRO_FAULTS"
@@ -208,7 +112,7 @@ def fire_faults(key: object, attempt: int = 0) -> None:
     faults = active_faults()
     if not faults:
         return
-    from repro.obs import OBS, TRACER  # local: keep perf import-light
+    from repro.obs import OBS, TRACER  # local: keep faults import-light
 
     rendered = render_fault_key(key)
     for spec in faults:

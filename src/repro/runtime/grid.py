@@ -83,8 +83,6 @@ class GridSpec:
     context_key: Callable[[tuple], object] | None = None
     #: Extra non-axis manifest ``grid`` entries (e.g. the backbone name).
     manifest_extra: dict = field(default_factory=dict)
-    #: Perf-flag overrides applied around every cell execution.
-    perf: dict | None = None
 
     @property
     def run_kind(self) -> str:
@@ -304,7 +302,6 @@ def run_grid(
                 spec.cell_fn,
                 cells,
                 keys=keys,
-                perf=dict(spec.perf) if spec.perf else None,
                 on_result=checkpoint,
                 span_name=f"{spec.name}.cell",
                 **pool_options,

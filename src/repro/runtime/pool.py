@@ -47,10 +47,9 @@ embarrassingly parallel: every cell is a pure function of its key.
   ``retry.recovered`` / ``retry.exhausted`` / ``timeout.cell`` in the
   parent and attach matching events to the open span.
 
-Workers execute cells under ``perf_overrides(**perf)``, so an A/B run
-can pin :mod:`repro.perf` flags per cell.  Deterministic fault injection
-(``REPRO_FAULTS``, :func:`repro.perf.fire_faults`) hooks in at the top
-of every cell execution so all of the above is testable.
+Deterministic fault injection (``REPRO_FAULTS``,
+:func:`repro.faults.fire_faults`) hooks in at the top of every cell
+execution so all of the above is testable.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from repro.errors import CellTimeoutError, ConfigError, WorkerError
-from repro.perf import fire_faults, perf_overrides
+from repro.faults import fire_faults
 from repro.obs import OBS, TRACER
 
 #: How long the parent sleeps between completion polls of the pool.
@@ -202,7 +201,6 @@ def _execute_cell(
     fn: Callable[[object], object],
     key: object,
     cell: object,
-    perf: dict[str, bool] | None,
     profile: bool,
     attempt: int = 0,
     timeout: float | None = None,
@@ -233,7 +231,9 @@ def _execute_cell(
             TRACER.reset()
             TRACER.enable()
         try:
-            with perf_overrides(**(perf or {})), _soft_timeout(timeout, key),                     TRACER.span(span_name, key=str(key), attempt=attempt):
+            with _soft_timeout(timeout, key), TRACER.span(
+                span_name, key=str(key), attempt=attempt
+            ):
                 fire_faults(key, attempt)
                 value = fn(cell)
         finally:
@@ -318,7 +318,6 @@ def run_cells(
     *,
     jobs: int = 1,
     keys: Sequence[object] | None = None,
-    perf: dict[str, bool] | None = None,
     max_retries: int = 0,
     retry_backoff: float = 0.05,
     cell_timeout: float | None = None,
@@ -328,13 +327,12 @@ def run_cells(
     """Execute ``fn(cell)`` for every cell, in order, possibly in parallel.
 
     ``keys`` (default: the cells themselves) label results and failures.
-    ``perf`` is a set of :class:`repro.perf.PerfFlags` overrides applied
-    around each cell.  ``max_retries`` re-runs failed cells with
-    deterministic exponential backoff (``retry_backoff * 2**attempt``
-    seconds between rounds); ``cell_timeout`` arms the per-cell soft
-    timeout.  ``on_result`` fires in the parent once per cell when its
-    outcome is final.  ``span_name`` labels the per-cell trace span when
-    the tracer is enabled.  Results always come back in input order.
+    ``max_retries`` re-runs failed cells with deterministic exponential
+    backoff (``retry_backoff * 2**attempt`` seconds between rounds);
+    ``cell_timeout`` arms the per-cell soft timeout.  ``on_result`` fires
+    in the parent once per cell when its outcome is final.  ``span_name``
+    labels the per-cell trace span when the tracer is enabled.  Results
+    always come back in input order.
     """
     if keys is None:
         keys = list(cells)
@@ -358,7 +356,6 @@ def run_cells(
             fn,
             keys[index],
             cells[index],
-            perf,
             profile_workers,
             attempt,
             cell_timeout,

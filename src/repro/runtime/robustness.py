@@ -14,13 +14,13 @@ Shape of the grid:
   adapter weights with the frozen evaluation splits.
 - **cells**, keyed ``(seed, method, corruption, severity)`` — rebuild
   the trained model and score it on corrupted query splits.  Evaluation
-  only; no backward pass, so no autograd perf overrides.  Cell RNG is
+  only; no backward pass.  Cell RNG is
   :func:`repro.data.corruptions.corruption_rng` of the key alone, so the
   grid is bit-identical at any worker count and across resumes, and
   severity-0 cells are bit-identical to the clean Table I evaluation.
 
 Fault-injection keys render as ``seed/method/corruption/severity``
-(e.g. ``crash:0/lora/contrast/3``) — see :mod:`repro.perf`.
+(e.g. ``crash:0/lora/contrast/3``) — see :mod:`repro.faults`.
 """
 
 from __future__ import annotations

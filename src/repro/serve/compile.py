@@ -15,9 +15,8 @@ into a flat list of steps over raw ``numpy`` arrays:
 - the heavy kernels are the *same functions* the autograd ops call
   (the conv unfold and :func:`repro.autograd.conv_ops.conv_from_patches`,
   :func:`repro.autograd.ops.einsum_forward`, …), so compiled outputs are
-  bit-identical to the reference ``features()`` under the same
-  ``repro.perf.FLAGS`` — including the shared einsum plan cache and the
-  conv gather-index cache;
+  bit-identical to the reference ``features()``, sharing the einsum
+  plan cache and the conv gather-index cache;
 - each conv's unfold is its own ``im2col`` step, emitted once per input
   slot and geometry (:meth:`ProgramBuilder.unfold`), so an adapter conv
   reads the patches its base conv already unfolded, as

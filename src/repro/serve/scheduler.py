@@ -45,9 +45,9 @@ import time
 from concurrent.futures import Future
 
 from repro.errors import ServeError
+from repro.faults import fire_faults
 from repro.obs import OBS, TRACER
 from repro.obs.metrics import MetricsRegistry
-from repro.perf import fire_faults
 from repro.serve.api import (
     DEADLINE_MISSED,
     ERROR,

@@ -5,12 +5,7 @@ import json
 
 import pytest
 
-from repro.bench import (
-    run_autograd_bench,
-    run_robustness_bench,
-    run_serve_bench,
-    run_table1_bench,
-)
+from repro.bench import run_robustness_bench, run_serve_bench
 
 #: The smallest robustness grid that satisfies the headline contract: the
 #: static baseline plus one meta method, one corruption, the clean rung +
@@ -25,8 +20,6 @@ ROBUSTNESS_KWARGS = dict(
 )
 
 _RUNNERS = {
-    "autograd": lambda: run_autograd_bench(scale="tiny", repeats=1),
-    "table1": lambda: run_table1_bench(scale="tiny", repeats=1),
     "serve": lambda: run_serve_bench(scale="tiny", repeats=1),
     "robustness": lambda: run_robustness_bench(**ROBUSTNESS_KWARGS),
 }

@@ -20,27 +20,22 @@ pytestmark = pytest.mark.bench_smoke
 class TestBenchSmoke:
     def test_write_bench_records_emits_valid_json(self, tmp_path):
         paths = write_bench_records(str(tmp_path), scale="tiny", repeats=1)
-        assert sorted(p.rsplit("/", 1)[-1] for p in paths) == [
-            "BENCH_autograd.json",
-            "BENCH_serve.json",
-            "BENCH_table1.json",
-        ]
-        for path in paths:
-            with open(path, encoding="utf-8") as handle:
-                record = json.load(handle)
-            validate_bench_record(record)  # schema round-trips through JSON
-            assert record["schema"] == SCHEMA
-            for entry in record["entries"]:
-                assert entry["optimized_seconds"] > 0
-                assert entry["max_abs_diff"] < 1e-8  # optimized matches reference
+        assert [p.rsplit("/", 1)[-1] for p in paths] == ["BENCH_serve.json"]
+        with open(paths[0], encoding="utf-8") as handle:
+            record = json.load(handle)
+        validate_bench_record(record)  # schema round-trips through JSON
+        assert record["schema"] == SCHEMA
+        for entry in record["entries"]:
+            assert entry["optimized_seconds"] > 0
+            assert entry["max_abs_diff"] == 0.0  # compiled matches autograd
 
     def test_optimized_paths_report_cache_activity(self, fresh_record):
-        record = fresh_record("autograd")
+        record = fresh_record("serve")
         counters = {name for e in record["entries"] for name in e["counters"]}
         assert "einsum.plan_cache.hit" in counters
 
     def test_format_is_human_readable(self, fresh_record):
-        text = format_bench_record(fresh_record("autograd"))
+        text = format_bench_record(fresh_record("serve"))
         assert "speedup" in text
         assert "geomean" in text
 

@@ -190,18 +190,17 @@ class TestCrossFieldChecks:
 
 class TestRejectedShapes:
     def test_removed_kinds_and_sections(self, fresh_record):
-        assert rejection({**fresh_record("autograd"), "kind": "load"}).startswith("kind: ")
-        table1 = {**fresh_record("table1"), "parallel": {"jobs": 2, "rows_equal": True}}
-        assert rejection(table1) == "parallel: unexpected key"
+        for kind in ("load", "autograd", "table1"):
+            assert rejection({**fresh_record("serve"), "kind": kind}).startswith("kind: ")
         serve = {**fresh_record("serve"), "multi_tenant": {"bit_identical": True}}
         assert rejection(serve) == "multi_tenant: unexpected key"
-        autograd = {**fresh_record("autograd"), "precision": fresh_record("serve")["precision"]}
-        assert rejection(autograd) == "precision: unexpected key"
+        robustness = {**fresh_record("robustness"), "precision": fresh_record("serve")["precision"]}
+        assert rejection(robustness) == "precision: unexpected key"
 
     def test_malformed_nodes_are_rejected_not_crashed(self, fresh_record):
-        autograd = fresh_record("autograd")
-        autograd["entries"] = [1]
-        assert rejection(autograd) == "entries[0]: object"
+        serve = fresh_record("serve")
+        serve["entries"] = [1]
+        assert rejection(serve) == "entries[0]: object"
         serve = fresh_record("serve")
         serve["precision"]["backbones"][0]["rows"] = [1, 2, 3, 4]
         assert rejection(serve) == "precision.backbones[0].rows[0]: object"

@@ -5,7 +5,11 @@ Plans replay a cached pairwise contraction list instead of calling
 The replay must give that call's result exactly: same dtype, shape,
 strides and bytes, for every forward spec the PEFT families and the
 serve compile rules use and for each spec's derived gradient einsums.
+The pairwise order changes only the rounding: every contraction stays
+within its dtype's summation-error bound of plain ``np.einsum``.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -118,3 +122,29 @@ def test_cached_list_is_numpys(spec, n, seed):
         )
         assert contraction.contractions == expected
 
+
+def _summed_terms(spec: str, arrays) -> int:
+    """How many products each output element of ``spec`` sums."""
+    inputs, output = spec.split("->")
+    dims = {}
+    for labels, array in zip(inputs.split(","), arrays):
+        dims.update(zip(labels, array.shape))
+    return math.prod(size for label, size in dims.items() if label not in output)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**31 - 2), dtype=st.sampled_from(DTYPES))
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_contractions_match_plain_einsum(spec, n, seed, dtype):
+    """The planned forward and gradient contractions equal plain
+    ``np.einsum`` (no ``optimize``) up to rounding: two sums of ``K``
+    products of ``m`` operands each lie within ``(K + m) eps`` of the
+    exact value, relative to the sum of the products' magnitudes."""
+    for contraction, arrays in _cases(spec, n, seed, dtype):
+        got = contraction(arrays)
+        want = np.einsum(contraction.spec, *arrays)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        magnitude = np.einsum(contraction.spec, *[np.abs(a) for a in arrays])
+        terms = _summed_terms(contraction.spec, arrays) + len(arrays)
+        bound = 2 * terms * np.finfo(dtype).eps * magnitude
+        assert np.all(np.abs(got - want) <= bound), contraction.spec

@@ -6,10 +6,12 @@ paths replay replaced:
 
 - :func:`define_by_run_step` — the step as it ran before capture: the
   model's forward, ``loss.backward()``, clipping and the optimizer, with
-  every conv unfolding its own patches;
+  each adapted conv unfolding its input once for its base and adapter
+  convs;
 - :class:`ReferenceAdam` — Adam updating parameter by parameter;
 - :func:`reference_backward` — the sweep that kept ``.grad`` on every
-  node and always added gradient contributions out of place.
+  node, not on leaves only (it adds gradient contributions out of place,
+  as ``Tensor.backward`` does).
 
 Generated small ResNet and MLP-Mixer configs run each Table I family and
 full-backbone pretraining at float64, and every loss, parameter, batch

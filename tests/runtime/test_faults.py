@@ -16,7 +16,7 @@ from repro.errors import (
     FaultInjected,
     WorkerError,
 )
-from repro.perf import (
+from repro.faults import (
     DEFAULT_STALL_SECONDS,
     FAULTS_ENV,
     FaultSpec,

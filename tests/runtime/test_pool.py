@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, WorkerError
-from repro.perf import FLAGS
 from repro.runtime import (
     CellFailure,
     fork_available,
@@ -39,10 +38,6 @@ def _boom(x):
 
 def _pid(_):
     return os.getpid()
-
-
-def _flags(_):
-    return FLAGS.einsum_optimize, FLAGS.backward_inplace_accum
 
 
 def _marker(_):
@@ -124,15 +119,6 @@ class TestJobsResolution:
 
 
 class TestPerfAndProfiler:
-    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
-    def test_perf_overrides_scoped_to_the_cell(self, jobs):
-        assert FLAGS.einsum_optimize is True  # default outside the cells
-        results = run_cells(
-            _flags, [1, 2], jobs=jobs, perf={"einsum_optimize": False}
-        )
-        assert [r.value for r in results] == [(False, True), (False, True)]
-        assert FLAGS.einsum_optimize is True  # restored after the grid
-
     @needs_fork
     def test_worker_profiler_counters_merge_into_parent(self):
         OBS.reset()

@@ -15,7 +15,7 @@ import pytest
 
 from repro.errors import CheckpointError, WorkerError
 from repro.eval.protocol import Table1Config, run_table1
-from repro.perf import FAULTS_ENV
+from repro.faults import FAULTS_ENV
 from repro.runtime import run_table1_grid
 
 #: A reduced grid keeps this file fast; bit-identity is scheme-level and

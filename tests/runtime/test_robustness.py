@@ -17,7 +17,7 @@ import pytest
 from repro.errors import CheckpointError, ConfigError, WorkerError
 from repro.eval.protocol import Table1Config, run_table1
 from repro.eval.robustness import RobustnessConfig
-from repro.perf import FAULTS_ENV
+from repro.faults import FAULTS_ENV
 from repro.runtime import run_robustness_grid
 
 #: A reduced grid keeps this file fast; the durability scheme is

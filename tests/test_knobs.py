@@ -1,25 +1,19 @@
-"""Every environment knob and perf flag the package has is documented,
-and only those.
+"""Every environment knob the package has is documented, and only those.
 
-The env inventory is the set of ``"REPRO_*"`` string literals under
+The inventory is the set of ``"REPRO_*"`` string literals under
 ``src/`` (every ``os.environ`` lookup in the package names its variable
-as a literal); the flag inventory is the fields of
-:class:`repro.perf.PerfFlags`.  The documentation is the two tables in
+as a literal).  The documentation is the environment table in
 ``docs/profiling.md``.  A knob that lands without a table row, or a row
 left behind by a deleted knob, fails here.
 """
 
 import ast
 import re
-from dataclasses import fields
 from pathlib import Path
-
-from repro.perf import PerfFlags
 
 ROOT = Path(__file__).resolve().parents[1]
 NAME = re.compile(r"REPRO_[A-Z0-9_]+")
 ROW = re.compile(r"^\|\s*`(REPRO_[A-Z0-9_]+)`\s*\|", re.MULTILINE)
-FLAG_ROW = re.compile(r"^\|\s*`([a-z_]+)`\s*\|", re.MULTILINE)
 
 
 def source_knobs() -> set[str]:
@@ -46,7 +40,3 @@ def test_env_table_matches_source():
     assert knobs, "no REPRO_* literals found under src/"
     assert knobs == documented_knobs()
 
-
-def test_flag_table_matches_perf_flags():
-    documented = set(FLAG_ROW.findall(doc_section("## Perf flags")))
-    assert documented == {flag.name for flag in fields(PerfFlags)}
