@@ -72,19 +72,14 @@ def main() -> None:
     meta_b = seed_slot_tenant(mapping_seed=7)
     images = np.random.default_rng(3).normal(size=(4, 3, 16, 16)).astype(np.float32)
 
-    # Per-tenant single engines: the bit-identity reference.  Chunked one
-    # row at a time to match the one-row-per-tenant batches served below —
-    # the meta mapping net is batch-composition sensitive, which is exactly
-    # why the multi-tenant engine runs it per-tenant rather than stacked.
+    # Per-tenant single engines: the bit-identity reference, one bulk
+    # request each.  A row's bits depend only on its own request, not on
+    # the batch it rides in, so these rows are what every grouped or
+    # queued dispatch below must reproduce.
     reference = {}
     for name, source in (("acme", static), ("globex", meta_a), ("initech", meta_b)):
         with build_engine(source) as single:
-            reference[name] = np.stack(
-                [
-                    single.serve(ServeRequest(sample=sample)).require()
-                    for sample in images
-                ]
-            )
+            reference[name] = single.serve(ServeRequest(sample=images)).require()
 
     engine = MultiTenantEngine()
     engine.register("acme", static)  # static LoRA: merged, adapter-free program
@@ -110,8 +105,7 @@ def main() -> None:
 
     # The queued path: a BatchScheduler admits each request, resolves it
     # to a future ServeResult, and hands the heterogeneous micro-batches
-    # it forms to engine.serve().  Each meta tenant sends one row, so its
-    # mapping net sees one row whatever the batch boundaries.
+    # it forms to engine.serve(); rows match whatever the batch boundaries.
     with BatchScheduler(engine) as scheduler:
         futures = [
             scheduler.submit(ServeRequest(sample=images[index], adapter=name))

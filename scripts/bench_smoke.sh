@@ -4,11 +4,12 @@
 # then exercise the durable-run loop: a fault-injected partial Table I run
 # into a run directory, resumed to completion.
 #
-# Usage: scripts/bench_smoke.sh [out_dir]   (out_dir defaults to .)
+# Usage: scripts/bench_smoke.sh [out_dir]   (out_dir defaults to bench_out,
+# so the committed BENCH_*.json records at the repo root stay untouched)
 set -eu
 
 cd "$(dirname "$0")/.."
-out_dir="${1:-.}"
+out_dir="${1:-bench_out}"
 
 PYTHONPATH=src python -m pytest tests/bench -m bench_smoke -q
 # The default run is the serve suite, which asserts compiled-vs-reference

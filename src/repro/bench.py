@@ -900,21 +900,16 @@ _BENCH_SUITES = {
     "robustness": run_robustness_bench,
 }
 
-#: Suites the no-``--suite`` default runs (robustness runs a whole grid,
-#: so it is opt-in).
-_DEFAULT_SUITES = ("serve",)
-
-
 def run_bench_suites(
-    suites: tuple[str, ...] | None = None,
+    suites: tuple[str, ...] = ("serve",),
     scale: str = "tiny",
     repeats: int = 3,
     jobs: int = 1,
 ) -> Iterator[dict]:
-    """Run the selected suites (default :data:`_DEFAULT_SUITES`) in order,
-    yielding each validated record.  ``jobs`` sizes the robustness grid's
-    parallel pin (at least 2)."""
-    suites = _DEFAULT_SUITES if suites is None else tuple(suites)
+    """Run the selected suites in order, yielding each validated record.
+    The default is serve alone: robustness runs a whole grid, so it is
+    opt-in.  ``jobs`` sizes the robustness grid's parallel pin (at
+    least 2)."""
     unknown = [kind for kind in suites if kind not in _BENCH_SUITES]
     if unknown:
         raise ValueError(f"unknown bench suite(s): {unknown}; known: {sorted(_BENCH_SUITES)}")
@@ -938,7 +933,7 @@ def write_bench_records(
     scale: str = "tiny",
     repeats: int = 3,
     jobs: int = 1,
-    suites: tuple[str, ...] | None = None,
+    suites: tuple[str, ...] = ("serve",),
 ) -> list[str]:
     """Run the selected suites and write one ``BENCH_<kind>.json`` each."""
     return [

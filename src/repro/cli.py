@@ -356,8 +356,7 @@ def _bench(args: argparse.Namespace) -> int:
         return 2
     from repro.bench import format_bench_record, run_bench_suites, write_bench_record
 
-    suites = None if args.suite == "all" else (args.suite,)
-    for record in run_bench_suites(suites, args.scale, args.repeats, args.jobs):
+    for record in run_bench_suites((args.suite,), args.scale, args.repeats, args.jobs):
         print(format_bench_record(record))
         if args.out:
             print(f"wrote {write_bench_record(args.out, record)}")
@@ -636,11 +635,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeats", type=int, default=3)
     bench.add_argument(
         "--suite",
-        choices=("all", "serve", "robustness"),
-        default="all",
-        help="run a single bench suite; the robustness suite (the full "
-        "shift grid with its bit-identity pins, --jobs workers) is opt-in "
-        "and not part of 'all' (default: all)",
+        choices=("serve", "robustness"),
+        default="serve",
+        help="the bench suite to run; robustness (the full shift grid with "
+        "its bit-identity pins, --jobs workers) is opt-in (default: serve)",
     )
     bench.set_defaults(func=_bench)
 

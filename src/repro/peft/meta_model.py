@@ -97,15 +97,22 @@ class MetaLoRAModel(Module):
         """Run feature extraction + mapping nets; one seed tensor per adapter.
 
         Every head reads the same ``hidden``, so the heads run as one
-        matmul against their concatenated weights: each head's output is
-        a column block of that one GEMM (``tests/peft/test_batched_seeds.py``
+        product against their concatenated weights: each head's output is
+        a column block of that one product (``tests/peft/test_batched_seeds.py``
         keeps the per-head loop as its oracle).
+
+        Both products are the two-operand ``einsum("ni,io->no")``, numpy's
+        direct kernel rather than BLAS: it reduces each row in the same
+        order whatever rows share the call, so a sample's seeds are the
+        same bits alone or in any batch (``x @ W`` is not).
         """
         features = self.extractor(x)
-        hidden = ops.relu(self.trunk(features))
+        trunk = ops.einsum("ni,io->no", features, self.trunk.weight) + self.trunk.bias
+        hidden = ops.relu(trunk)
         fused_w = ops.concat([head.weight for head in self.heads], axis=1)
         fused_b = ops.concat([head.bias for head in self.heads], axis=0)
-        scaled = ops.tanh(hidden @ fused_w + fused_b) * self.head_gains[self._gain_index]
+        heads = ops.einsum("ni,io->no", hidden, fused_w) + fused_b
+        scaled = ops.tanh(heads) * self.head_gains[self._gain_index]
         seeds = []
         for i, adapter in enumerate(self._meta_adapters):
             lo, hi = self._seed_offsets[i], self._seed_offsets[i + 1]

@@ -791,15 +791,21 @@ def _lower_adapter(module: Adapter, b: ProgramBuilder, x: int) -> int:
 def _lower_mapping(model: MetaLoRAModel, b: ProgramBuilder, feats: int) -> int:
     """The mapping net over slot ``feats``: the stacked ``(n, total)``
     scaled seeds, with the heads fused exactly as ``generate_seeds`` runs
-    them."""
-    hidden = b.lower(model.trunk, feats)
+    them — both products through the same batch-invariant two-operand
+    einsum, so each row's seeds do not depend on the rows beside it."""
+    trunk_w = b.const(model.trunk.weight.data)
+    trunk_b = b.const(model.trunk.bias.data)
+    hidden = b.emit(
+        "linear", lambda f: ops.einsum_forward("ni,io->no", f, trunk_w) + trunk_b, feats
+    )
     hidden = b.emit("relu", ops.relu_forward, hidden)
     fused_w = b.const(np.concatenate([head.weight.data for head in model.heads], axis=1))
     fused_b = b.const(np.concatenate([head.bias.data for head in model.heads], axis=0))
     gains = b.const(model.head_gains.data[model._gain_index])
     return b.emit(
         "fused_seed_heads",
-        lambda h: ops.tanh_forward(h @ fused_w + fused_b) * gains,
+        lambda h: ops.tanh_forward(ops.einsum_forward("ni,io->no", h, fused_w) + fused_b)
+        * gains,
         hidden,
     )
 

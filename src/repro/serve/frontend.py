@@ -96,7 +96,6 @@ class ServingFrontend:
         max_batch: int = 32,
         target_batch_seconds: float = 0.025,
         drain_timeout: float = 10.0,
-        record_batches: int = 0,
     ) -> None:
         if scheduler is None and engine is None:
             raise ServeError("ServingFrontend needs an engine or a scheduler")
@@ -110,7 +109,6 @@ class ServingFrontend:
                 max_batch=max_batch,
                 target_batch_seconds=target_batch_seconds,
                 drain_timeout=drain_timeout,
-                record_batches=record_batches,
             )
         )
         self.host = host

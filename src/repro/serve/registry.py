@@ -27,10 +27,16 @@ Three design points carry the throughput story:
 - **Heterogeneous batches.**  ``serve`` groups a batch's requests by
   adapter: static tenants sharing a program are stacked into one run,
   and seed-slot tenants sharing a body are stacked *across tenants* —
-  extractor once over the union, mapping per tenant (its float64 GEMMs
-  are the one stage whose BLAS results depend on row count, so
-  per-tenant batches keep rows bit-identical to single-tenant serving),
-  then one body run consuming every tenant's seeds.
+  extractor once over the union, mapping once per mapping program (the
+  tenants' mapping weights differ), then one body run consuming every
+  tenant's seeds.
+
+The identity contract is per request: a request's rows are the bits
+that request gets served alone, whatever batch size, tenant mix or shard
+it rides in (``tests/property/test_request_invariance.py``).  Every
+stage reduces a row independently of its neighbours; the mapping net's
+products run through the two-operand einsum kernel rather than BLAS GEMM
+for exactly that (``MetaLoRAModel.generate_seeds``).
 
 Metrics: ``serve.requests`` (with a ``{tenant=name}`` labeled twin next
 to the bare aggregate), ``serve.request.deadline_missed``, ``serve.run``
@@ -804,10 +810,10 @@ class MultiTenantEngine:
         """Run one homogeneous group; returns fresh per-request rows.
 
         Static group: one stacked run.  Seeded group: extractor once per
-        distinct extractor program over the stacked union, mapping per
-        tenant on its own rows (keeping mapping batch shapes identical
-        to single-tenant serving), then one body run over the union with
-        every tenant's seeds stacked in request order.
+        distinct extractor program over the stacked union, mapping once
+        per mapping program on its tenants' rows, then one body run over
+        the union with every tenant's seeds stacked in request order.
+        Each row comes out as its request served alone would.
         """
         count = len(entries)
         tenants = {entry.name for entry in entries}

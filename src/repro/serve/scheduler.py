@@ -107,10 +107,6 @@ class BatchScheduler:
         admitted request waits when the queue is otherwise empty.
     drain_timeout:
         Default ``close()`` drain budget (seconds).
-    record_batches:
-        Keep the first N dispatched batches — ``(requests, results)``
-        pairs — on :attr:`recorded` for bit-identity replay against
-        direct engine dispatch (the shard tests' identity check).
     """
 
     def __init__(
@@ -121,7 +117,6 @@ class BatchScheduler:
         max_batch: int = 32,
         target_batch_seconds: float = 0.025,
         drain_timeout: float = 10.0,
-        record_batches: int = 0,
     ) -> None:
         if queue_limit < 1:
             raise ServeError(f"queue_limit must be >= 1, got {queue_limit}")
@@ -136,10 +131,6 @@ class BatchScheduler:
         self.max_batch = int(max_batch)
         self.target_batch_seconds = float(target_batch_seconds)
         self.drain_timeout = float(drain_timeout)
-        self.record_batches = int(record_batches)
-        #: First ``record_batches`` dispatched batches, as
-        #: ``(list[ServeRequest], list[ServeResult])`` pairs.
-        self.recorded: list[tuple[list[ServeRequest], list[ServeResult]]] = []
         self._pending: list[_Pending] = []
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
@@ -305,8 +296,6 @@ class BatchScheduler:
                 if previous is None
                 else (1.0 - EMA_ALPHA) * previous + EMA_ALPHA * per_sample
             )
-        if self.record_batches and len(self.recorded) < self.record_batches:
-            self.recorded.append(([item.request for item in live], list(results)))
         for item, result in zip(live, results):
             item.future.set_result(result)
 

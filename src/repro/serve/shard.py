@@ -41,7 +41,7 @@ IPC is the serving wire format itself — the ``u32_be|JSON|npy`` frame
 codec from :mod:`repro.serve.codec` over loopback TCP sockets (workers
 connect *back* to the parent listener, so no descriptors are inherited
 and the ``spawn`` start method works unchanged).  Multi-array control
-payloads (state dicts, recorded batches) use ``encode_arrays``.
+payloads (state dicts) use ``encode_arrays``.
 
 The engine duck-types the scheduler surface (``submit`` / ``stats`` /
 ``close`` / ``depth``), so it mounts behind the unchanged
@@ -203,7 +203,6 @@ def _shard_worker_main(shard_id: int, host: str, port: int, token: str, config: 
         max_batch=int(config.get("max_batch", 32)),
         target_batch_seconds=float(config.get("target_batch_seconds", 0.025)),
         drain_timeout=float(config.get("drain_timeout", 10.0)),
-        record_batches=int(config.get("record_batches", 0)),
     )
 
     send({"op": "hello", "shard": shard_id, "token": token})
@@ -244,22 +243,6 @@ def _shard_worker_main(shard_id: int, host: str, port: int, token: str, config: 
             precision=header.get("precision"),
         )
         return {"digest": loaded}, b""
-
-    def handle_recorded() -> tuple[dict, bytes]:
-        batches = []
-        arrays: dict[str, np.ndarray] = {}
-        for b, (requests, results) in enumerate(list(scheduler.recorded)):
-            batches.append(
-                {
-                    "adapters": [request.adapter for request in requests],
-                    "statuses": [result.status for result in results],
-                }
-            )
-            for i, (request, result) in enumerate(zip(requests, results)):
-                arrays[f"{b}.{i}.sample"] = request.sample
-                if result.embedding is not None:
-                    arrays[f"{b}.{i}.embedding"] = result.embedding
-        return {"batches": batches}, encode_arrays(arrays)
 
     closing = False
     try:
@@ -304,9 +287,6 @@ def _shard_worker_main(shard_id: int, host: str, port: int, token: str, config: 
                 elif op == "evict":
                     engine.evict(header["name"])
                     send({"id": request_id, "status": OK})
-                elif op == "recorded":
-                    reply, blob = handle_recorded()
-                    send({"id": request_id, "status": OK, **reply}, blob)
                 elif op == "close":
                     closing = True
                     scheduler.close(header.get("drain"))
@@ -380,7 +360,7 @@ class ShardedEngine:
         ``fork`` | ``spawn`` | ``forkserver`` (default: the
         ``REPRO_SHARD_START`` environment variable, else ``fork`` where
         available).
-    queue_limit / max_batch / target_batch_seconds / record_batches / drain_timeout:
+    queue_limit / max_batch / target_batch_seconds / drain_timeout:
         Forwarded to each shard's :class:`BatchScheduler`;
         ``drain_timeout`` is also the default ``close()`` budget.
     precision:
@@ -400,7 +380,6 @@ class ShardedEngine:
         queue_limit: int = 256,
         max_batch: int | None = None,
         target_batch_seconds: float = 0.025,
-        record_batches: int = 0,
         precision: str | None = None,
         drain_timeout: float = 10.0,
         heartbeat_interval: float = 0.25,
@@ -420,7 +399,6 @@ class ShardedEngine:
             "queue_limit": int(queue_limit),
             "max_batch": 32 if max_batch is None else int(max_batch),
             "target_batch_seconds": float(target_batch_seconds),
-            "record_batches": int(record_batches),
             "precision": precision,
             "drain_timeout": float(drain_timeout),
         }
@@ -938,36 +916,6 @@ class ShardedEngine:
         out: dict[str, dict] = {}
         for shard in self._shards:
             out[str(shard.id)] = snapshots.get(shard.id, shard.last_stats)
-        return out
-
-    def recorded_batches(self) -> dict[int, list[dict]]:
-        """Each shard's recorded micro-batches (for bit-identity replay).
-
-        Per batch: ``{"adapters": [...], "statuses": [...], "samples":
-        [...], "embeddings": [...]}`` (embeddings ``None`` where the
-        request did not serve ``ok``).
-        """
-        out: dict[int, list[dict]] = {}
-        for shard in self._live_shards():
-            try:
-                reply, blob = self._roundtrip(shard, {"op": "recorded"})
-            except (ServeError, TimeoutError):
-                continue
-            arrays = decode_arrays(blob)
-            batches = []
-            for b, meta in enumerate(reply.get("batches") or []):
-                size = len(meta["adapters"])
-                batches.append(
-                    {
-                        "adapters": list(meta["adapters"]),
-                        "statuses": list(meta["statuses"]),
-                        "samples": [arrays[f"{b}.{i}.sample"] for i in range(size)],
-                        "embeddings": [
-                            arrays.get(f"{b}.{i}.embedding") for i in range(size)
-                        ],
-                    }
-                )
-            out[shard.id] = batches
         return out
 
     # -- shutdown ---------------------------------------------------------------

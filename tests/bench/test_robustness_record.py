@@ -76,11 +76,15 @@ class TestRobustnessBench:
             seen.update(scale=scale, repeats=repeats, jobs=jobs)
             return record
 
-        # Default suites must not run it (the full default grid is heavy);
-        # selecting it must write the record with the parallel pin's jobs
-        # floor applied.
-        assert "robustness" not in bench_module._DEFAULT_SUITES
+        # The default suite must not run it (the full default grid is
+        # heavy); selecting it must write the record with the parallel
+        # pin's jobs floor applied.
         monkeypatch.setitem(bench_module._BENCH_SUITES, "robustness", stub)
+        monkeypatch.setitem(
+            bench_module._BENCH_SUITES, "serve", lambda scale, repeats: {"kind": "serve"}
+        )
+        defaults = bench_module.run_bench_suites(scale="tiny", repeats=1)
+        assert [r["kind"] for r in defaults] == ["serve"] and not seen
         paths = write_bench_records(
             str(tmp_path), scale="tiny", repeats=1, jobs=1,
             suites=("robustness",),

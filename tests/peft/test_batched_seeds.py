@@ -1,6 +1,6 @@
 """The fused seed heads must match a per-head loop over the mapping net.
 
-``MetaLoRAModel.generate_seeds`` runs every head as one matmul against
+``MetaLoRAModel.generate_seeds`` runs every head as one product against
 the heads' concatenated weights.  The per-head loop it replaced lives on
 here only, as the oracle.
 """
@@ -85,7 +85,7 @@ class TestBatchedSeeds:
                 np.testing.assert_allclose(got, ref, atol=1e-10, err_msg=name)
 
     def test_one_adapter_is_bit_identical(self, fmt, rng):
-        """One head: the fused GEMM is the head's own, to the bit."""
+        """One head: the fused product equals the head's own, to the bit."""
         model = make_model(rng, fmt, one_adapter=True)
         assert len(model._meta_adapters) == 1
         for head in model.heads:

@@ -1,10 +1,11 @@
 """The asyncio TCP frontend, its scheduler, and the wire protocol.
 
 Integration runs over real sockets: concurrent clients across tenants,
-with every dispatched micro-batch replayed through the engine directly
-and asserted bit-identical.  SLO paths (queue-full rejection,
-deadline-miss while queued) are driven deterministically with
-``REPRO_FAULTS`` batch stalls.
+with every result asserted bit-identical to its request served alone
+through the engine directly.  Tests that check batch order or
+composition see each batch through a wrapped ``engine.serve``.  SLO
+paths (queue-full rejection, deadline-miss while queued) are driven
+deterministically with ``REPRO_FAULTS`` batch stalls.
 """
 
 import socket
@@ -136,15 +137,15 @@ class TestBatchScheduler:
     def test_priority_orders_the_queue(self, engine, rng):
         release = threading.Event()
         original = engine.serve
+        batches = []
 
         def blocked(requests):
             release.wait(timeout=30.0)
+            batches.append(requests)
             return original(requests)
 
         engine.serve = blocked
-        scheduler = BatchScheduler(
-            engine, queue_limit=8, max_batch=1, record_batches=8
-        )
+        scheduler = BatchScheduler(engine, queue_limit=8, max_batch=1)
         try:
             samples = images_for(rng, 3)
             futures = [scheduler.submit(ServeRequest(sample=samples[0], adapter="solo"))]
@@ -162,7 +163,7 @@ class TestBatchScheduler:
             release.set()
             for future in futures:
                 assert future.result(timeout=10.0).ok
-            served = [requests[0].priority for requests, __ in scheduler.recorded]
+            served = [requests[0].priority for requests in batches]
             assert served[:3] == [0, 5, 0]  # high-priority jumped the queue
         finally:
             release.set()
@@ -233,12 +234,18 @@ class TestBatchScheduler:
     def test_warm_adapter_packing_ignores_the_cold_start_prior(self, engine, rng):
         release = threading.Event()
         original = engine.serve
+        sizes = []
+
+        def counted(requests):
+            sizes.append(len(requests))
+            return original(requests)
 
         def blocked(requests):
             release.wait(timeout=30.0)
-            return original(requests)
+            return counted(requests)
 
-        scheduler = BatchScheduler(engine, queue_limit=8, record_batches=8)
+        engine.serve = counted
+        scheduler = BatchScheduler(engine, queue_limit=8)
         try:
             samples = images_for(rng, 3)
             warm = scheduler.submit(ServeRequest(sample=samples[0], adapter="solo"))
@@ -259,11 +266,7 @@ class TestBatchScheduler:
             ]
             release.set()
             assert all(future.result(timeout=10.0).ok for future in futures)
-            assert [len(requests) for requests, __ in scheduler.recorded][:3] == [
-                1,
-                1,
-                2,
-            ]
+            assert sizes[:3] == [1, 1, 2]
         finally:
             release.set()
             engine.serve = original
@@ -326,12 +329,13 @@ class TestFrontendIntegration:
 
     def test_concurrent_clients_across_tenants_bit_identical(self, rng):
         """Acceptance: N clients x M tenants over a real socket; every
-        dispatched micro-batch replays bit-identically through the engine."""
+        result is bit-identical to its request served alone, whatever
+        micro-batch it rode in."""
         engine = three_tenant_engine()
         names = ("static", "meta_a", "meta_b")
         pools = {name: images_for(rng, 4) for name in names}
         try:
-            frontend = ServingFrontend(engine, record_batches=64)
+            frontend = ServingFrontend(engine)
             with frontend:
                 host, port = frontend.address
                 outcomes: list[tuple[str, int, object]] = []
@@ -363,20 +367,9 @@ class TestFrontendIntegration:
                 assert not errors, errors
                 assert len(outcomes) == 12
                 assert all(result.ok for __, __, result in outcomes)
-                recorded = list(frontend.scheduler.recorded)
-            # Identity is contracted per dispatched micro-batch (the meta
-            # mapping net is batch-composition sensitive): replay each
-            # recorded batch through the engine directly.
-            assert recorded
-            for requests, results in recorded:
-                replay = engine.serve(
-                    [
-                        ServeRequest(sample=request.sample, adapter=request.adapter)
-                        for request in requests
-                    ]
-                )
-                for served, direct in zip(results, replay):
-                    assert np.array_equal(served.embedding, direct.require())
+            for name, index, result in outcomes:
+                direct = engine.serve(ServeRequest(sample=pools[name][index], adapter=name))
+                assert np.array_equal(result.require(), direct.require())
         finally:
             engine.close()
 
@@ -447,14 +440,23 @@ class TestSLOPathsUnderStalls:
 class TestPerRequestTenantResolution:
     """An unknown or evicted tenant fails only its own requests, never the
     micro-batch it was co-batched with.  A ``REPRO_FAULTS`` stall on batch
-    0 holds the worker while the mixed batch queues up behind it."""
+    0 holds the worker while the mixed batch queues up behind it; a
+    wrapped ``engine.serve`` keeps each batch the scheduler dispatches."""
 
     @staticmethod
     def stalled_scheduler(engine, rng, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "stall:serve.batch:1:0.3")
+        original = engine.serve
+        batches = []
+
+        def kept(requests):
+            batches.append(requests)
+            return original(requests)
+
+        engine.serve = kept
         # A generous cost budget: the stalled batch 0 teaches the cost
         # model ~0.3 s per sample, which must not split the next batch.
-        scheduler = BatchScheduler(engine, target_batch_seconds=60.0, record_batches=2)
+        scheduler = BatchScheduler(engine, target_batch_seconds=60.0)
         warm = scheduler.submit(
             ServeRequest(sample=images_for(rng, 1)[0], adapter="solo")
         )
@@ -464,10 +466,10 @@ class TestPerRequestTenantResolution:
             and time.perf_counter() < deadline
         ):
             time.sleep(0.005)
-        return scheduler, warm
+        return scheduler, warm, batches
 
     def test_ghost_request_fails_alone_in_a_shared_batch(self, engine, rng, monkeypatch):
-        scheduler, warm = self.stalled_scheduler(engine, rng, monkeypatch)
+        scheduler, warm, batches = self.stalled_scheduler(engine, rng, monkeypatch)
         samples = images_for(rng, 2)
         try:
             valid = scheduler.submit(ServeRequest(sample=samples[0], adapter="solo"))
@@ -482,14 +484,14 @@ class TestPerRequestTenantResolution:
         assert "unknown adapter 'ghost'" in ghost_result.error
         direct = engine.serve(ServeRequest(sample=samples[0], adapter="solo"))
         assert np.array_equal(valid_result.require(), direct.require())
-        requests, __ = scheduler.recorded[1]  # the two shared one batch
-        assert [request.adapter for request in requests] == ["solo", "ghost"]
+        shared = batches[1]  # the two shared one batch
+        assert [request.adapter for request in shared] == ["solo", "ghost"]
 
     def test_tenant_evicted_before_its_batch_runs_fails_only_its_requests(
         self, engine, rng, monkeypatch
     ):
         engine.register("doomed", static_lora_result(0))
-        scheduler, warm = self.stalled_scheduler(engine, rng, monkeypatch)
+        scheduler, warm, batches = self.stalled_scheduler(engine, rng, monkeypatch)
         samples = images_for(rng, 3)
         names = ["doomed", "solo", "doomed"]
         try:
@@ -508,5 +510,5 @@ class TestPerRequestTenantResolution:
             assert "unknown adapter 'doomed'" in result.error
         direct = engine.serve(ServeRequest(sample=samples[1], adapter="solo"))
         assert np.array_equal(results[1].require(), direct.require())
-        requests, __ = scheduler.recorded[1]  # the three shared one batch
-        assert [request.adapter for request in requests] == names
+        shared = batches[1]  # the three shared one batch
+        assert [request.adapter for request in shared] == names

@@ -236,10 +236,7 @@ class TestMultiTenantServing:
         engine.register("only", model)
         try:
             assert np.array_equal(serve_bulk(engine, images, adapter="only"), reference)
-            # Five singles in one call: the meta mapping net sees the same
-            # row composition as the 5-row reference chunk (it is not
-            # batch-composition invariant — that is why grouped dispatch
-            # runs it per-tenant).
+            # Five singles in one call: each row is the bulk reference's.
             results = engine.serve(
                 [ServeRequest(sample=sample, adapter="only") for sample in images]
             )

@@ -3,7 +3,7 @@
 Workers are real processes (fork by default; CI re-runs this directory
 under ``REPRO_SHARD_START=spawn``), so every test asserts through the
 public surface: typed results, merged stats, digest-verified registry
-sync, and bit-identity against a direct in-process engine.
+sync, and per-request bit-identity against a direct in-process engine.
 """
 
 import multiprocessing
@@ -56,7 +56,7 @@ def fleet():
 @pytest.fixture
 def sharded(fleet):
     models, reference = fleet
-    engine = ShardedEngine(2, record_batches=4, heartbeat_interval=0.1)
+    engine = ShardedEngine(2, heartbeat_interval=0.1)
     register_all(engine, models)
     yield engine, reference
     engine.close(5.0)
@@ -77,7 +77,7 @@ def mixed_requests(count: int, seed: int = 0) -> list[ServeRequest]:
 
 
 def flood(engine: ShardedEngine, count: int, seed: int = 0):
-    """Concurrent traffic; identity for these goes via recorded replay."""
+    """Concurrent traffic, results in request order."""
     futures = [engine.submit(request) for request in mixed_requests(count, seed)]
     return [future.result(60.0) for future in futures]
 
@@ -85,10 +85,8 @@ def flood(engine: ShardedEngine, count: int, seed: int = 0):
 def assert_serves_match_direct(
     engine: ShardedEngine, reference: MultiTenantEngine, count: int, seed: int = 0
 ) -> None:
-    """Sequential round trips: each is a micro-batch of one, so identity
-    against direct single-request dispatch is deterministic (embeddings
-    are batch-composition sensitive; concurrent traffic is covered by
-    the recorded-batch replay instead)."""
+    """Sequential round trips, each bit-identical to direct
+    single-request dispatch."""
     for request, ref_request in zip(
         mixed_requests(count, seed), mixed_requests(count, seed)
     ):
@@ -107,6 +105,16 @@ class TestShardedServing:
         engine, __ = sharded
         results = flood(engine, 12)
         assert all(result.status == OK for result in results)
+
+    def test_concurrent_rows_bit_identical_to_direct(self, sharded):
+        """Whatever micro-batches the shards formed, each row equals its
+        request served alone by the direct engine."""
+        engine, reference = sharded
+        results = flood(engine, 12, seed=7)
+        for result, request in zip(results, mixed_requests(12, seed=7)):
+            assert result.status == OK, result.error
+            direct = reference.serve(request).require()
+            assert np.array_equal(result.require(), direct)
 
     def test_affinity_assigns_every_adapter_a_home_shard(self, sharded):
         engine, __ = sharded
@@ -348,26 +356,3 @@ class TestShardStats:
                 "Noop", (), {"close": staticmethod(lambda *a, **k: None)}
             )()
             frontend.stop_in_thread()
-
-    def test_recorded_batches_replay_bit_identically(self, sharded):
-        engine, reference = sharded
-        results = flood(engine, 12, seed=7)
-        assert all(result.status == OK for result in results)
-        recorded = engine.recorded_batches()
-        replayed = 0
-        for batches in recorded.values():
-            for batch in batches:
-                if not all(status == "ok" for status in batch["statuses"]):
-                    continue
-                direct = reference.serve(
-                    [
-                        ServeRequest(sample=sample, adapter=adapter)
-                        for sample, adapter in zip(
-                            batch["samples"], batch["adapters"]
-                        )
-                    ]
-                )
-                for embedding, expected in zip(batch["embeddings"], direct):
-                    assert np.array_equal(embedding, expected.require())
-                replayed += 1
-        assert replayed >= 1
