@@ -38,7 +38,7 @@ for backbone in precision["backbones"]:
     assert tiers == {"f64", "f32"}, tiers
 print(
     "bench_smoke: precision matrix ok "
-    f"(best f32+fusion speedup {precision['best_speedup_vs_f64']:.2f}x vs f64)"
+    f"(best f32 speedup {precision['best_speedup_vs_f64']:.2f}x vs f64)"
 )
 PYEOF
 

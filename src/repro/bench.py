@@ -5,8 +5,8 @@ in-process bit-identity and accuracy pins perfbench cannot, one JSON
 record per suite:
 
 - ``BENCH_serve.json`` — the compiled engine against autograd, asserted
-  bit-exact in-process, plus the ``precision`` section: the precision ×
-  fusion matrix, f64 rows bit-exact, per-tier KNN accuracy budgets;
+  bit-exact in-process, plus the ``precision`` section: one row per
+  precision tier, the f64 row bit-exact, per-tier KNN accuracy budgets;
 - ``BENCH_robustness.json`` (opt-in) — the corruption-shift accuracy
   matrix with its three bit-identity pins.
 
@@ -391,15 +391,14 @@ _PRECISION_WORKLOADS = {
 
 
 def run_precision_bench(scale: str = "tiny", repeats: int = 3) -> dict:
-    """The precision × fusion matrix over both backbones.
+    """The two precision tiers, f64 and f32, over both backbones.
 
     Every row times the *compiled program itself* (chunked ``run`` calls,
-    no engine queueing) on the same sample set, against a baseline row
-    compiled exactly like the pre-optimizer serving stack: f64 with
-    fusion off.  Checks asserted in-process, so a record can only exist
+    no engine queueing) on the same sample set, against the f64 row as
+    the baseline.  Checks asserted in-process, so a record can only exist
     if they passed:
 
-    - both f64 rows are bit-identical to ``extract_embeddings``;
+    - the f64 row is bit-identical to ``extract_embeddings``;
     - per tier, Table-I-style KNN accuracy (cosine, fresh synthetic
       support/query split) drops no more than
       :data:`PRECISION_ACCURACY_BUDGETS` allows vs the f64 embeddings.
@@ -414,9 +413,6 @@ def run_precision_bench(scale: str = "tiny", repeats: int = 3) -> dict:
 
     knn_sizes = _PRECISION_KNN_SCALES[scale]
     workloads = _PRECISION_WORKLOADS[scale]
-
-    configs = [("f64", "f64", False)]  # (label, precision, fuse)
-    configs += [(f"{tier}+fuse", tier, True) for tier in ("f64", "f32")]
 
     backbones = []
     best_speedup = 0.0
@@ -444,40 +440,36 @@ def run_precision_bench(scale: str = "tiny", repeats: int = 3) -> dict:
         accuracy: dict[str, float] = {}
         rows = []
         baseline_seconds = None
-        for label, precision, fuse in configs:
-            program = compile_features(model, precision=precision, fuse=fuse)
+        for precision in _TIERS:
+            program = compile_features(model, precision=precision)
             out = run_chunked(program)
             err = float(np.max(np.abs(out - reference)))
             if precision == "f64" and not np.array_equal(out, reference):
                 raise ValueError(
-                    f"precision bench: f64 row {label!r} on {name!r} is not "
+                    f"precision bench: the f64 row on {name!r} is not "
                     f"bit-identical to extract_embeddings (max err {err})"
                 )
-            if precision not in accuracy:
-                knn = KNNClassifier(metric="cosine").fit(
-                    run_chunked(program, support_data.images), support_data.labels
-                )
-                predicted = knn.predict(run_chunked(program, query_data.images), knn_sizes["k"])
-                accuracy[precision] = float(np.mean(predicted == query_data.labels))
+            knn = KNNClassifier(metric="cosine").fit(
+                run_chunked(program, support_data.images), support_data.labels
+            )
+            predicted = knn.predict(run_chunked(program, query_data.images), knn_sizes["k"])
+            accuracy[precision] = float(np.mean(predicted == query_data.labels))
 
             seconds, __ = time_calls(lambda: run_chunked(program), repeats=repeats)
             if baseline_seconds is None:
                 baseline_seconds = seconds
-            counters = program.counters()
             speedup = float(baseline_seconds / max(seconds, 1e-12))
             rows.append(
                 {
-                    "label": label,
+                    "label": precision,
                     "precision": precision,
-                    "fusion": bool(fuse),
                     "seconds": float(seconds),
                     "throughput": float(samples / max(seconds, 1e-12)),
                     "max_abs_err_vs_f64": err,
                     "speedup_vs_f64": speedup,
-                    "fusion_steps_eliminated": int(counters["fusion_eliminated"]),
                 }
             )
-            if precision == "f32" and fuse:
+            if precision == "f32":
                 best_speedup = max(best_speedup, speedup)
 
         drops = {tier: max(0.0, accuracy["f64"] - accuracy[tier]) for tier in accuracy}
@@ -639,7 +631,6 @@ POS_INT = Rule("int >= 1", lambda v: _int(v) and v >= 1, 0)
 MULTI_INT = Rule("int >= 2", lambda v: _int(v) and v >= 2, 1)
 SEVERITY = Rule("int in 0..5", lambda v: _int(v) and 0 <= v <= 5, 6)
 IS_TRUE = Rule("true", lambda v: v is True, False)
-BOOL = Rule("bool", lambda v: isinstance(v, bool), "yes")
 NAME = Rule("non-empty string", lambda v: isinstance(v, str) and v != "", "")
 K_KEY = Rule("decimal k >= 1", lambda v: isinstance(v, str) and v.isdecimal() and int(v) >= 1, "x")
 
@@ -721,14 +712,12 @@ RECORD_SCHEMAS = {
                         {
                             "label": NAME,
                             "precision": one_of(*_TIERS),
-                            "fusion": BOOL,
                             **dict.fromkeys(
                                 ("seconds", "throughput", "speedup_vs_f64"), FINITE_POS
                             ),
                             "max_abs_err_vs_f64": FINITE_NONNEG,
-                            "fusion_steps_eliminated": NONNEG_INT,
                         },
-                        min_len=3,
+                        min_len=2,
                     ),
                 }
             ),
@@ -1028,6 +1017,6 @@ def format_bench_record(record: dict) -> str:
             for row in backbone["rows"]
         ]
     lines.append(
-        f"  best f32+fusion speedup vs f64 record: {precision['best_speedup_vs_f64']:.2f}x"
+        f"  best f32 speedup vs f64 record: {precision['best_speedup_vs_f64']:.2f}x"
     )
     return "\n".join(lines)

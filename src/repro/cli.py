@@ -31,8 +31,8 @@ machinery; severity-0 cells are bit-identical to the clean Table I
 evaluation.  ``inspect`` prints a method's adapter layout and
 parameter budget; ``compile`` lowers a method into its serving program
 and prints the step listing (``--describe`` adds per-step output
-dtypes/shapes — the view of what the fusion pass and precision tier
-actually produced); ``figures`` runs the Figure 1-3 numerical checks;
+dtypes/shapes — the view of what the precision tier actually
+produced); ``figures`` runs the Figure 1-3 numerical checks;
 ``bench`` runs the in-process bit-identity and accuracy pins and emits
 ``BENCH_serve.json`` (``--suite robustness`` is the opt-in shift matrix
 emitting ``BENCH_robustness.json``; speed is perfbench's job);
@@ -259,7 +259,7 @@ def _compile(args: argparse.Namespace) -> int:
     print(f"method:    {args.method}")
     print(f"backbone:  {args.backbone}")
     print(f"precision: {program.precision}")
-    print(f"steps:     {len(program)}  (fusion eliminated {program.fusion_eliminated})")
+    print(f"steps:     {len(program)}")
     if args.describe:
         print()
         for line in program.describe():

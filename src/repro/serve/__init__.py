@@ -6,9 +6,8 @@ of raw-numpy kernels (no Tensor wrapping, no autograd bookkeeping);
 hot register/swap/evict, a shared LRU of compiled programs, and
 cross-tenant grouping inside one synchronous ``serve`` call —
 and ``build_engine`` mounts one compiled model as such an engine's
-default tenant.  ``optimize`` supplies the compile-time passes:
-precision tiers (f64/f32) and elementwise-chain fusion; programs
-run as one serial step loop.
+default tenant.  Programs compile at one of two precision tiers
+(f64/f32) and run as one serial step loop.
 
 Every path speaks one typed surface (``api``): ``ServeRequest`` in,
 ``ServeResult`` out — the engine's ``serve``, the continuous-batching
@@ -28,12 +27,8 @@ from repro.serve.api import (
     Timings,
     ingest_sample,
 )
-from repro.serve.optimize import (
-    PRECISIONS,
-    fuse_program,
-    resolve_precision,
-)
 from repro.serve.compile import (
+    PRECISIONS,
     CompiledProgram,
     ProgramBuilder,
     compile_features,
@@ -41,6 +36,7 @@ from repro.serve.compile import (
     compile_seed_mapping,
     compiles,
     compiles_features,
+    resolve_precision,
 )
 from repro.serve.engine import build_engine
 from repro.serve.registry import (
@@ -87,7 +83,6 @@ __all__ = [
     "compiles_features",
     "decode_payload",
     "encode_payload",
-    "fuse_program",
     "ingest_sample",
     "program_key",
     "resolve_precision",

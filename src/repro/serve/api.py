@@ -76,7 +76,7 @@ class Timings:
     ``queue_seconds`` is creation → start of its batch's execution;
     ``run_seconds`` the compiled-program time of the batch that served
     it (shared across the batch, not divided); ``total_seconds``
-    creation → result.  All zero for cache hits and rejections.
+    creation → result.  All zero for rejections.
     """
 
     queue_seconds: float = 0.0

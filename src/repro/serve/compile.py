@@ -22,20 +22,16 @@ into a flat list of steps over raw ``numpy`` arrays:
   reads the patches its base conv already unfolded, as
   :meth:`repro.peft.base.Adapter.forward` does in training.
 
-On top of lowering sit the :mod:`repro.serve.optimize` passes — all
-selected per program at compile time:
+``precision`` (one of :data:`PRECISIONS`, chosen per program at compile
+time) picks the compute tier.  ``"f64"`` (the default) folds constants
+exactly as the autograd path computes them, preserving the bit-exactness
+contract above.  ``"f32"`` casts folded constants (and with them all
+kernel compute) to float32; f32 programs are held to a KNN-accuracy
+budget instead of bit-identity — measured by the serve bench and pinned
+by the tier tests.
 
-- ``precision`` picks the compute tier.  ``"f64"`` (the default) folds
-  constants exactly as the autograd path computes them, preserving the
-  bit-exactness contract above.  ``"f32"`` casts folded constants (and
-  with them all kernel compute) to float32; f32 programs are held to a
-  KNN-accuracy budget instead of bit-identity — measured by the serve
-  bench and pinned by the tier tests.
-- the **fusion pass** collapses single-consumer kernel chains into
-  composed steps (bit-identical at every tier).
-
-``CompiledProgram.run`` executes the result as one serial loop: each
-step's kernel, then the slots whose last consumer it was are dropped.
+``CompiledProgram.run`` executes the emitted steps as one serial loop:
+each step's kernel, then the slots whose last consumer it was are dropped.
 
 Lowering is rule-based: ``@compiles(ModuleType)`` registers how one module
 forward becomes steps, ``@compiles_features(ModelType)`` does the same for
@@ -56,6 +52,7 @@ compiled program — nor another tenant sharing it.
 
 from __future__ import annotations
 
+import os
 from typing import Callable
 
 import numpy as np
@@ -77,9 +74,23 @@ from repro.nn.norm import BatchNorm2d, LayerNorm
 from repro.nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from repro.peft.base import Adapter
 from repro.peft.meta_model import MetaLoRAModel
-from repro.serve import optimize
 
 Kernel = Callable[..., np.ndarray]
+
+#: The compile precision tiers, in decreasing exactness order.
+PRECISIONS = ("f64", "f32")
+
+
+def resolve_precision(precision: str | None) -> str:
+    """Validate a tier, defaulting to ``REPRO_SERVE_PRECISION`` then f64."""
+    if precision is None:
+        precision = os.environ.get("REPRO_SERVE_PRECISION", "").strip() or "f64"
+    if precision not in PRECISIONS:
+        raise ServeError(
+            f"unknown serve precision {precision!r}; "
+            f"choose one of {', '.join(PRECISIONS)}"
+        )
+    return precision
 
 
 def _scalar(value: float) -> np.ndarray:
@@ -117,12 +128,7 @@ class CompiledProgram:
 
     A program may take more than one input (``input_slot`` accepts a
     sequence of slots): the seed-fed backbone *body* programs used for
-    multi-tenant serving take ``(images, seeds)``.  ``input_slot`` stays
-    the first input for single-input callers.
-
-    Construction applies the fusion pass (unless ``fuse=False``) before
-    liveness is computed.  Programs carry their own optimizer counter
-    (fusion eliminations), which the serving engines fold into ``stats()``.
+    multi-tenant serving take ``(images, seeds)``.
     """
 
     def __init__(
@@ -134,20 +140,14 @@ class CompiledProgram:
         source: str,
         *,
         precision: str = "f64",
-        fuse: bool | None = None,
     ) -> None:
         if isinstance(input_slot, int):
             self.input_slots: tuple[int, ...] = (input_slot,)
         else:
             self.input_slots = tuple(int(slot) for slot in input_slot)
-        self.input_slot = self.input_slots[0]
         self.output_slot = output_slot
         self.source = source
         self.precision = precision
-        self.fusion_eliminated = 0
-        steps = list(steps)
-        if fuse if fuse is not None else optimize.fusion_enabled():
-            steps, self.fusion_eliminated = optimize.fuse_program(steps, output_slot)
         self.steps = tuple(steps)
         self.n_slots = n_slots
         # Last-use liveness: after step i runs, every slot whose final
@@ -171,8 +171,8 @@ class CompiledProgram:
         """Human-readable step listing (for tests and debugging).
 
         After the program has run at least once each line carries the
-        step's resolved output dtype and shape, so listings show what
-        the fusion pass produced and which tier the program computes in.
+        step's resolved output dtype and shape, so listings show which
+        tier the program computes in.
         """
         lines = []
         for index, step in enumerate(self.steps):
@@ -182,10 +182,6 @@ class CompiledProgram:
                 line += f" -> {self._shapes[index]}"
             lines.append(line)
         return lines
-
-    def counters(self) -> dict[str, int]:
-        """This program's optimizer counters (fixed at compile time)."""
-        return {"fusion_eliminated": self.fusion_eliminated}
 
     def run(self, *inputs: np.ndarray) -> np.ndarray:
         if len(inputs) != len(self.input_slots):
@@ -284,8 +280,7 @@ class ProgramBuilder:
 
         Emits one ``im2col`` step per (input slot, geometry) and returns
         the same slot after that, so a base conv and its adapter conv
-        share one unfold.  Where only one conv reads the patches, the
-        fusion pass folds the step into that conv.
+        share one unfold.
         """
         key = (x, kh, kw, stride, padding)
         if key not in self._unfolds:
@@ -353,7 +348,6 @@ def compile_features(
     *,
     external_seeds: bool = False,
     precision: str | None = None,
-    fuse: bool | None = None,
 ) -> CompiledProgram:
     """Compile ``model.features(x)`` into a :class:`CompiledProgram`.
 
@@ -363,8 +357,7 @@ def compile_features(
     span/timer when :mod:`repro.obs` is enabled.
 
     ``precision`` selects the compute tier (``None`` resolves through
-    ``REPRO_SERVE_PRECISION``, default f64 — the bit-exact tier);
-    ``fuse`` overrides the fusion pass (``REPRO_SERVE_FUSION``).
+    ``REPRO_SERVE_PRECISION``, default f64 — the bit-exact tier).
 
     With ``external_seeds=True`` (MetaLoRA models only) the mapping
     network is *not* lowered; the program takes ``(images, seeds)`` where
@@ -375,7 +368,7 @@ def compile_features(
     """
     from repro.obs import OBS, TRACER  # local: keep compile import-light
 
-    precision = optimize.resolve_precision(precision)
+    precision = resolve_precision(precision)
     with TRACER.span(
         "serve.compile", model=type(model).__name__, precision=precision
     ), OBS.time("serve.compile"):
@@ -386,26 +379,20 @@ def compile_features(
         inputs: tuple[int, ...] = (x,)
         if builder.seed_input_slot is not None:
             inputs = (x, builder.seed_input_slot)
-        program = CompiledProgram(
+        return CompiledProgram(
             builder.steps,
             builder.n_slots,
             inputs,
             output,
             type(model).__name__,
             precision=precision,
-            fuse=fuse,
         )
-        OBS.enabled and OBS.inc(
-            "serve.fusion.steps_eliminated", program.fusion_eliminated
-        )
-        return program
 
 
 def compile_forward(
     module: Module,
     *,
     precision: str | None = None,
-    fuse: bool | None = None,
 ) -> CompiledProgram:
     """Compile one module's ``forward`` (not ``features``) into a program.
 
@@ -415,7 +402,7 @@ def compile_forward(
     """
     from repro.obs import OBS, TRACER
 
-    precision = optimize.resolve_precision(precision)
+    precision = resolve_precision(precision)
     with TRACER.span(
         "serve.compile", model=type(module).__name__, precision=precision
     ), OBS.time("serve.compile"):
@@ -423,35 +410,29 @@ def compile_forward(
         x = builder.new_slot()
         with eval_mode(module):
             output = builder.lower(module, x)
-        program = CompiledProgram(
+        return CompiledProgram(
             builder.steps,
             builder.n_slots,
             x,
             output,
             type(module).__name__,
             precision=precision,
-            fuse=fuse,
         )
-        OBS.enabled and OBS.inc(
-            "serve.fusion.steps_eliminated", program.fusion_eliminated
-        )
-        return program
 
 
 def compile_seed_mapping(
     model: Module,
     *,
     precision: str | None = None,
-    fuse: bool | None = None,
 ) -> CompiledProgram:
     """Compile a MetaLoRA model's mapping network: features in, seeds out.
 
     The program maps extractor features ``(n, F)`` to the stacked scaled
-    seed matrix ``(n, total)`` — exactly the intermediate the fused
+    seed matrix ``(n, total)`` — exactly the intermediate the single
     ``features()`` program computes before slicing per adapter, laid out
     by ``model._seed_offsets``.  Both emit it through one helper, so
     feeding the result into an ``external_seeds`` body program is
-    bit-identical to the fused program.
+    bit-identical to the single program.
     """
     from repro.obs import OBS, TRACER
 
@@ -459,7 +440,7 @@ def compile_seed_mapping(
         raise ServeError(
             f"compile_seed_mapping expects a MetaLoRAModel, got {type(model).__name__}"
         )
-    precision = optimize.resolve_precision(precision)
+    precision = resolve_precision(precision)
     with TRACER.span(
         "serve.compile", model=f"{type(model).__name__}.seeds", precision=precision
     ), OBS.time("serve.compile"):
@@ -467,19 +448,14 @@ def compile_seed_mapping(
         feats = builder.new_slot()
         with eval_mode(model):
             out = _lower_mapping(model, builder, feats)
-        program = CompiledProgram(
+        return CompiledProgram(
             builder.steps,
             builder.n_slots,
             feats,
             out,
             f"{type(model).__name__}.seeds",
             precision=precision,
-            fuse=fuse,
         )
-        OBS.enabled and OBS.inc(
-            "serve.fusion.steps_eliminated", program.fusion_eliminated
-        )
-        return program
 
 
 # -- nn layer rules -----------------------------------------------------------
@@ -815,7 +791,7 @@ def _features_meta_lora(model: MetaLoRAModel, b: ProgramBuilder, x: int) -> int:
     # The stacked seeds come from this program's own mapping net, or — with
     # external_seeds — from a compile_seed_mapping program as a second
     # input.  The same kernels slice them per adapter either way, so the
-    # split program sequence is bit-identical to the fused program.
+    # split program sequence is bit-identical to the single program.
     if b.external_seeds:
         seeds = b.seed_input()
     else:

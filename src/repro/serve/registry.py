@@ -71,8 +71,8 @@ from repro.serve.compile import (
     compile_features,
     compile_forward,
     compile_seed_mapping,
+    resolve_precision,
 )
-from repro.serve.optimize import resolve_precision
 
 #: Label used on ``serve.run`` when one program execution serves rows
 #: from more than one tenant (the cross-tenant stacked runs).
@@ -476,27 +476,6 @@ class AdapterRegistry:
         self._metrics.gauge("serve.registry.size", len(self))
         return self._metrics.snapshot()
 
-    def program_counters(self) -> dict[str, int]:
-        """Optimizer counters summed over every distinct in-use program.
-
-        Programs are deduplicated by identity (shared programs count
-        once).  Feeds the ``serve.fusion.steps_eliminated`` series the
-        engines fold into ``stats()``.
-        """
-        totals = {"fusion_eliminated": 0}
-        seen: set[int] = set()
-        with self._lock:
-            entries = list(self._entries.values())
-        for entry in entries:
-            for program in (entry.program, entry.extractor, entry.mapping, entry.body):
-                if program is None or id(program) in seen:
-                    continue
-                seen.add(id(program))
-                counters = program.counters()
-                for field in totals:
-                    totals[field] += int(counters[field])
-        return totals
-
     # -- compilation ----------------------------------------------------------
 
     def _compile_entry(
@@ -858,10 +837,7 @@ class MultiTenantEngine:
 
         The engine's own series (bare names, plus ``{tenant=...}``
         labeled twins) are merged with its
-        registry's (``serve.program_cache.*``, ``serve.registry.*``) and
-        with the optimizer counter summed over every in-use compiled
-        program (``serve.fusion.steps_eliminated``) — merged, not inc'd,
-        so the series appears even at zero.
+        registry's (``serve.program_cache.*``, ``serve.registry.*``).
         """
         with self._stats_lock:
             snapshot = self._metrics.snapshot()
@@ -869,15 +845,6 @@ class MultiTenantEngine:
         merged.merge(ZERO_SERIES)
         merged.merge(snapshot)
         merged.merge(self.registry.stats())
-        programs = self.registry.program_counters()
-        merged.merge(
-            {
-                "serve.fusion.steps_eliminated": {
-                    "kind": "counter",
-                    "calls": int(programs["fusion_eliminated"]),
-                },
-            }
-        )
         return merged.snapshot()
 
     def close(self) -> None:

@@ -90,4 +90,5 @@ class TestPrecisionSection:
         assert precision["best_speedup_vs_f64"] > 0
         text = format_bench_record(record)
         assert "precision matrix" in text
-        assert "f32+fuse" in text
+        assert "\n    f32 " in text
+        assert "fuse" not in text

@@ -457,6 +457,20 @@ class TestEnginesHandle:
             assert "shared_engine" not in mod.__all__
             assert "clear_shared_engines" not in mod.__all__
 
+    def test_fusion_pass_removed(self, rng):
+        """Programs run the steps their lowering emitted: no fusion pass
+        export, no ``fuse`` keyword, no fusion series in ``stats()``."""
+        import repro.serve
+
+        assert not [name for name in dir(repro.serve) if "fuse" in name]
+        model = resnet_small(4, rng)
+        with pytest.raises(TypeError):
+            compile_features(model, **{"fuse": True})
+        with build_engine(model) as engine:
+            serve_bulk(engine, images_for(rng, 2))
+            stats = engine.stats()
+        assert not [name for name in stats if name.startswith("serve.fusion.")]
+
 
 class TestMultiInputPrograms:
     def test_run_arity_checked(self, rng):
