@@ -461,7 +461,6 @@ def run_precision_bench(scale: str = "tiny", repeats: int = 3) -> dict:
             speedup = float(baseline_seconds / max(seconds, 1e-12))
             rows.append(
                 {
-                    "label": precision,
                     "precision": precision,
                     "seconds": float(seconds),
                     "throughput": float(samples / max(seconds, 1e-12)),
@@ -710,7 +709,6 @@ RECORD_SCHEMAS = {
                     },
                     "rows": ListOf(
                         {
-                            "label": NAME,
                             "precision": one_of(*_TIERS),
                             **dict.fromkeys(
                                 ("seconds", "throughput", "speedup_vs_f64"), FINITE_POS
@@ -1011,7 +1009,7 @@ def format_bench_record(record: dict) -> str:
             f"(f64 bit-identical: {backbone['f64_bit_identical']})"
         )
         lines += [
-            f"    {row['label']:<16} {row['seconds'] * 1e3:>8.2f}ms  "
+            f"    {row['precision']:<16} {row['seconds'] * 1e3:>8.2f}ms  "
             f"{row['throughput']:>7.1f}/s  x{row['speedup_vs_f64']:<5.2f} "
             f"err {row['max_abs_err_vs_f64']:.1e}"
             for row in backbone["rows"]

@@ -8,6 +8,16 @@ back.  The wire speaks the same typed surface as everything else — each
 frame decodes to a :class:`~repro.serve.api.ServeRequest` and each
 response encodes a :class:`~repro.serve.api.ServeResult`.
 
+Everything runs on the event-loop thread: each connection's loop
+decodes and submits every frame as soon as it is read, a loop callback
+serves one queued micro-batch at a time through the scheduler, and each
+answer is written from its future's done-callback.  While a batch runs
+the loop reads nothing, so admission (a queue-full ``rejected``
+included) happens at the next batch boundary — at most one batch, of
+``target_batch_seconds`` predicted cost, later.  Behind a
+:class:`~repro.serve.shard.ShardedEngine` the batches run in the shard
+processes instead, and answers hop from its link threads onto the loop.
+
 Wire protocol (see docs/serving_frontend.md for the full spec)::
 
     frame   := u32_be header_len | header_json | u32_be payload_len | payload
@@ -32,8 +42,11 @@ thread — the form in-process tests use.
 from __future__ import annotations
 
 import asyncio
+import contextvars
+import functools
 import socket
 import threading
+from concurrent.futures import Future
 
 import numpy as np
 
@@ -69,6 +82,24 @@ __all__ = [
 # -- the server ---------------------------------------------------------------
 
 
+class _Connection:
+    """One client connection: its writer and its unanswered requests."""
+
+    __slots__ = ("writer", "unanswered", "idle")
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self.writer = writer
+        self.unanswered = 0
+        #: Set once EOF waits for the last answer; resolved by it.
+        self.idle: asyncio.Future | None = None
+
+    def send(self, header: dict, payload: bytes = b"") -> None:
+        # Every write happens on the loop thread with no await inside,
+        # so frames never interleave and need no lock.
+        if not self.writer.is_closing():
+            self.writer.write(encode_frame(header, payload))
+
+
 class ServingFrontend:
     """Asyncio TCP server over one engine + continuous-batching scheduler.
 
@@ -77,12 +108,19 @@ class ServingFrontend:
     the bind address, ``port=0`` an ephemeral port (read it back from
     :attr:`address` after ``start``).
 
+    A frontend built from an ``engine`` *drives* the scheduler it owns
+    (:meth:`~repro.serve.scheduler.BatchScheduler.drive`): each frame
+    is decoded and admitted as it is read, one micro-batch at a time
+    runs on the event loop, and each answer is written from its
+    future's done-callback — no request crosses a thread.
+
     ``scheduler`` may be anything speaking the scheduler surface —
     ``submit(request) -> Future[ServeResult]``, ``stats()``,
     ``close(drain_timeout)`` — which is how a
     :class:`~repro.serve.shard.ShardedEngine` mounts behind the same
     frontend (pass ``engine=None`` then; the frontend never touches the
-    engine directly).
+    engine directly).  Its futures resolve on other threads, so their
+    answers hop onto the loop before they are written.
     """
 
     def __init__(
@@ -100,6 +138,7 @@ class ServingFrontend:
         if scheduler is None and engine is None:
             raise ServeError("ServingFrontend needs an engine or a scheduler")
         self.engine = engine
+        self._driven = scheduler is None
         self.scheduler = (
             scheduler
             if scheduler is not None
@@ -115,9 +154,12 @@ class ServingFrontend:
         self.port = int(port)
         self.address: tuple[str, int] | None = None
         self._server: asyncio.base_events.Server | None = None
-        self._tasks: set[asyncio.Task] = set()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
+        self._handlers: set[asyncio.Task] = set()
+        self._pump_armed = False
+        # Batches run outside any frame's context (they serve many).
+        self._pump_context = contextvars.Context()
 
     # -- async lifecycle ------------------------------------------------------
 
@@ -125,6 +167,9 @@ class ServingFrontend:
         """Bind and start accepting connections; returns ``(host, port)``."""
         if self._server is not None:
             raise ServeError("frontend already started")
+        self._loop = asyncio.get_running_loop()
+        if self._driven:
+            self.scheduler.drive(self._arm_pump)
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.host, port=self.port
         )
@@ -133,79 +178,81 @@ class ServingFrontend:
         return self.address
 
     async def stop(self) -> None:
-        """Graceful drain: stop accepting, finish in-flight, close."""
+        """Graceful drain: stop accepting, serve what is queued, then
+        close every connection once each admitted request is answered."""
         server, self._server = self._server, None
         if server is not None:
             server.close()
             await server.wait_closed()
-        tasks = [task for task in self._tasks if not task.done()]
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-        # Drain the scheduler on a worker thread so the loop stays live.
-        await asyncio.get_running_loop().run_in_executor(None, self.scheduler.close)
+        if self._driven:
+            # Serves the queue right here on the loop, bounded by the
+            # scheduler's drain_timeout; leftovers answer ``error``.
+            self.scheduler.close()
+        else:
+            # A sharded close blocks on its worker links, whose answers
+            # hop back onto this loop: keep the loop live meanwhile.
+            await asyncio.get_running_loop().run_in_executor(None, self.scheduler.close)
+        handlers = list(self._handlers)
+        for handler in handlers:
+            handler.cancel()
+        await asyncio.gather(*handlers, return_exceptions=True)
+
+    # -- batches on the loop --------------------------------------------------
+
+    def _arm_pump(self) -> None:
+        if not self._pump_armed:
+            self._pump_armed = True
+            self._loop.call_soon(self._pump, context=self._pump_context)
+
+    def _pump(self) -> None:
+        # One batch per turn, re-armed while work is queued, so socket
+        # I/O (and admission of what it brings) runs between batches.
+        self._pump_armed = False
+        if self.scheduler.run_batch():
+            self._arm_pump()
 
     # -- connection handling --------------------------------------------------
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        write_lock = asyncio.Lock()
-        in_flight: set[asyncio.Task] = set()
+        conn = _Connection(writer)
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
+        handler.add_done_callback(self._handlers.discard)
         try:
             while True:
                 try:
                     frame = await _read_frame(reader)
                 except ServeError as exc:
-                    await self._respond(
-                        writer, write_lock, {"id": None, "status": ERROR, "error": str(exc)}
-                    )
+                    conn.send({"id": None, "status": ERROR, "error": str(exc)})
                     break
                 if frame is None:
                     break
-                task = asyncio.ensure_future(
-                    self._handle_frame(writer, write_lock, *frame)
-                )
-                for tracker in (self._tasks, in_flight):
-                    tracker.add(task)
-                    task.add_done_callback(tracker.discard)
+                self._admit(conn, *frame)
+                try:
+                    # Backpressure: read no further while answers back up.
+                    await writer.drain()
+                except (ConnectionError, OSError):
+                    break
         finally:
             # EOF only ends *admission*; answer what was pipelined first.
-            if in_flight:
-                await asyncio.gather(*list(in_flight), return_exceptions=True)
+            if conn.unanswered:
+                conn.idle = asyncio.get_running_loop().create_future()
+                await conn.idle
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
 
-    async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        header: dict,
-        payload: bytes = b"",
-    ) -> None:
-        async with write_lock:
-            if writer.is_closing():
-                return
-            writer.write(encode_frame(header, payload))
-            try:
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _handle_frame(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        header: dict,
-        payload: bytes,
-    ) -> None:
+    def _admit(self, conn: _Connection, header: dict, payload: bytes) -> None:
+        """Answer or submit one frame, synchronously, as it is read."""
         request_id = header.get("id")
         op = header.get("op", "serve")
         try:
             if op == "ping":
-                await self._respond(writer, write_lock, {"id": request_id, "status": OK})
+                conn.send({"id": request_id, "status": OK})
                 return
             if op == "stats":
                 header_out = {
@@ -218,7 +265,7 @@ class ServingFrontend:
                 shard_stats = getattr(self.scheduler, "shard_stats", None)
                 if callable(shard_stats):
                     header_out["shards"] = shard_stats()
-                await self._respond(writer, write_lock, header_out)
+                conn.send(header_out)
                 return
             if op != "serve":
                 raise ServeError(f"unknown op {op!r}")
@@ -237,20 +284,42 @@ class ServingFrontend:
             # a hung connection.
             future = self.scheduler.submit(request)
         except (ServeError, ValueError, TypeError) as exc:
-            await self._respond(
-                writer,
-                write_lock,
-                {"id": request_id, "status": ERROR, "error": str(exc)},
-            )
+            conn.send({"id": request_id, "status": ERROR, "error": str(exc)})
             return
-        result = await asyncio.wrap_future(future)
+        conn.unanswered += 1
+        # The answer is encoded in this frame's context, as it was read.
+        future.add_done_callback(
+            functools.partial(self._resolved, conn, request_id, contextvars.copy_context())
+        )
+
+    def _resolved(
+        self,
+        conn: _Connection,
+        request_id: object,
+        context: contextvars.Context,
+        future: "Future[ServeResult]",
+    ) -> None:
+        if self._driven:  # resolved by a batch on the loop itself
+            context.run(self._answer, conn, request_id, future)
+        else:
+            self._loop.call_soon_threadsafe(
+                self._answer, conn, request_id, future, context=context
+            )
+
+    def _answer(
+        self, conn: _Connection, request_id: object, future: "Future[ServeResult]"
+    ) -> None:
+        result = future.result()
         header_out = {
             "id": request_id,
             "status": result.status,
             "error": result.error,
             "timings": result.timings.as_dict(),
         }
-        await self._respond(writer, write_lock, header_out, encode_payload(result.embedding))
+        conn.send(header_out, encode_payload(result.embedding))
+        conn.unanswered -= 1
+        if not conn.unanswered and conn.idle is not None:
+            conn.idle.set_result(None)
 
     # -- thread helpers (in-process tests) ------------------------------------
 
@@ -264,7 +333,6 @@ class ServingFrontend:
         def run() -> None:
             loop = asyncio.new_event_loop()
             asyncio.set_event_loop(loop)
-            self._loop = loop
             try:
                 loop.run_until_complete(self.start())
             except BaseException as exc:  # surface bind errors to the caller

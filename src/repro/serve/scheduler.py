@@ -2,8 +2,13 @@
 
 :class:`BatchScheduler` is the one queued serving path — the
 frontend's and every shard's brain: a bounded admission queue drained
-by one scheduler thread into micro-batches, each handed to the engine's
-synchronous ``serve``.  It batches *continuously*, with no fixed
+into micro-batches, each handed to the engine's synchronous ``serve``.
+One batching policy, two drivers: by default the scheduler's own worker
+thread drains the queue (shard workers, library callers); a caller that
+calls :meth:`BatchScheduler.drive` runs every batch on its own thread
+instead, one :meth:`BatchScheduler.run_batch` at a time — the serving
+frontend does this from its event loop, so a request served over TCP
+never crosses a thread.  It batches *continuously*, with no fixed
 coalescing window — the next batch forms from whatever arrived while
 the current batch was running, so the batch size adapts to load with no
 idle waiting:
@@ -27,7 +32,8 @@ idle waiting:
 
 - **Graceful drain.**  ``close()`` stops admission (late ``submit`` is
   rejected), then serves what is queued for up to ``drain_timeout``
-  seconds; whatever remains is failed with a typed ``error`` result.
+  seconds — on the worker thread, or on the calling thread of a driven
+  scheduler; whatever remains is failed with a typed ``error`` result.
 
 Every batch execution runs under a ``serve.batch`` span and fires the
 ``REPRO_FAULTS`` hook under the ``serve.batch`` key (attempt = batch
@@ -43,6 +49,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
+from typing import Callable
 
 from repro.errors import ServeError
 from repro.faults import fire_faults
@@ -143,6 +150,8 @@ class BatchScheduler:
         self._metrics = MetricsRegistry(enabled=True)
         self._closed = False
         self._worker: threading.Thread | None = None
+        #: The driver's wake-up (see :meth:`drive`); None: the worker thread.
+        self._wake: Callable[[], None] | None = None
 
     # -- metrics --------------------------------------------------------------
 
@@ -196,8 +205,12 @@ class BatchScheduler:
                 return future
             self._pending.append(_Pending(request, adapter, future, self._seq))
             self._seq += 1
-            self._ensure_worker_locked()
-            self._work.notify()
+            wake = self._wake
+            if wake is None:
+                self._ensure_worker_locked()
+                self._work.notify()
+        if wake is not None:
+            wake()
         return future
 
     def depth(self) -> int:
@@ -207,6 +220,31 @@ class BatchScheduler:
 
     # -- the scheduler loop ---------------------------------------------------
 
+    def drive(self, wake: Callable[[], None]) -> None:
+        """Run batches on the caller's thread instead of the worker thread.
+
+        From now on ``submit`` calls ``wake()`` after each admission
+        where it would have started or notified the worker, and the
+        caller serves the queue one :meth:`run_batch` at a time.
+        ``submit``, ``run_batch`` and ``close`` must then all run on the
+        driver's thread (the serving frontend's event loop).
+        """
+        with self._lock:
+            if self._worker is not None:
+                raise ServeError("scheduler already runs its worker thread")
+            self._wake = wake
+
+    def run_batch(self) -> bool:
+        """Serve one queued batch now, on the calling thread.
+
+        The driven form of one worker-loop turn (see :meth:`drive`);
+        returns whether requests are still queued afterwards.
+        """
+        batch = self._take_batch(block=False)
+        if batch is not None:
+            self._execute(batch)
+        return self.depth() > 0
+
     def _ensure_worker_locked(self) -> None:
         if self._worker is not None and self._worker.is_alive():
             return
@@ -215,11 +253,12 @@ class BatchScheduler:
         )
         self._worker.start()
 
-    def _take_batch(self) -> list[_Pending] | None:
-        """Pop the next micro-batch (None when closed and drained)."""
+    def _take_batch(self, block: bool = True) -> list[_Pending] | None:
+        """Pop the next micro-batch (None when closed and drained, or
+        at once on an empty queue unless ``block``)."""
         with self._lock:
             while not self._pending:
-                if self._closed:
+                if self._closed or not block:
                     return None
                 self._work.wait(timeout=0.05)
             self._hist("serve.queue.depth", len(self._pending))
@@ -331,8 +370,10 @@ class BatchScheduler:
         """Stop admission, drain queued work, fail whatever remains.
 
         Waits up to ``drain_timeout`` seconds (default: the constructor
-        knob) for the scheduler thread to serve the queue; requests
-        still pending afterwards resolve to typed ``error`` results.
+        knob) for the scheduler thread to serve the queue — a driven
+        scheduler serves it on the calling thread instead, starting no
+        batch once the budget is spent; requests still pending
+        afterwards resolve to typed ``error`` results.
         """
         with self._lock:
             if self._closed:
@@ -341,7 +382,11 @@ class BatchScheduler:
             worker = self._worker
             self._work.notify_all()
         timeout = self.drain_timeout if drain_timeout is None else float(drain_timeout)
-        if worker is not None and worker.is_alive():
+        if self._wake is not None:
+            deadline = time.perf_counter() + timeout
+            while time.perf_counter() < deadline and self.run_batch():
+                pass
+        elif worker is not None and worker.is_alive():
             worker.join(timeout=timeout)
         with self._lock:
             leftover, self._pending = self._pending, []

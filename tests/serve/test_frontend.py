@@ -5,7 +5,9 @@ with every result asserted bit-identical to its request served alone
 through the engine directly.  Tests that check batch order or
 composition see each batch through a wrapped ``engine.serve``.  SLO
 paths (queue-full rejection, deadline-miss while queued) are driven
-deterministically with ``REPRO_FAULTS`` batch stalls.
+deterministically with ``REPRO_FAULTS`` batch stalls: the frontend runs
+each batch on its event loop, so a stall holds admission until the
+batch boundary.
 """
 
 import socket
@@ -374,67 +376,235 @@ class TestFrontendIntegration:
             engine.close()
 
 
+def batches_started(frontend) -> int:
+    entry = frontend.scheduler.stats().get("serve.batches")
+    return entry["calls"] if entry else 0
+
+
+def wait_for(condition, timeout: float = 5.0) -> bool:
+    deadline = time.perf_counter() + timeout
+    while not condition() and time.perf_counter() < deadline:
+        time.sleep(0.005)
+    return condition()
+
+
+def serve_frame(sample, request_id: int, **header) -> bytes:
+    from repro.serve.frontend import encode_frame, encode_payload
+
+    header = {"op": "serve", "id": request_id, "adapter": "solo", **header}
+    return encode_frame(header, encode_payload(sample))
+
+
+def read_answers(sock, count: int) -> dict:
+    """``count`` response frames off ``sock``, keyed by their ``id``."""
+    from repro.serve.frontend import _read_frame_sync, decode_payload
+
+    answers = {}
+    for __ in range(count):
+        header, data = _read_frame_sync(sock)
+        answers[header["id"]] = (header, decode_payload(data))
+    return answers
+
+
+def stalled_first_batch(frontend, sample) -> tuple[threading.Thread, list]:
+    """Start one request on its own client; return its thread and the
+    list its result lands in once batch 0 has started (and, under a
+    ``REPRO_FAULTS`` stall, holds the loop)."""
+    host, port = frontend.address
+    outcome: list[object] = []
+
+    def client() -> None:
+        with ServeClient(host, port) as connection:
+            outcome.append(connection.serve(sample, adapter="solo"))
+
+    thread = threading.Thread(target=client)
+    thread.start()
+    assert wait_for(lambda: batches_started(frontend) >= 1)
+    return thread, outcome
+
+
 class TestSLOPathsUnderStalls:
     def test_deadline_miss_and_queue_full_during_a_stalled_batch(
         self, engine, rng, monkeypatch
     ):
-        """One injected batch stall (REPRO_FAULTS) makes the SLO paths
-        deterministic: a queued request's budget lapses, and with
-        ``queue_limit=1`` the next arrival is rejected."""
-        monkeypatch.setenv("REPRO_FAULTS", "stall:serve.batch:1:0.6")
-        samples = images_for(rng, 3)
-        frontend = ServingFrontend(engine, queue_limit=1)
+        """Stalls on batches 0 and 1 (REPRO_FAULTS) make the SLO paths
+        deterministic under batch-boundary admission: three frames
+        pipelined during batch 0 are admitted in order once it ends —
+        a low-priority one with a 50 ms budget, a high-priority one,
+        and one the ``queue_limit=2`` queue rejects.  The high-priority
+        request jumps ahead into the stalled batch 1, so the other's
+        budget lapses in the queue."""
+        monkeypatch.setenv("REPRO_FAULTS", "stall:serve.batch:2:0.6")
+        samples = images_for(rng, 4)
+        frontend = ServingFrontend(engine, queue_limit=2, max_batch=1)
         with frontend:
-            host, port = frontend.address
-            slow_result: list[object] = []
-
-            def slow_client() -> None:
-                with ServeClient(host, port) as client:
-                    slow_result.append(client.serve(samples[0], adapter="solo"))
-
-            # Batch 0 forms around the first request and stalls 0.6 s.
-            slow = threading.Thread(target=slow_client)
-            slow.start()
-            def batches_started() -> int:
-                entry = frontend.scheduler.stats().get("serve.batches")
-                return entry["calls"] if entry else 0
-
-            deadline = time.perf_counter() + 5.0
-            while batches_started() < 1 and time.perf_counter() < deadline:
-                time.sleep(0.01)
-
-            # Admitted during the stall with a 50 ms budget: by the time
-            # batch 1 forms (~0.6 s later) the deadline has lapsed.
-            missed_result: list[object] = []
-
-            def missed_client() -> None:
-                with ServeClient(host, port) as client:
-                    missed_result.append(
-                        client.serve(samples[1], adapter="solo", deadline=0.05)
-                    )
-
-            missed = threading.Thread(target=missed_client)
-            missed.start()
-            deadline = time.perf_counter() + 5.0
-            while frontend.scheduler.depth() < 1 and time.perf_counter() < deadline:
-                time.sleep(0.01)
-
-            # The queue (limit 1) is now full: immediate 429-style answer.
-            with ServeClient(host, port) as client:
-                rejected = client.serve(samples[2], adapter="solo")
-            assert rejected.status == REJECTED
-            assert "queue full" in rejected.error
-
+            slow, slow_result = stalled_first_batch(frontend, samples[0])
+            with socket.create_connection(frontend.address, timeout=30.0) as sock:
+                sock.sendall(
+                    serve_frame(samples[1], 1, deadline=0.05, priority=0)
+                    + serve_frame(samples[2], 2, priority=5)
+                    + serve_frame(samples[3], 3)
+                )
+                answers = read_answers(sock, 3)
             slow.join(timeout=30.0)
-            missed.join(timeout=30.0)
             assert slow_result and slow_result[0].ok
-            assert missed_result and missed_result[0].status == DEADLINE_MISSED
-            assert missed_result[0].timings.queue_seconds > 0.05
+
+            # The third arrival found the queue (limit 2) full.
+            rejected, __ = answers[3]
+            assert rejected["status"] == REJECTED
+            assert "queue full" in rejected["error"]
+            # Priority 5 rode the stalled batch 1 ...
+            assert answers[2][0]["status"] == OK
+            # ... while the 50 ms budget lapsed in the queue behind it.
+            missed, __ = answers[1]
+            assert missed["status"] == DEADLINE_MISSED
+            assert missed["timings"]["queue_seconds"] > 0.05
 
             stats = frontend.scheduler.stats()
             assert stats["serve.request.rejected"]["calls"] >= 1
             assert stats["serve.request.deadline_missed"]["calls"] >= 1
             assert sum(stats["serve.queue.depth"]["buckets"].values()) >= 1
+
+
+class TestBatchesOnTheLoop:
+    """A frontend built from an engine runs every batch on its event
+    loop: no scheduler thread, admission at batch boundaries, and a
+    drain on the loop that answers every client."""
+
+    def test_every_batch_runs_on_the_loop_thread(self, rng, monkeypatch):
+        engine = three_tenant_engine()
+        names = ("static", "meta_a", "meta_b")
+        pools = {name: images_for(rng, 6) for name in names}
+        threads_seen: set[int] = set()
+        original = engine.serve
+
+        def recorded(requests):
+            threads_seen.add(threading.get_ident())
+            return original(requests)
+
+        monkeypatch.setattr(engine, "serve", recorded)
+        try:
+            frontend = ServingFrontend(engine)
+            with frontend:
+                host, port = frontend.address
+                errors: list[BaseException] = []
+
+                def client_worker(worker: int) -> None:
+                    try:
+                        with ServeClient(host, port) as client:
+                            for index in range(6):
+                                name = names[(worker + index) % len(names)]
+                                result = client.serve(pools[name][index], adapter=name)
+                                assert result.ok, result.error
+                    except BaseException as exc:
+                        errors.append(exc)
+
+                clients = [
+                    threading.Thread(target=client_worker, args=(worker,))
+                    for worker in range(2)
+                ]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=60.0)
+                assert not errors, errors
+                running = {thread.name for thread in threading.enumerate()}
+                assert "repro-serve-scheduler" not in running
+                loop_thread = frontend._thread.ident
+            assert threads_seen == {loop_thread}
+            assert frontend.scheduler._worker is None
+        finally:
+            engine.close()
+
+    def test_frames_read_during_a_stall_form_one_batch(self, engine, rng, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "stall:serve.batch:1:1.0")
+        samples = images_for(rng, 9)
+        frontend = ServingFrontend(engine, target_batch_seconds=60.0)
+        with frontend:
+            first, first_result = stalled_first_batch(frontend, samples[0])
+            with socket.create_connection(frontend.address, timeout=30.0) as sock:
+                sock.sendall(b"".join(serve_frame(samples[1 + i], i) for i in range(8)))
+                # The loop is inside batch 0: nothing is admitted until
+                # the batch boundary.
+                time.sleep(0.2)
+                assert frontend.scheduler.depth() == 0
+                answers = read_answers(sock, 8)
+            first.join(timeout=30.0)
+            assert first_result and first_result[0].ok
+            assert all(header["status"] == OK for header, __ in answers.values())
+            for index, (__, row) in answers.items():
+                direct = engine.serve(ServeRequest(sample=samples[1 + index], adapter="solo"))
+                assert np.array_equal(row, direct.require())
+            sizes = frontend.scheduler.stats()["serve.batch.size"]["buckets"]
+            assert {float(size): count for size, count in sizes.items()} == {1.0: 1, 8.0: 1}
+
+    def test_eof_ends_admission_not_the_answers(self, engine, rng, monkeypatch):
+        """Four frames pipelined before a half-close, one per batch: the
+        loop reads the EOF between batches, with requests still queued,
+        and every one of them is still answered."""
+        monkeypatch.setenv("REPRO_FAULTS", "stall:serve.batch:1:0.3")
+        samples = images_for(rng, 5)
+        frontend = ServingFrontend(engine, max_batch=1)
+        with frontend:
+            first, __ = stalled_first_batch(frontend, samples[0])
+            with socket.create_connection(frontend.address, timeout=30.0) as sock:
+                sock.sendall(b"".join(serve_frame(samples[1 + i], i) for i in range(4)))
+                sock.shutdown(socket.SHUT_WR)
+                answers = read_answers(sock, 4)
+            first.join(timeout=30.0)
+        assert sorted(answers) == [0, 1, 2, 3]
+        assert all(header["status"] == OK for header, __ in answers.values())
+
+    def test_stop_answers_every_queued_client(self, engine, rng, monkeypatch):
+        """Batch 0 stalls 1 s, every later batch 0.4 s, and a drain has
+        0.2 s.  Five clients, connected beforehand, send while batch 0
+        holds the loop, so all five are queued at its end: ``stop()``
+        serves what the budget allows and fails the rest with a typed
+        ``error`` — no client hangs."""
+        monkeypatch.setenv(
+            "REPRO_FAULTS", "stall:serve.batch:1:0.6;stall:serve.batch:-1:0.4"
+        )
+        samples = images_for(rng, 6)
+        frontend = ServingFrontend(engine, max_batch=1, drain_timeout=0.2)
+        frontend.start_in_thread()
+        host, port = frontend.address
+        clients = [ServeClient(host, port, timeout=30.0) for __ in range(5)]
+        results: list[object] = []
+        errors: list[BaseException] = []
+
+        def serve(client, sample) -> None:
+            try:
+                results.append(client.serve(sample, adapter="solo"))
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=serve, args=pair) for pair in zip(clients, samples[1:])
+        ]
+        first, first_result = None, []
+        try:
+            for client in clients:
+                assert client.ping()  # accepted: its connection is being read
+            first, first_result = stalled_first_batch(frontend, samples[0])
+            for thread in threads:
+                thread.start()
+            assert wait_for(lambda: frontend.scheduler.depth() >= 3, timeout=10.0)
+        finally:
+            started = time.perf_counter()
+            frontend.stop_in_thread(timeout=30.0)
+            stopped_in = time.perf_counter() - started
+            for thread in threads + ([first] if first else []):
+                thread.join(timeout=30.0)
+            for client in clients:
+                client.close()
+        assert not errors, errors
+        results += first_result
+        assert len(results) == len(samples)
+        assert {result.status for result in results} == {OK, ERROR}
+        for result in results:
+            if result.status == ERROR:
+                assert "closed before serving" in result.error
+        assert stopped_in < 5.0
 
 
 class TestPerRequestTenantResolution:
