@@ -108,11 +108,9 @@ class ServingFrontend:
     the bind address, ``port=0`` an ephemeral port (read it back from
     :attr:`address` after ``start``).
 
-    A frontend built from an ``engine`` *drives* the scheduler it owns
-    (:meth:`~repro.serve.scheduler.BatchScheduler.drive`): each frame
-    is decoded and admitted as it is read, one micro-batch at a time
-    runs on the event loop, and each answer is written from its
-    future's done-callback — no request crosses a thread.
+    A frontend built from an ``engine`` drives the scheduler it owns
+    (:meth:`~repro.serve.scheduler.BatchScheduler.drive`), running its
+    batches on the event loop (see the module docstring).
 
     ``scheduler`` may be anything speaking the scheduler surface —
     ``submit(request) -> Future[ServeResult]``, ``stats()``,
