@@ -24,9 +24,9 @@ against the folded weight.  :func:`conv2d` is the two composed.  A conv
 adapter (:class:`repro.peft.base.Adapter` around a ``Conv2d``) unfolds
 its input once and runs its base conv and its own convs over those
 patches, so the backward sweep sums their patch gradients and scatters
-them back with one col2im.  The serve compiler shares one unfold step
-between those convs the same way.  Every conv ends in the same
-epilogue, so the paths are bit-identical by construction.
+them back with one col2im.  A captured serving program runs those
+same ops, so it shares the one unfold too.  Every conv ends in the same
+epilogue.
 
 No mutable scratch is shared between calls: the index cache holds
 read-only arrays, so the kernels may run on several threads at once.
@@ -42,6 +42,7 @@ import functools
 
 import numpy as np
 
+from repro.autograd.ops import apply
 from repro.autograd.tensor import Tensor
 from repro.errors import ShapeError
 from repro.obs import OBS
@@ -155,9 +156,8 @@ def _col2im(
 def fold_conv_weight(weight: np.ndarray) -> np.ndarray:
     """Reshape a ``(Kh, Kw, Cin, Cout)`` kernel into the im2col matmul matrix.
 
-    This is the per-call weight layout work of :func:`conv2d`, exposed so
-    the serve compiler can fold it once at compile time instead of on
-    every request.
+    This is the weight layout work of :func:`conv_patches`, its own op so
+    that a captured forward folds it once instead of on every request.
     """
     kh, kw, c_in, c_out = weight.shape
     return weight.transpose(2, 0, 1, 3).reshape(c_in * kh * kw, c_out)
@@ -171,8 +171,8 @@ def conv_from_patches(
     ``cols`` is the ``(N, out_h, out_w, Cin*kh*kw)`` patch matrix and
     ``w_mat`` the pre-folded ``(Cin*kh*kw, Cout)`` matrix from
     :func:`fold_conv_weight`; returns the ``(N, Cout, out_h, out_w)``
-    output (an NHWC-storage view, plus the bias if given).  Autograd
-    :func:`conv2d` and the serve compiler's conv steps both end here.
+    output (an NHWC-storage view, plus the bias if given).  Every conv
+    ends here.
     """
     out = cols @ w_mat  # (N, oh, ow, Cout)
     out = out.transpose(0, 3, 1, 2)
@@ -271,8 +271,7 @@ def conv_patches(cols: Tensor, weight: Tensor, bias: Tensor | None = None) -> Te
             f"C_in*K_h*K_w = {c_in * kh * kw}"
         )
 
-    def fwd(cols: np.ndarray, w: np.ndarray, b: np.ndarray | None):
-        w_mat = fold_conv_weight(w)
+    def fwd(cols: np.ndarray, w: np.ndarray, b: np.ndarray | None, w_mat: np.ndarray):
         return conv_from_patches(cols, w_mat, b), (w_mat, cols)
 
     def grad_cols(ctx: tuple, g: np.ndarray) -> np.ndarray:
@@ -289,7 +288,11 @@ def conv_patches(cols: Tensor, weight: Tensor, bias: Tensor | None = None) -> Te
     def grad_b(ctx: tuple, g: np.ndarray) -> np.ndarray:
         return g.sum(axis=(0, 2, 3))
 
-    return Tensor._op(fwd, (grad_cols, grad_w, grad_b), cols, weight, bias)
+    # The weight's im2col matrix is a graph-free op of the weight alone,
+    # so a captured forward folds it once; the gradient still flows to
+    # ``weight`` through ``grad_w``.
+    w_mat = apply(fold_conv_weight, weight)
+    return Tensor._op(fwd, (grad_cols, grad_w, grad_b, None), cols, weight, bias, w_mat)
 
 
 def conv2d(

@@ -27,43 +27,6 @@ except ImportError:  # older numpy: replay through np.einsum itself
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
-# -- graph-free forward kernels ----------------------------------------------
-#
-# The raw-array forward computations, split out so the serve compiler can
-# run them without Tensor wrapping or graph bookkeeping.  The autograd ops
-# below call the same functions, which keeps the two paths bit-identical.
-
-
-def relu_forward(data: np.ndarray) -> np.ndarray:
-    return np.maximum(data, 0.0)
-
-
-def tanh_forward(data: np.ndarray) -> np.ndarray:
-    return np.tanh(data)
-
-
-def sigmoid_forward(data: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-data))
-
-
-def gelu_forward(data: np.ndarray) -> np.ndarray:
-    out, __ = _gelu_parts(data)
-    return out
-
-
-def _gelu_parts(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GELU output plus the inner tanh (which the backward pass reuses)."""
-    inner = _SQRT_2_OVER_PI * (data + 0.044715 * data**3)
-    t = np.tanh(inner)
-    return 0.5 * data * (1.0 + t), t
-
-
-def softmax_forward(data: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = data - data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 # -- elementwise -------------------------------------------------------------
 #
 # Each op is a forward ``fwd(*arrays) -> (out, ctx)`` and one VJP
@@ -110,7 +73,7 @@ def sqrt(x: Tensor) -> Tensor:
 
 
 def _tanh(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    out = tanh_forward(data)
+    out = np.tanh(data)
     return out, out
 
 
@@ -123,7 +86,7 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def _sigmoid(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    out = sigmoid_forward(data)
+    out = 1.0 / (1.0 + np.exp(-data))
     return out, out
 
 
@@ -136,7 +99,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def _relu(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return relu_forward(data), data
+    return np.maximum(data, 0.0), data
 
 
 def _relu_vjp(data: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -148,8 +111,9 @@ def relu(x: Tensor) -> Tensor:
 
 
 def _gelu(data: np.ndarray) -> tuple[np.ndarray, tuple]:
-    out, t = _gelu_parts(data)
-    return out, (data, t)
+    inner = _SQRT_2_OVER_PI * (data + 0.044715 * data**3)
+    t = np.tanh(inner)  # the backward pass reuses it
+    return 0.5 * data * (1.0 + t), (data, t)
 
 
 def _gelu_vjp(ctx: tuple, g: np.ndarray) -> np.ndarray:
@@ -200,10 +164,15 @@ def apply(fn: Callable[..., np.ndarray], *operands: Tensor | np.ndarray) -> Tens
 
     For module code that computes on activations outside autograd (the
     feature extractor's normalization and channel statistics): as an op
-    it is one step of a captured training step, where raw numpy on
-    ``.data`` would be frozen into a constant.
+    it is one step of a captured program, named after ``fn``, where raw
+    numpy on ``.data`` would be frozen into a constant.
     """
-    return Tensor._op(lambda *arrays: (fn(*arrays), None), None, *operands)
+
+    def fwd(*arrays: np.ndarray) -> tuple[np.ndarray, None]:
+        return fn(*arrays), None
+
+    fwd.__qualname__ = getattr(fn, "__qualname__", fwd.__qualname__)
+    return Tensor._op(fwd, None, *operands)
 
 
 # -- softmax family -----------------------------------------------------------
@@ -211,7 +180,8 @@ def apply(fn: Callable[..., np.ndarray], *operands: Tensor | np.ndarray) -> Tens
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def fwd(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        out = softmax_forward(data, axis=axis)
+        e = np.exp(data - data.max(axis=axis, keepdims=True))
+        out = e / e.sum(axis=axis, keepdims=True)
         return out, out
 
     def grad_fn(out: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -469,11 +439,8 @@ def _get_plan(spec: str, shapes: tuple[tuple[int, ...], ...], count: int) -> _Ei
 def einsum_forward(spec: str, *arrays: np.ndarray) -> np.ndarray:
     """Graph-free einsum on raw arrays, sharing the plan cache.
 
-    The serve compiler's pre-planned contractions call this: the first
-    request populates :data:`_PLAN_CACHE` (including the pairwise
-    contraction list for >=3 operands) and every subsequent request
-    replays it.  The differentiable :func:`einsum` runs the identical
-    forward, so the two paths are bit-exact.
+    The differentiable :func:`einsum` runs the identical forward, so the
+    two are bit-exact.
     """
     shapes = tuple(a.shape for a in arrays)
     out = _get_plan(spec, shapes, len(arrays)).contraction(arrays)
@@ -492,19 +459,26 @@ def einsum(spec: str, *operands: Tensor) -> Tensor:
 
     Spec parsing, gradient-spec derivation and (for >=3 operands) the
     optimal pairwise contraction list are memoized per ``(spec, shapes)``
-    — see :class:`_EinsumPlan`.
+    — see :class:`_EinsumPlan`.  The forward plans for the shapes it is
+    handed, so a captured forward replayed at another batch size
+    contracts in the order an eager call at that size would.
     """
     shapes = tuple(op.shape for op in operands)
-    plan = _get_plan(spec, shapes, len(operands))
+    traced = _get_plan(spec, shapes, len(operands))
 
     def fwd(*arrays: np.ndarray) -> tuple[np.ndarray, tuple]:
+        plan = traced
+        shapes = tuple(array.shape for array in arrays)
+        if shapes != plan.shapes:
+            plan = _get_plan(spec, shapes, len(arrays))
         out = plan.contraction(arrays)
         if OBS.enabled:
             OBS.inc("einsum.forward", bytes=np.asarray(out).nbytes)
-        return np.asarray(out), arrays
+        return np.asarray(out), (plan, arrays)
 
     def make_grad(i: int) -> GradFn:
-        def grad_fn(arrays: tuple, g: np.ndarray) -> np.ndarray:
+        def grad_fn(ctx: tuple, g: np.ndarray) -> np.ndarray:
+            plan, arrays = ctx
             gplan = plan.grad_plans()[i]
             others = [arrays[j] for j in range(len(arrays)) if j != i]
             partial = gplan.contraction([g, *others])

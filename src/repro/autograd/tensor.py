@@ -20,9 +20,10 @@ chain rule.  Gradients broadcast exactly like numpy: a helper
 parent's shape, so ``(B, N) + (N,)`` behaves as expected.
 
 Because kernels read only their operands, :mod:`repro.autograd.capture`
-can record a training step's kernels once and replay them on the next
-batch; while a recorder is active :meth:`Tensor._op` and the backward
-sweep report to it.
+can record a training step's or an eval forward's kernels once and
+replay them; while a thread's recorder is active, the ops, module calls
+and backward sweep that thread runs report to it.  Each thread has its
+own recorder, so captures on different threads never see each other.
 
 Gradient recording is thread-unsafe by design (the library is
 single-process) and can be paused with the :func:`no_grad` context manager,
@@ -45,18 +46,17 @@ GradFn = Callable[[object, np.ndarray], np.ndarray]
 
 _grad_enabled = True
 
-#: The active :class:`repro.autograd.capture.Recorder`, if a step is being
-#: captured (see :func:`repro.autograd.capture.recording`), and the thread
-#: capturing it: ops other threads run meanwhile are not part of the step.
-_RECORDER = None
-_RECORDER_THREAD: int | None = None
+#: Each thread's active :class:`repro.autograd.capture.Recorder` (see
+#: :func:`repro.autograd.capture.recording`), and how many threads have
+#: one: while that count is 0 the hot paths skip the thread-local lookup.
+_RECORDERS = threading.local()
+_CAPTURING = 0
+_CAPTURING_LOCK = threading.Lock()
 
 
 def _recorder():
-    """The active recorder if this thread is the one capturing, else None."""
-    if _RECORDER is not None and _RECORDER_THREAD == threading.get_ident():
-        return _RECORDER
-    return None
+    """This thread's active recorder, else None."""
+    return getattr(_RECORDERS, "active", None) if _CAPTURING else None
 
 
 @contextlib.contextmanager
@@ -78,11 +78,15 @@ def grad_enabled() -> bool:
 
 def _set_recorder(recorder: object) -> None:
     """Make ``recorder`` this thread's active capture (``None`` ends it)."""
-    global _RECORDER, _RECORDER_THREAD
-    if recorder is not None and _RECORDER is not None:
+    global _CAPTURING
+    active = getattr(_RECORDERS, "active", None)
+    if recorder is not None and active is not None:
         raise RuntimeError("a step is already being captured")
-    _RECORDER = recorder
-    _RECORDER_THREAD = None if recorder is None else threading.get_ident()
+    if (recorder is None) == (active is None):
+        return
+    with _CAPTURING_LOCK:
+        _CAPTURING += 1 if recorder is not None else -1
+    _RECORDERS.active = recorder
 
 
 def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -158,8 +162,10 @@ class Tensor:
         array = np.asarray(data)
         if array.dtype.kind != "f":
             array = array.astype(np.float32)
-        if _RECORDER is not None and array is not data and _recorder() is not None:
-            _RECORDER.converted(data, array)
+        if _CAPTURING and array is not data:
+            recorder = _recorder()
+            if recorder is not None:
+                recorder.converted(data, array)
         self.data: np.ndarray = array
         self.grad: np.ndarray | None = None
         self._ctx = None
@@ -248,8 +254,10 @@ class Tensor:
                 result._parents = tuple(parents)
                 result._grad_fns = tuple(fns)
                 result._ctx = ctx
-        if _RECORDER is not None and _recorder() is not None:
-            _RECORDER.op(fwd, operands, out, result, effect)
+        if _CAPTURING:
+            recorder = _recorder()
+            if recorder is not None:
+                recorder.op(fwd, operands, out, result, effect)
         return result
 
     def _accumulate(self, grad: np.ndarray) -> None:

@@ -29,7 +29,7 @@ report (slowest spans, per-phase breakdown — see docs/observability.md).
 severities — see docs/robustness.md) over the same run-dir/resume
 machinery; severity-0 cells are bit-identical to the clean Table I
 evaluation.  ``inspect`` prints a method's adapter layout and
-parameter budget; ``compile`` lowers a method into its serving program
+parameter budget; ``compile`` captures a method's serving program
 and prints the step listing (``--describe`` adds per-step output
 dtypes/shapes — the view of what the precision tier actually
 produced); ``figures`` runs the Figure 1-3 numerical checks;

@@ -56,8 +56,9 @@ class WorkerError(ReproError):
 class ServeError(ReproError):
     """The serving layer was misused or asked to compile the uncompilable.
 
-    Raised when the serve compiler meets a module type it has no lowering
-    rule for, or when a :class:`~repro.serve.registry.MultiTenantEngine`
+    Raised when a model has no ``features()`` to serve, when its forward
+    cannot be captured or does not serve a sample in a batch as it serves
+    it alone, or when a :class:`~repro.serve.registry.MultiTenantEngine`
     is used after ``close()`` or a scheduler is built with invalid limits.
     """
 

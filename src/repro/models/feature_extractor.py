@@ -2,9 +2,9 @@
 
 MetaLoRA conditions its parameter generation on features of the input.
 The paper uses a pre-trained ResNet for this; here any backbone exposing
-``features()`` can serve.  The extractor is frozen and runs under
-``no_grad`` — gradients never flow into it, only into the mapping net that
-consumes its output.
+``features()`` can serve.  The extractor is frozen and its output is a
+graph-free op — gradients never flow into it, only into the mapping net
+that consumes its output.
 
 For image inputs the embedding is augmented with **global channel
 statistics** (per-channel mean and standard deviation).  A full-size
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd.ops import apply
-from repro.autograd.tensor import Tensor, no_grad
+from repro.autograd.tensor import Tensor
 from repro.nn.module import Module
 
 
@@ -59,9 +59,9 @@ class FeatureExtractor(Module):
         return base
 
     def forward(self, x: Tensor) -> Tensor:
-        with no_grad():
-            feats = self.backbone.features(x)
-        return apply(self._describe, feats, x)
+        # The frozen backbone builds no graph, and ``apply`` ends it anyway;
+        # no process-wide no_grad, so a capture on another thread is unaffected.
+        return apply(self._describe, self.backbone.features(x), x)
 
     def _describe(self, feats: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Normalize the backbone features and append the channel

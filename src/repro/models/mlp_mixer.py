@@ -95,9 +95,9 @@ class MLPMixer(Module):
             )
         p = self.patch_size
         grid = h // p
-        x = x.reshape(n, c, grid, p, grid, p)
+        x = x.reshape(-1, c, grid, p, grid, p)
         x = x.transpose(0, 2, 4, 1, 3, 5)  # (N, gh, gw, C, p, p)
-        return x.reshape(n, grid * grid, c * p * p)
+        return x.reshape(-1, grid * grid, c * p * p)
 
     def features(self, x: Tensor) -> Tensor:
         """Pooled embedding ``(N, hidden_dim)`` before the classifier."""

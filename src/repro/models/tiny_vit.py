@@ -42,20 +42,20 @@ class MultiHeadSelfAttention(Module):
         self.out_proj = Linear(dim, dim, rng=rng)
 
     def _split_heads(self, x: Tensor) -> Tensor:
-        n, t, __ = x.shape
-        return x.reshape(n, t, self.heads, self.head_dim).transpose(0, 2, 1, 3)
+        t = x.shape[1]
+        return x.reshape(-1, t, self.heads, self.head_dim).transpose(0, 2, 1, 3)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 3 or x.shape[2] != self.dim:
             raise ShapeError(f"attention expects (N, T, {self.dim}), got {x.shape}")
-        n, t, __ = x.shape
+        t = x.shape[1]
         q = self._split_heads(self.q_proj(x))  # (N, H, T, D)
         k = self._split_heads(self.k_proj(x))
         v = self._split_heads(self.v_proj(x))
         scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(self.head_dim))
         weights = ops.softmax(scores, axis=-1)
         attended = weights @ v  # (N, H, T, D)
-        merged = attended.transpose(0, 2, 1, 3).reshape(n, t, self.dim)
+        merged = attended.transpose(0, 2, 1, 3).reshape(-1, t, self.dim)
         return self.out_proj(merged)
 
 
@@ -128,9 +128,9 @@ class TinyViT(Module):
             )
         p = self.patch_size
         grid = h // p
-        x = x.reshape(n, c, grid, p, grid, p)
+        x = x.reshape(-1, c, grid, p, grid, p)
         x = x.transpose(0, 2, 4, 1, 3, 5)
-        return x.reshape(n, grid * grid, c * p * p)
+        return x.reshape(-1, grid * grid, c * p * p)
 
     def features(self, x: Tensor) -> Tensor:
         """Pooled embedding ``(N, dim)`` before the classifier."""

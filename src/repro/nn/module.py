@@ -14,7 +14,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, _recorder
 from repro.errors import ShapeError
 
 
@@ -166,7 +166,12 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, *inputs: Tensor) -> Tensor:
-        return self.forward(*inputs)
+        recorder = _recorder()
+        if recorder is None:
+            return self.forward(*inputs)
+        # A capture names each step after the innermost module running it.
+        with recorder.scope(self):
+            return self.forward(*inputs)
 
     def __repr__(self) -> str:
         child_names = ", ".join(self._modules)

@@ -211,14 +211,14 @@ class AttachResult:
         return model_digest(self.model)
 
     def serving_model(self, merge: bool = True) -> Module:
-        """The model the serve compiler should lower for inference.
+        """The model the serve compiler should capture for inference.
 
         With ``merge=True`` (and only while still attached), static
         adapters are baked into their base layers via :meth:`merge` so the
         compiled program carries no adapter ops.  Meta adapters cannot
-        merge — the model is returned as-is and the compiler lowers their
-        own ``add_delta`` instead.  Already-merged or detached
-        results just return the model.
+        merge — the model is returned as-is and the program captures
+        their forward unmerged.  Already-merged or detached results just
+        return the model.
         """
         if merge and self._state == "attached" and not self.is_meta:
             return self.merge()

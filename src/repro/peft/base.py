@@ -7,73 +7,35 @@ holds the pieces it is built from: the :class:`Adapter` base class and
 the ``get_module`` / ``set_module`` surgery helpers.  ``merge_adapters``
 reverses the surgery, baking each static adapter's ``ΔW`` into the base
 layer so inference costs exactly the original model.
+
+An adapter's forward is plain autograd ops, the same code in training
+and in serving: :mod:`repro.serve` captures it as it runs, so a family
+needs no serving code of its own and serves unmerged.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from repro.autograd import ops
 from repro.autograd.conv_ops import conv_patches, unfold
 from repro.autograd.tensor import Tensor
 from repro.errors import AdapterError, ShapeError
 from repro.nn.conv import Conv2d
-from repro.nn.module import Module, Parameter
-
-
-class AutogradKernels:
-    """The kernel namespace :meth:`Adapter.add_delta` trains against.
-
-    Every call is a differentiable op, so ΔW·x joins the autograd graph.
-    :class:`repro.serve.compile.CompiledKernels` is the same namespace over
-    the raw-array ``*_forward`` kernels these ops call, which is how one
-    ``add_delta`` serves both training and compiled inference:
-
-    - ``param(p)`` — an adapter parameter (the parameter itself here; a
-      folded compile-time copy there);
-    - ``scalar(v)`` — ``v`` as the strong 0-d float64 operand ``Tensor``
-      arithmetic coerces python floats to;
-    - ``einsum``, ``softmax``, ``stack`` and ``conv(x, w)``, a conv over
-      the patches ``x`` with the base conv's geometry;
-    - ``fold(fn, *operands)`` — a parameter-only expression (a factor's
-      layout change): run every forward here, once per program there.
-    """
-
-    einsum = staticmethod(ops.einsum)
-    softmax = staticmethod(ops.softmax)
-    stack = staticmethod(ops.stack)
-
-    @staticmethod
-    def param(param: Parameter) -> Tensor:
-        return param
-
-    @staticmethod
-    def scalar(value: float) -> float:
-        return float(value)
-
-    @staticmethod
-    def conv(x: Tensor, weight: Tensor) -> Tensor:
-        return conv_patches(x, weight)
-
-    @staticmethod
-    def fold(fn: Callable[..., Tensor], *operands: Tensor) -> Tensor:
-        return fn(*operands)
-
-
-AUTOGRAD = AutogradKernels()
+from repro.nn.module import Module
 
 
 class Adapter(Module):
     """Base class for adapters wrapping a frozen ``base`` layer.
 
     A family whose output is ``base(x) + ΔW(seed)·x`` writes its update
-    once, as :meth:`add_delta`; the inherited ``forward`` runs it on the
-    autograd kernels and the serve compiler lowers it on the compiled
-    ones.  Families of another shape (DoRA, bottleneck, prefix) override
-    ``forward`` instead and cannot be compiled unmerged.  Static adapters
-    also implement ``delta_weight`` so merging is possible.  Meta adapters
+    once, as :meth:`add_delta`, which the inherited ``forward`` runs after
+    the base layer.  Families of another shape (DoRA, bottleneck, prefix)
+    override ``forward`` instead.  Either way the forward is plain
+    autograd ops, which a serving program captures as they run, so every
+    family serves unmerged.  Static adapters also implement
+    ``delta_weight`` so merging is possible.  Meta adapters
     (input-conditioned ΔW) report ``is_meta = True`` and a ``seed_shape``;
     their ΔW differs per sample, so they cannot merge.
     """
@@ -86,18 +48,15 @@ class Adapter(Module):
         base.freeze()
         self.base = base
 
-    def add_delta(
-        self, k: AutogradKernels, out: Tensor, x: Tensor, seed: Tensor | None
-    ) -> Tensor:
-        """``out + ΔW(seed)·x`` over kernel namespace ``k``.
+    def add_delta(self, out: Tensor, x: Tensor, seed: Tensor | None) -> Tensor:
+        """``out + ΔW(seed)·x``.
 
         ``out`` is ``base(x)``; ``seed`` is the per-sample seed, or
-        ``None`` for the static-seed path.  ``x`` and ``out`` are Tensors
-        under autograd and arrays when compiled, so the body uses only
-        ``k`` and what both share (``@``, ``*``, ``+``, ``reshape``,
-        ``shape``, ``ndim``, indexing).  Conv adapters receive the base
-        conv's unfolded patches as ``x`` in both namespaces; only
-        ``k.conv`` reads it.
+        ``None`` for the static-seed path.  Conv adapters receive the base
+        conv's unfolded patches as ``x`` and run their convs over them
+        with :func:`~repro.autograd.conv_ops.conv_patches`.  Reshapes that
+        carry the batch axis write it as ``-1``, so a captured forward
+        serves any batch size.
         """
         raise AdapterError(f"{type(self).__name__} defines no add_delta")
 
@@ -114,7 +73,7 @@ class Adapter(Module):
         seed = self._seed
         if seed is not None and seed.shape[0] != x.shape[0]:
             raise ShapeError(f"seed batch {seed.shape[0]} != input batch {x.shape[0]}")
-        return self.add_delta(AUTOGRAD, out, x, seed)
+        return self.add_delta(out, x, seed)
 
     def delta_weight(self) -> np.ndarray:
         """The materialized weight update ``ΔW`` (static adapters only)."""

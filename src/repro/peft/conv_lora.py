@@ -15,23 +15,21 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.autograd.conv_ops import conv_patches
 from repro.autograd.tensor import Tensor
 from repro.errors import AdapterError
 from repro.nn import init
 from repro.nn.conv import Conv2d
 from repro.nn.module import Parameter
-from repro.peft.base import Adapter, AutogradKernels
+from repro.peft.base import Adapter
 
 
 def recover_channels(mid: Tensor, b: Tensor) -> Tensor:
     """Fig. 3's 1x1 channel-recovery conv ``(N, R, H, W) -> (N, O, H, W)``
-    as one GEMM over ``mid``'s NHWC storage (a conv output's layout).
-
-    Tensors under autograd, arrays when compiled: the same ops either way.
-    """
-    n, r, h, w = mid.shape
-    rows = mid.transpose(0, 2, 3, 1).reshape(n * h * w, r) @ b
-    return rows.reshape(n, h, w, b.shape[1]).transpose(0, 3, 1, 2)
+    as one GEMM over ``mid``'s NHWC storage (a conv output's layout)."""
+    __, r, h, w = mid.shape
+    rows = mid.transpose(0, 2, 3, 1).reshape(-1, r) @ b
+    return rows.reshape(-1, h, w, b.shape[1]).transpose(0, 3, 1, 2)
 
 
 class ConvLoRA(Adapter):
@@ -60,11 +58,11 @@ class ConvLoRA(Adapter):
         )
         self.lora_b = Parameter(init.zeros((rank, base.out_channels)))
 
-    def add_delta(self, k: AutogradKernels, out: Tensor, x: Tensor, seed: None) -> Tensor:
+    def add_delta(self, out: Tensor, x: Tensor, seed: None) -> Tensor:
         # Fig. 3: small conv to R channels, then a 1x1 conv recovers O channels.
-        mid = k.conv(x, k.param(self.lora_a))
-        delta = recover_channels(mid, k.param(self.lora_b))
-        return out + delta * k.scalar(self.scaling)
+        mid = conv_patches(x, self.lora_a)
+        delta = recover_channels(mid, self.lora_b)
+        return out + delta * self.scaling
 
     def delta_weight(self) -> np.ndarray:
         """Materialized ΔW = A ×₄ B (Eq. 5), shape ``(K, K, I, O)``."""

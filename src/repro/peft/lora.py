@@ -14,7 +14,7 @@ from repro.errors import AdapterError
 from repro.nn import init
 from repro.nn.linear import Linear
 from repro.nn.module import Parameter
-from repro.peft.base import Adapter, AutogradKernels
+from repro.peft.base import Adapter
 
 
 class LoRALinear(Adapter):
@@ -39,8 +39,8 @@ class LoRALinear(Adapter):
         self.lora_a = Parameter(init.normal(rng, (base.in_features, rank), std=0.02))
         self.lora_b = Parameter(init.zeros((rank, base.out_features)))
 
-    def add_delta(self, k: AutogradKernels, out: Tensor, x: Tensor, seed: None) -> Tensor:
-        return out + (x @ k.param(self.lora_a) @ k.param(self.lora_b)) * k.scalar(self.scaling)
+    def add_delta(self, out: Tensor, x: Tensor, seed: None) -> Tensor:
+        return out + (x @ self.lora_a @ self.lora_b) * self.scaling
 
     def delta_weight(self) -> np.ndarray:
         return (self.lora_a.data @ self.lora_b.data) * self.scaling

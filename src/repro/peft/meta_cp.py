@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.autograd import ops
+from repro.autograd.conv_ops import conv_patches
 from repro.autograd.tensor import Tensor
 from repro.errors import AdapterError
 from repro.nn import init
 from repro.nn.conv import Conv2d
 from repro.nn.linear import Linear
 from repro.nn.module import Parameter
-from repro.peft.base import Adapter, AutogradKernels
+from repro.peft.base import Adapter
 
 
 class MetaLoRACPLinear(Adapter):
@@ -56,19 +58,17 @@ class MetaLoRACPLinear(Adapter):
     def seed_shape(self) -> tuple[int, ...]:
         return (self.rank,)
 
-    def add_delta(
-        self, k: AutogradKernels, out: Tensor, x: Tensor, seed: Tensor | None
-    ) -> Tensor:
+    def add_delta(self, out: Tensor, x: Tensor, seed: Tensor | None) -> Tensor:
         squeeze = x.ndim == 2
-        x3 = x.reshape(x.shape[0], 1, x.shape[1]) if squeeze else x
-        mid = k.einsum("nti,ir->ntr", x3, k.param(self.factor_a))
+        x3 = x.reshape(-1, 1, x.shape[1]) if squeeze else x
+        mid = ops.einsum("nti,ir->ntr", x3, self.factor_a)
         if seed is None:
-            mid = mid * k.param(self.static_seed).reshape(1, 1, self.rank)
+            mid = mid * self.static_seed.reshape(1, 1, self.rank)
         else:
-            mid = mid * seed.reshape(seed.shape[0], 1, self.rank)
-        delta = k.einsum("ntr,ro->nto", mid, k.param(self.factor_b)) * k.scalar(self.scaling)
+            mid = mid * seed.reshape(-1, 1, self.rank)
+        delta = ops.einsum("ntr,ro->nto", mid, self.factor_b) * self.scaling
         if squeeze:
-            delta = delta.reshape(x.shape[0], self.base.out_features)
+            delta = delta.reshape(-1, self.base.out_features)
         return out + delta
 
     def delta_weight(self) -> np.ndarray:
@@ -121,16 +121,13 @@ class MetaLoRACPConv(Adapter):
     def seed_shape(self) -> tuple[int, ...]:
         return (self.rank,)
 
-    def add_delta(
-        self, k: AutogradKernels, out: Tensor, x: Tensor, seed: Tensor | None
-    ) -> Tensor:
-        mid = k.conv(x, k.param(self.factor_a))
-        fb = k.param(self.factor_b)
+    def add_delta(self, out: Tensor, x: Tensor, seed: Tensor | None) -> Tensor:
+        mid = conv_patches(x, self.factor_a)
         if seed is None:
-            delta = k.einsum("nrhw,r,ro->nohw", mid, k.param(self.static_seed), fb)
+            delta = ops.einsum("nrhw,r,ro->nohw", mid, self.static_seed, self.factor_b)
         else:
-            delta = k.einsum("nrhw,nr,ro->nohw", mid, seed, fb)
-        return out + delta * k.scalar(self.scaling)
+            delta = ops.einsum("nrhw,nr,ro->nohw", mid, seed, self.factor_b)
+        return out + delta * self.scaling
 
     def delta_weight(self) -> np.ndarray:
         """Static-seed ΔW of shape ``(K, K, I, O)``."""

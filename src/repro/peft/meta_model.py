@@ -94,7 +94,13 @@ class MetaLoRAModel(Module):
         return list(self._meta_names)
 
     def generate_seeds(self, x: Tensor) -> list[Tensor]:
-        """Run feature extraction + mapping nets; one seed tensor per adapter.
+        """Run feature extraction + mapping nets; one seed tensor per adapter."""
+        return self.split_seeds(self.seed_matrix(self.extractor(x)))
+
+    def seed_matrix(self, features: Tensor) -> Tensor:
+        """The mapping nets: extractor features ``(N, F)`` to every
+        adapter's scaled seeds, stacked ``(N, total)`` in
+        ``_seed_offsets`` column order.
 
         Every head reads the same ``hidden``, so the heads run as one
         product against their concatenated weights: each head's output is
@@ -106,18 +112,21 @@ class MetaLoRAModel(Module):
         order whatever rows share the call, so a sample's seeds are the
         same bits alone or in any batch (``x @ W`` is not).
         """
-        features = self.extractor(x)
         trunk = ops.einsum("ni,io->no", features, self.trunk.weight) + self.trunk.bias
         hidden = ops.relu(trunk)
         fused_w = ops.concat([head.weight for head in self.heads], axis=1)
         fused_b = ops.concat([head.bias for head in self.heads], axis=0)
         heads = ops.einsum("ni,io->no", hidden, fused_w) + fused_b
-        scaled = ops.tanh(heads) * self.head_gains[self._gain_index]
-        seeds = []
+        return ops.tanh(heads) * self.head_gains[self._gain_index]
+
+    def split_seeds(self, seeds: Tensor) -> list[Tensor]:
+        """The stacked ``(N, total)`` seeds as one ``(N, *seed_shape)``
+        tensor per adapter."""
+        split = []
         for i, adapter in enumerate(self._meta_adapters):
             lo, hi = self._seed_offsets[i], self._seed_offsets[i + 1]
-            seeds.append(scaled[:, lo:hi].reshape(x.shape[0], *adapter.seed_shape))
-        return seeds
+            split.append(seeds[:, lo:hi].reshape(-1, *adapter.seed_shape))
+        return split
 
     def _install(self, seeds: list[Tensor] | None) -> None:
         for i, adapter in enumerate(self._meta_adapters):
@@ -133,8 +142,13 @@ class MetaLoRAModel(Module):
 
     def features(self, x: Tensor) -> Tensor:
         """Task-adapted embedding of ``x`` (what the KNN protocol consumes)."""
-        seeds = self.generate_seeds(x)
-        self._install(seeds)
+        return self.seeded_features(x, self.seed_matrix(self.extractor(x)))
+
+    def seeded_features(self, x: Tensor, seeds: Tensor) -> Tensor:
+        """``features(x)`` with the stacked seeds :meth:`seed_matrix` makes
+        given rather than generated: the backbone body alone, which tenants
+        that share a backbone but not a mapping net can serve together."""
+        self._install(self.split_seeds(seeds))
         try:
             return self.backbone.features(x)
         finally:

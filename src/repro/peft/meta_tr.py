@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.autograd import ops
+from repro.autograd.conv_ops import conv_patches
 from repro.autograd.tensor import Tensor
 from repro.errors import AdapterError
 from repro.nn import init
 from repro.nn.conv import Conv2d
 from repro.nn.linear import Linear
 from repro.nn.module import Parameter
-from repro.peft.base import Adapter, AutogradKernels
+from repro.peft.base import Adapter
 
 
 class MetaLoRATRLinear(Adapter):
@@ -55,22 +57,19 @@ class MetaLoRATRLinear(Adapter):
     def seed_shape(self) -> tuple[int, ...]:
         return (self.rank, self.rank)
 
-    def add_delta(
-        self, k: AutogradKernels, out: Tensor, x: Tensor, seed: Tensor | None
-    ) -> Tensor:
+    def add_delta(self, out: Tensor, x: Tensor, seed: Tensor | None) -> Tensor:
         squeeze = x.ndim == 2
-        x3 = x.reshape(x.shape[0], 1, x.shape[1]) if squeeze else x
+        x3 = x.reshape(-1, 1, x.shape[1]) if squeeze else x
         # t1[n,t,p,r] = Σ_i x[n,t,i] A[p,i,r]
-        t1 = k.einsum("nti,pir->ntpr", x3, k.param(self.core_a))
-        cb = k.param(self.core_b)
+        t1 = ops.einsum("nti,pir->ntpr", x3, self.core_a)
         if seed is None:
             # delta[n,t,o] = Σ t1[n,t,p,r] B[r,o,q] C[q,p]
-            delta = k.einsum("ntpr,roq,qp->nto", t1, cb, k.param(self.static_seed))
+            delta = ops.einsum("ntpr,roq,qp->nto", t1, self.core_b, self.static_seed)
         else:
-            delta = k.einsum("ntpr,roq,nqp->nto", t1, cb, seed)
-        delta = delta * k.scalar(self.scaling)
+            delta = ops.einsum("ntpr,roq,nqp->nto", t1, self.core_b, seed)
+        delta = delta * self.scaling
         if squeeze:
-            delta = delta.reshape(x.shape[0], self.base.out_features)
+            delta = delta.reshape(-1, self.base.out_features)
         return out + delta
 
     def delta_weight(self) -> np.ndarray:
@@ -129,27 +128,21 @@ class MetaLoRATRConv(Adapter):
     def seed_shape(self) -> tuple[int, ...]:
         return (self.rank, self.rank)
 
-    def add_delta(
-        self, k: AutogradKernels, out: Tensor, x: Tensor, seed: Tensor | None
-    ) -> Tensor:
+    def add_delta(self, out: Tensor, x: Tensor, seed: Tensor | None) -> Tensor:
         r = self.rank
         size = self.base.kernel_size
         # A as one convolution with R·R output channels, index = p·R + r1.
-        a_conv = k.fold(
-            lambda a: a.transpose(1, 2, 3, 0, 4).reshape(
-                size, size, self.base.in_channels, r * r
-            ),
-            k.param(self.core_a),
+        a_conv = self.core_a.transpose(1, 2, 3, 0, 4).reshape(
+            size, size, self.base.in_channels, r * r
         )
-        mid = k.conv(x, a_conv)
-        n, __, h, w = mid.shape
-        mid = mid.reshape(n, r, r, h, w)  # (N, p, r1, H, W)
-        cb = k.param(self.core_b)
+        mid = conv_patches(x, a_conv)
+        __, __, h, w = mid.shape
+        mid = mid.reshape(-1, r, r, h, w)  # (N, p, r1, H, W)
         if seed is None:
-            delta = k.einsum("nprhw,roq,qp->nohw", mid, cb, k.param(self.static_seed))
+            delta = ops.einsum("nprhw,roq,qp->nohw", mid, self.core_b, self.static_seed)
         else:
-            delta = k.einsum("nprhw,roq,nqp->nohw", mid, cb, seed)
-        return out + delta * k.scalar(self.scaling)
+            delta = ops.einsum("nprhw,roq,nqp->nohw", mid, self.core_b, seed)
+        return out + delta * self.scaling
 
     def delta_weight(self) -> np.ndarray:
         """Static-seed ΔW of shape ``(K, K, I, O)``."""

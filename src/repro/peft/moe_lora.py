@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.autograd import ops
 from repro.autograd.tensor import Tensor
 from repro.errors import AdapterError
 from repro.nn import init
 from repro.nn.linear import Linear
 from repro.nn.module import ModuleList, Parameter
-from repro.peft.base import Adapter, AutogradKernels
+from repro.peft.base import Adapter
 from repro.peft.multi_lora import _LinearBranch
 
 
@@ -58,26 +59,23 @@ class MoELoRALinear(Adapter):
         """Per-sample gate logits, one per expert."""
         return (self.experts,)
 
-    def add_delta(
-        self, k: AutogradKernels, out: Tensor, x: Tensor, seed: Tensor | None
-    ) -> Tensor:
+    def add_delta(self, out: Tensor, x: Tensor, seed: Tensor | None) -> Tensor:
         squeeze = x.ndim == 2
-        x3 = x.reshape(x.shape[0], 1, x.shape[1]) if squeeze else x
-        deltas = [branch.delta(x3, k) for branch in self.expert_branches]
+        x3 = x.reshape(-1, 1, x.shape[1]) if squeeze else x
+        deltas = [branch.delta(x3) for branch in self.expert_branches]
         if seed is None:
-            logits = k.param(self.static_gate_logits)
-            gates = k.softmax(logits.reshape(1, self.experts))
+            gates = ops.softmax(self.static_gate_logits.reshape(1, self.experts))
             gates = gates.reshape(1, 1, self.experts)
             mixed = deltas[0] * gates[:, :, 0]
             for i in range(1, self.experts):
                 mixed = mixed + deltas[i] * gates[:, :, i]
         else:
-            gates = k.softmax(seed)  # (N, experts)
-            stacked = k.stack(deltas, axis=3)  # (N, T, O, K)
-            mixed = k.einsum("ntok,nk->nto", stacked, gates)
-        mixed = mixed * k.scalar(self.scaling)
+            gates = ops.softmax(seed)  # (N, experts)
+            stacked = ops.stack(deltas, axis=3)  # (N, T, O, K)
+            mixed = ops.einsum("ntok,nk->nto", stacked, gates)
+        mixed = mixed * self.scaling
         if squeeze:
-            mixed = mixed.reshape(x.shape[0], self.base.out_features)
+            mixed = mixed.reshape(-1, self.base.out_features)
         return out + mixed
 
     def extra_parameter_count(self) -> int:

@@ -17,7 +17,8 @@ from repro.nn import init
 from repro.nn.conv import Conv2d
 from repro.nn.linear import Linear
 from repro.nn.module import Module, ModuleList, Parameter
-from repro.peft.base import AUTOGRAD, Adapter, AutogradKernels
+from repro.autograd.conv_ops import conv_patches
+from repro.peft.base import Adapter
 from repro.peft.conv_lora import recover_channels
 
 
@@ -31,8 +32,8 @@ class _LinearBranch(Module):
         self.lora_a = Parameter(init.normal(rng, (in_features, rank), std=0.02))
         self.lora_b = Parameter(init.zeros((rank, out_features)))
 
-    def delta(self, x: Tensor, k: AutogradKernels = AUTOGRAD) -> Tensor:
-        return x @ k.param(self.lora_a) @ k.param(self.lora_b)
+    def delta(self, x: Tensor) -> Tensor:
+        return x @ self.lora_a @ self.lora_b
 
     def delta_weight(self) -> np.ndarray:
         return self.lora_a.data @ self.lora_b.data
@@ -60,8 +61,8 @@ class _ConvBranch(Module):
         )
         self.lora_b = Parameter(init.zeros((rank, out_channels)))
 
-    def delta(self, x: Tensor, k: AutogradKernels = AUTOGRAD) -> Tensor:
-        return recover_channels(k.conv(x, k.param(self.lora_a)), k.param(self.lora_b))
+    def delta(self, x: Tensor) -> Tensor:
+        return recover_channels(conv_patches(x, self.lora_a), self.lora_b)
 
     def delta_weight(self) -> np.ndarray:
         return np.einsum("abir,ro->abio", self.lora_a.data, self.lora_b.data)
@@ -97,10 +98,9 @@ class MultiLoRALinear(Adapter):
         )
         self.gates = Parameter(init.ones((branches,)) / branches)
 
-    def add_delta(self, k: AutogradKernels, out: Tensor, x: Tensor, seed: None) -> Tensor:
-        gates = k.param(self.gates)
+    def add_delta(self, out: Tensor, x: Tensor, seed: None) -> Tensor:
         for i, branch in enumerate(self.lora_branches):
-            out = out + branch.delta(x, k) * (gates[i] * k.scalar(self.scaling))
+            out = out + branch.delta(x) * (self.gates[i] * self.scaling)
         return out
 
     def delta_weight(self) -> np.ndarray:
@@ -147,10 +147,9 @@ class MultiLoRAConv(Adapter):
         )
         self.gates = Parameter(init.ones((branches,)) / branches)
 
-    def add_delta(self, k: AutogradKernels, out: Tensor, x: Tensor, seed: None) -> Tensor:
-        gates = k.param(self.gates)
+    def add_delta(self, out: Tensor, x: Tensor, seed: None) -> Tensor:
         for i, branch in enumerate(self.lora_branches):
-            out = out + branch.delta(x, k) * (gates[i] * k.scalar(self.scaling))
+            out = out + branch.delta(x) * (self.gates[i] * self.scaling)
         return out
 
     def delta_weight(self) -> np.ndarray:

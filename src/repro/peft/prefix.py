@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.autograd import ops
 from repro.autograd.ops import concat
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, unbroadcast
 from repro.errors import AdapterError
 from repro.models.tiny_vit import MultiHeadSelfAttention
 from repro.nn import init
@@ -52,21 +52,36 @@ class PrefixTuningAttention(Adapter):
 
     def forward(self, x: Tensor) -> Tensor:
         base = self.base
-        n, t, __ = x.shape
+        t = x.shape[1]
         q = base._split_heads(base.q_proj(x))  # (N, H, T, D)
         k = base._split_heads(base.k_proj(x))
         v = base._split_heads(base.v_proj(x))
-        # Broadcast the learned prefix across the batch.
-        ones = Tensor(np.ones((n, 1, 1, 1), dtype=np.float32))
-        pk = self.prefix_keys * ones  # (N, H, P, D)
-        pv = self.prefix_values * ones
+        pk = _per_sample(self.prefix_keys, k)  # (N, H, P, D)
+        pv = _per_sample(self.prefix_values, k)
         k = concat([pk, k], axis=2)  # (N, H, P+T, D)
         v = concat([pv, v], axis=2)
         scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(base.head_dim))
         weights = ops.softmax(scores, axis=-1)
         attended = weights @ v  # (N, H, T, D)
-        merged = attended.transpose(0, 2, 1, 3).reshape(n, t, base.dim)
+        merged = attended.transpose(0, 2, 1, 3).reshape(-1, t, base.dim)
         return base.out_proj(merged)
 
     def extra_parameter_count(self) -> int:
         return self.prefix_keys.size + self.prefix_values.size
+
+
+def _per_sample(prefix: Tensor, like: Tensor) -> Tensor:
+    """The learned ``(1, H, P, D)`` prefix repeated along ``like``'s batch
+    axis: one op that reads the batch size when it runs, so a captured
+    forward serves any batch."""
+    shape = prefix.shape
+
+    def ones(n: int) -> np.ndarray:
+        return np.ones((n, 1, 1, 1), dtype=np.float32)
+
+    return Tensor._op(
+        lambda p, like: (p * ones(like.shape[0]), None),
+        (lambda ctx, g: unbroadcast(g * ones(g.shape[0]), shape), None),
+        prefix,
+        like,
+    )

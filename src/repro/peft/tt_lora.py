@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.autograd import ops
 from repro.autograd.tensor import Tensor
 from repro.errors import AdapterError
 from repro.nn import init
 from repro.nn.linear import Linear
 from repro.nn.module import Parameter
-from repro.peft.base import Adapter, AutogradKernels
+from repro.peft.base import Adapter
 from repro.tensornet.tensor_train import factorize_dim
 
 
@@ -66,22 +67,22 @@ class TTLoRALinear(Adapter):
         o1, o2 = self.out_grid
         return grid.reshape(i1 * i2, o1 * o2) * self.scaling
 
-    def add_delta(self, k: AutogradKernels, out: Tensor, x: Tensor, seed: None) -> Tensor:
+    def add_delta(self, out: Tensor, x: Tensor, seed: None) -> Tensor:
         squeeze = x.ndim == 2
-        x3 = x.reshape(x.shape[0], 1, x.shape[1]) if squeeze else x
+        x3 = x.reshape(-1, 1, x.shape[1]) if squeeze else x
         i1, i2 = self.in_grid
         # Contract the input against the TT chain without materializing ΔW.
-        x_grid = x3.reshape(x3.shape[0], x3.shape[1], i1, i2)
-        g1 = k.param(self.core1).reshape(i1, self.rank)  # (1, I1, R) -> (I1, R)
-        t = k.einsum("ntab,ay->ntby", x_grid, g1)  # (N, T, I2, R)
-        t = k.einsum("ntby,ybz->ntz", t, k.param(self.core2))  # (N, T, R)
-        t = k.einsum("ntz,zcw->ntcw", t, k.param(self.core3))  # (N, T, O1, R)
-        g4 = k.param(self.core4).reshape(self.rank, self.out_grid[1])  # (R, O2)
-        delta = k.einsum("ntcw,wd->ntcd", t, g4)  # (N, T, O1, O2)
-        delta = delta.reshape(x3.shape[0], x3.shape[1], self.base.out_features)
-        delta = delta * k.scalar(self.scaling)
+        x_grid = x3.reshape(-1, x3.shape[1], i1, i2)
+        g1 = self.core1.reshape(i1, self.rank)  # (1, I1, R) -> (I1, R)
+        t = ops.einsum("ntab,ay->ntby", x_grid, g1)  # (N, T, I2, R)
+        t = ops.einsum("ntby,ybz->ntz", t, self.core2)  # (N, T, R)
+        t = ops.einsum("ntz,zcw->ntcw", t, self.core3)  # (N, T, O1, R)
+        g4 = self.core4.reshape(self.rank, self.out_grid[1])  # (R, O2)
+        delta = ops.einsum("ntcw,wd->ntcd", t, g4)  # (N, T, O1, O2)
+        delta = delta.reshape(-1, x3.shape[1], self.base.out_features)
+        delta = delta * self.scaling
         if squeeze:
-            delta = delta.reshape(x.shape[0], self.base.out_features)
+            delta = delta.reshape(-1, self.base.out_features)
         return out + delta
 
     def extra_parameter_count(self) -> int:

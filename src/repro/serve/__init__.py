@@ -1,7 +1,9 @@
 """Graph-free compiled inference for embedding serving.
 
-``compile_features`` lowers a model's ``features()`` into a flat program
-of raw-numpy kernels (no Tensor wrapping, no autograd bookkeeping);
+``compile_features`` snapshots a model and captures its own eval
+``features()`` forward, once per input shape, as a flat program of
+raw-numpy kernels (no Tensor wrapping, no autograd bookkeeping), so every
+model and adapter family serves with no serving code of its own;
 ``AdapterRegistry`` + ``MultiTenantEngine`` serve *named* adapters —
 hot register/swap/evict, a shared LRU of compiled programs, and
 cross-tenant grouping inside one synchronous ``serve`` call —
@@ -30,12 +32,7 @@ from repro.serve.api import (
 from repro.serve.compile import (
     PRECISIONS,
     CompiledProgram,
-    ProgramBuilder,
     compile_features,
-    compile_forward,
-    compile_seed_mapping,
-    compiles,
-    compiles_features,
     resolve_precision,
 )
 from repro.serve.engine import build_engine
@@ -63,7 +60,6 @@ __all__ = [
     "MultiTenantEngine",
     "OK",
     "PRECISIONS",
-    "ProgramBuilder",
     "ProgramCache",
     "ProgramKey",
     "REJECTED",
@@ -77,10 +73,6 @@ __all__ = [
     "Timings",
     "build_engine",
     "compile_features",
-    "compile_forward",
-    "compile_seed_mapping",
-    "compiles",
-    "compiles_features",
     "decode_payload",
     "encode_payload",
     "ingest_sample",

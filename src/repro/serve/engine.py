@@ -30,8 +30,8 @@ def build_engine(
     Given an :class:`~repro.peft.api.AttachResult` holding static adapters,
     ``merge=True`` (default) bakes the adapter deltas into the base weights
     via ``AttachResult.merge()`` before compiling — the served program then
-    contains no adapter ops at all.  Meta adapters cannot merge; they
-    compile through their own ``add_delta`` instead.  ``precision``
+    contains no adapter ops at all.  Meta adapters cannot merge; the
+    program captures their forward unmerged instead.  ``precision``
     picks the tier (explicit, else ``REPRO_SERVE_PRECISION``, else ``f64``).
 
     The program is registered as :data:`DEFAULT_TENANT` and set as the

@@ -19,9 +19,11 @@ Three design points carry the throughput story:
   ``serve.program_cache.{hit,miss,evict}`` record the traffic.
 
 - **Split compilation for MetaLoRA tenants.**  A seed-slot tenant
-  compiles to *three* programs — extractor (``x → features``), mapping
-  (``features → stacked seeds``) and body (``(x, seeds) → embeddings``) —
-  keyed independently, so tenants sharing a backbone+extractor but
+  compiles to *three* programs, each a capture of one part of the
+  model's forward — extractor (``x → features``), mapping
+  (``features → stacked seeds``, :meth:`MetaLoRAModel.seed_matrix`) and
+  body (``(x, seeds) → embeddings``, :meth:`MetaLoRAModel.seeded_features`)
+  — keyed independently, so tenants sharing a backbone+extractor but
   trained to different mapping weights share two of the three.
 
 - **Heterogeneous batches.**  ``serve`` groups a batch's requests by
@@ -66,13 +68,7 @@ from repro.serve.api import (
     ServeResult,
     Timings,
 )
-from repro.serve.compile import (
-    CompiledProgram,
-    compile_features,
-    compile_forward,
-    compile_seed_mapping,
-    resolve_precision,
-)
+from repro.serve.compile import CompiledProgram, compile_features, resolve_precision
 
 #: Label used on ``serve.run`` when one program execution serves rows
 #: from more than one tenant (the cross-tenant stacked runs).
@@ -517,15 +513,12 @@ class AdapterRegistry:
         body_key = program_key(model.backbone, role="body", precision=precision)
         mapping_key = _mapping_key(model, precision)
         extractor = self.programs.get(
-            extractor_key, lambda: compile_forward(model.extractor, precision=precision)
+            extractor_key, lambda: _role_program(model, "extractor", precision)
         )
         mapping = self.programs.get(
-            mapping_key, lambda: compile_seed_mapping(model, precision=precision)
+            mapping_key, lambda: _role_program(model, "mapping", precision)
         )
-        body = self.programs.get(
-            body_key,
-            lambda: compile_features(model, external_seeds=True, precision=precision),
-        )
+        body = self.programs.get(body_key, lambda: _role_program(model, "body", precision))
         return AdapterEntry(
             name,
             "seeded",
@@ -534,6 +527,18 @@ class AdapterRegistry:
             mapping=mapping,
             body=body,
         )
+
+
+def _role_program(model: MetaLoRAModel, role: str, precision: str) -> CompiledProgram:
+    """The program of one role of a seed-slot tenant's forward."""
+    module, forward, inputs = {
+        "extractor": (model.extractor, lambda extractor, x: extractor(x), 1),
+        "mapping": (model, lambda meta, features: meta.seed_matrix(features), 1),
+        "body": (model, lambda meta, x, seeds: meta.seeded_features(x, seeds), 2),
+    }[role]
+    return CompiledProgram(
+        module, forward, f"{type(model).__name__}.{role}", inputs=inputs, precision=precision
+    )
 
 
 # -- the tenant-aware engine --------------------------------------------------

@@ -1,38 +1,42 @@
 """Compiled-program bit-exactness against the autograd reference path.
 
 The contract under test is exact equality (``max_abs_diff == 0.0``), not
-closeness: the compiled kernels are the same functions the autograd ops
-call, with scalar constants coerced exactly as ``Tensor`` arithmetic
-coerces them.  That contract is pinned to the f64 tier; when the suite
-runs under ``REPRO_SERVE_PRECISION=f32`` the same tests assert tier-sized
-closeness instead (see conftest's ``assert_serving_match``).
+closeness: a compiled program is the model's own eval forward, captured
+and replayed on the same kernels and operands.  That contract is pinned
+to the f64 tier; when the suite runs under ``REPRO_SERVE_PRECISION=f32``
+the same tests assert tier-sized closeness instead (see conftest's
+``assert_serving_match``).
 """
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor
+from repro.autograd.ops import sqrt
 from repro.errors import ServeError
 from repro.eval.embeddings import extract_embeddings
-from repro.models import FeatureExtractor, mixer_small, resnet_small
+from repro.models import FeatureExtractor, mixer_small, resnet_small, vit_small
+from repro.models.tiny_vit import MultiHeadSelfAttention
 from repro.nn import BatchNorm2d, Conv2d, Linear
-from repro.peft import MetaLoRAModel, attach
-from repro.serve import build_engine, compile_features
-from repro.serve.compile import ProgramBuilder
+from repro.peft import MetaLoRAModel, PrefixTuningAttention, attach
+from repro.serve import AdapterRegistry, build_engine, compile_features
 
 BACKBONES = {
     "resnet": lambda rng: resnet_small(4, rng),
     "mixer": lambda rng: mixer_small(4, rng),
 }
 
-#: Every PEFT_METHODS family that writes its update as ``add_delta``
-#: (aliases of the meta formats left out); all of them compile unmerged.
-ADAPTER_METHODS = ("lora", "multi_lora", "meta_cp", "meta_tr", "moe_lora", "tt_lora")
+#: Every PEFT_METHODS family (aliases of the meta formats left out); all
+#: of them compile unmerged, whether they write ``add_delta`` or their own
+#: ``forward`` (DoRA, bottleneck).
+ADAPTER_METHODS = (
+    "lora", "multi_lora", "meta_cp", "meta_tr", "moe_lora", "tt_lora", "dora", "bottleneck"
+)
 
 #: Families that adapt Linear layers only.  ResNet's one Linear is the
 #: classifier head, which ``features()`` never runs, so these are tested
 #: on the mixer alone.
-LINEAR_ONLY = ("moe_lora", "tt_lora")
+LINEAR_ONLY = ("moe_lora", "tt_lora", "dora", "bottleneck")
 
 ADAPTED_BACKBONES = [
     (method, backbone)
@@ -86,6 +90,20 @@ class TestBackboneExactness:
         for n in (1, 3, 7):
             x = images_for(rng, n)
             assert_serving_match(program.run(x), extract_embeddings(model, x))
+
+
+class TestUnmergedTransformer:
+    def test_tiny_vit_with_prefix_tuning(self, rng):
+        """Prefix tuning overrides ``forward`` and broadcasts its prefix per
+        batch; it serves unmerged on TinyViT, any batch size."""
+        model = vit_small(4, rng)
+        attach(
+            model,
+            lambda layer: PrefixTuningAttention(layer, 2, rng=rng),
+            targets=(MultiHeadSelfAttention,),
+        )
+        randomize_zero_params(model, rng)
+        assert_bit_identical(model, images_for(rng))
 
 
 class TestMetaModelExactness:
@@ -153,14 +171,6 @@ class TestMergedFastPath:
 
 
 class TestCompilerErrors:
-    def test_unsupported_adapter_raises(self, rng):
-        from repro.nn import Linear
-
-        model = mixer_small(4, rng)
-        attach(model, "dora", rank=2, targets=(Linear,), rng=rng)
-        with pytest.raises(ServeError, match="no serve lowering rule"):
-            compile_features(model)
-
     def test_model_without_rule_raises(self):
         from repro.nn import Linear
 
@@ -211,17 +221,26 @@ class TestProgramStructure:
         assert not np.array_equal(compile_features(model).run(x), before)
 
 
-class TestUnfoldSharing:
-    """A base conv and its adapter conv read one compile-time unfold, and
-    compiled programs never consult the autograd patch cache."""
+def step_names(program):
+    """The ``Module.op`` name of every step a run program lists."""
+    return [line.split(" = ", 1)[1].split("(", 1)[0] for line in program.describe()]
 
-    #: attach() method -> the conv adapter step it lowers to.
+
+class TestUnfoldSharing:
+    """A base conv and its adapter conv read one unfold step: the captured
+    forward shares the patches exactly as ``Adapter.forward`` does."""
+
+    #: attach() method -> the conv adapter its steps are named after.
     FAMILIES = {
         "lora": "ConvLoRA",
         "multi_lora": "MultiLoRAConv",
         "meta_cp": "MetaLoRACPConv",
         "meta_tr": "MetaLoRATRConv",
     }
+
+    @staticmethod
+    def unfolds(program):
+        return sum(name.endswith(".unfold") for name in step_names(program))
 
     @pytest.mark.parametrize("method", sorted(FAMILIES))
     def test_one_unfold_per_backbone_conv(self, method, rng):
@@ -231,9 +250,8 @@ class TestUnfoldSharing:
         randomize_zero_params(model, rng)
         program = compile_features(model)
         program.run(images_for(rng))
-        listing = program.describe()
-        assert any(self.FAMILIES[method] in line for line in listing)
-        assert sum(line.count("im2col") for line in listing) == convs
+        assert any(name.startswith(self.FAMILIES[method] + ".") for name in step_names(program))
+        assert self.unfolds(program) == convs
 
     def test_seed_fed_body_shares_unfolds(self, rng):
         base = resnet_small(4, rng)
@@ -241,13 +259,26 @@ class TestUnfoldSharing:
         result = attach(base, "meta_tr", rank=2, rng=rng)
         extractor = FeatureExtractor(resnet_small(4, np.random.default_rng(9)))
         model = MetaLoRAModel(base, extractor, rng=rng, adapters=result)
-        body = compile_features(model, external_seeds=True)
-        assert sum(line.count("im2col") for line in body.describe()) == convs
+        entry = AdapterRegistry().register("meta", model)
+        images = images_for(rng)
+        entry.run(images)
+        assert self.unfolds(entry.body) == convs
+
+
+def composite_batch_norm(bn, x):
+    """The eval BatchNorm2d the one-node op replaced, as ``Tensor`` ops."""
+    mean = Tensor(bn._buffers["running_mean"].reshape(1, -1, 1, 1))
+    var = Tensor(bn._buffers["running_var"].reshape(1, -1, 1, 1))
+    x_hat = (x - mean) / sqrt(var + bn.eps)
+    gamma = bn.gamma.reshape(1, bn.channels, 1, 1)
+    beta = bn.beta.reshape(1, bn.channels, 1, 1)
+    return x_hat * gamma + beta
 
 
 class TestBatchNormKernel:
-    """The compiled batchnorm2d step allocates only where the dtype promotes;
-    its bits, dtype and strides must still match the Tensor path."""
+    """The eval batch norm node runs NHWC-storage inputs row-wise and
+    allocates only where the dtype promotes; its bits, dtype and strides
+    must still match the composite ``Tensor`` expression."""
 
     def test_mixed_dtype_matches_tensor_path(self, rng):
         channels = 6
@@ -257,17 +288,14 @@ class TestBatchNormKernel:
         bn._buffers["running_mean"][...] = rng.normal(size=channels)
         bn._buffers["running_var"][...] = rng.uniform(0.5, 2.0, size=channels)
         bn.eval()
-        builder = ProgramBuilder(precision="f64")
-        builder.lower(bn, builder.new_slot())
-        (step,) = builder.steps
         contiguous = rng.normal(size=(3, channels, 5, 4)).astype(np.float32)
         # Conv outputs reach batch norm as transposed NHWC-storage views.
         nhwc = np.ascontiguousarray(contiguous.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
         # Those take the row-wise path, with constants tiled per (H, W).
         other = rng.normal(size=(2, 3, 7, channels)).astype(np.float32).transpose(0, 3, 1, 2)
         for x in (contiguous, nhwc, other, nhwc):
-            reference = bn(Tensor(x)).data
-            got = step.fn(x)
+            reference = composite_batch_norm(bn, Tensor(x)).data
+            got = bn(Tensor(x)).data
             assert bn.gamma.data.dtype == x.dtype == np.float32
             assert got.dtype == reference.dtype == np.float64
             assert got.strides == reference.strides

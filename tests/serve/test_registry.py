@@ -479,14 +479,12 @@ class TestMultiInputPrograms:
             program.run(images_for(rng, 1), images_for(rng, 1))
 
     def test_external_seed_split_is_bit_identical(self, rng):
-        from repro.serve import compile_forward, compile_seed_mapping
-
+        """The registry's three roles, seeds fed to the body as its second
+        input, give the bits of the single ``features()`` program."""
         model = meta_model(seed=10)
         images = images_for(rng, 4)
         fused = compile_features(model)
-        extractor = compile_forward(model.extractor)
-        mapping = compile_seed_mapping(model)
-        body = compile_features(model, external_seeds=True)
-        assert len(body.input_slots) == 2
-        seeds = mapping.run(extractor.run(images))
-        assert np.array_equal(body.run(images, seeds), fused.run(images))
+        entry = AdapterRegistry().register("meta", model)
+        assert len(entry.body.input_slots) == 2
+        seeds = entry.mapping.run(entry.extractor.run(images))
+        assert np.array_equal(entry.body.run(images, seeds), fused.run(images))
