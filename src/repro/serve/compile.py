@@ -41,7 +41,7 @@ from __future__ import annotations
 import copy
 import os
 import threading
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -90,12 +90,16 @@ class CompiledProgram:
         *,
         inputs: int = 1,
         precision: str = "f64",
+        unread: Iterable[object] = (),
     ) -> None:
         self.source = source
         self.precision = precision
         self.input_slots = tuple(range(inputs))
         self._forward = forward
-        snapshot = copy.deepcopy(module)
+        # Parts of ``module`` the forward never reads stay out of the
+        # snapshot: it holds an empty module (or list) in their place.
+        memo = {id(part): Module() if isinstance(part, Module) else type(part)() for part in unread}
+        snapshot = copy.deepcopy(module, memo)
         snapshot.eval()
         snapshot.freeze()
         snapshot.zero_grad()

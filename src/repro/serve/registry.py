@@ -530,14 +530,19 @@ class AdapterRegistry:
 
 
 def _role_program(model: MetaLoRAModel, role: str, precision: str) -> CompiledProgram:
-    """The program of one role of a seed-slot tenant's forward."""
-    module, forward, inputs = {
-        "extractor": (model.extractor, lambda extractor, x: extractor(x), 1),
-        "mapping": (model, lambda meta, features: meta.seed_matrix(features), 1),
-        "body": (model, lambda meta, x, seeds: meta.seeded_features(x, seeds), 2),
+    """The program of one role of a seed-slot tenant's forward.  Each
+    snapshots only what its role reads: a tenant's mapping program holds
+    no copy of the backbone, and the body none of the extractor."""
+    not_mapping = (model.backbone, model.extractor, model._meta_adapters)
+    not_body = (model.extractor, model.trunk, model.heads)
+    module, forward, inputs, unread = {
+        "extractor": (model.extractor, lambda extractor, x: extractor(x), 1, ()),
+        "mapping": (model, lambda meta, features: meta.seed_matrix(features), 1, not_mapping),
+        "body": (model, lambda meta, x, seeds: meta.seeded_features(x, seeds), 2, not_body),
     }[role]
+    source = f"{type(model).__name__}.{role}"
     return CompiledProgram(
-        module, forward, f"{type(model).__name__}.{role}", inputs=inputs, precision=precision
+        module, forward, source, inputs=inputs, precision=precision, unread=unread
     )
 
 

@@ -7,8 +7,9 @@ must give each one's rows alone.  These tests pin what that buys: image
 sizes that scale a mean (global average pooling's ``1/count``) get their
 own capture, any batch size replays one capture bit-equal to a fresh
 compile, an f32 program computes in float32 at every step, captures on
-different threads do not collide, and a forward that bakes its batch size
-in or mixes rows is refused.
+different threads do not collide, a forward that bakes its batch size
+in or mixes rows is refused, and a seeded tenant's role programs each
+snapshot only the modules their role reads.
 """
 
 import sys
@@ -23,7 +24,7 @@ from repro.eval.embeddings import extract_embeddings
 from repro.models import FeatureExtractor, mixer_small, resnet_small
 from repro.nn import Module
 from repro.peft import MetaLoRAModel, attach
-from repro.serve import MultiTenantEngine, ServeRequest, compile_features
+from repro.serve import AdapterRegistry, MultiTenantEngine, ServeRequest, compile_features
 from repro.utils.rng import new_rng
 from tests.serve.conftest import assert_serving_match
 
@@ -116,6 +117,22 @@ class TestBatchSizes:
         program = compile_features(Centered())
         with pytest.raises(ServeError, match="does not serve a sample in a batch"):
             program.run(images(rng, 4))
+
+
+class TestSnapshots:
+    def test_each_role_snapshots_only_what_it_reads(self):
+        """The mapping program holds no copy of the backbone or extractor,
+        and the body none of the extractor or mapping nets."""
+        model = meta_model()
+        entry = AdapterRegistry().register("t", model)
+
+        def size(module):
+            return sum(param.size for param in module.parameters())
+
+        gains = model.head_gains.size
+        assert size(entry.mapping._snapshot) == size(model.trunk) + size(model.heads) + gains
+        assert size(entry.body._snapshot) == size(model.backbone) + gains
+        assert size(entry.extractor._snapshot) == size(model.extractor)
 
 
 class TestPrecision:
