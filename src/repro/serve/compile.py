@@ -114,14 +114,15 @@ class CompiledProgram:
 
     def describe(self) -> list[str]:
         """Step listing of the latest captured input shape, each line with
-        the step's output dtype and shape for the first sample (a program
-        no request has run is captured on a nominal image first)."""
+        the step's output dtype and shape for the first sample (a
+        :func:`compile_features` program no request has run is captured on
+        a nominal image first; any other must have run)."""
         program, shapes = self._listed()
         return program.describe(shapes)
 
     def _listed(self) -> tuple[ForwardProgram, list[str]]:
         if self._latest is None:
-            if len(self.input_slots) != 1:
+            if self._forward is not _features:
                 raise ServeError(f"program {self.source!r} has not run yet")
             self.run(_nominal_images(self._snapshot))
         return self._programs[self._latest]

@@ -9,7 +9,8 @@ own capture, any batch size replays one capture bit-equal to a fresh
 compile, an f32 program computes in float32 at every step, captures on
 different threads do not collide, a forward that bakes its batch size
 in or mixes rows is refused, and a seeded tenant's role programs each
-snapshot only the modules their role reads.
+snapshot only the modules their role reads and list their steps only
+once they ran.
 """
 
 import sys
@@ -119,7 +120,17 @@ class TestBatchSizes:
             program.run(images(rng, 4))
 
 
-class TestSnapshots:
+class TestRolePrograms:
+    def test_a_role_program_lists_steps_only_after_it_ran(self, rng):
+        """Only a features() program has a nominal input to capture on."""
+        entry = AdapterRegistry().register("t", meta_model())
+        roles = (entry.extractor, entry.mapping, entry.body)
+        for program in roles:
+            with pytest.raises(ServeError, match="has not run yet"):
+                program.describe()
+        entry.run(images(rng, 2))
+        assert all(program.describe() for program in roles)
+
     def test_each_role_snapshots_only_what_it_reads(self):
         """The mapping program holds no copy of the backbone or extractor,
         and the body none of the extractor or mapping nets."""
