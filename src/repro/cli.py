@@ -30,9 +30,10 @@ severities — see docs/robustness.md) over the same run-dir/resume
 machinery; severity-0 cells are bit-identical to the clean Table I
 evaluation.  ``inspect`` prints a method's adapter layout and
 parameter budget; ``compile`` captures a method's serving program
-and prints the step listing (``--describe`` adds per-step output
-dtypes/shapes — the view of what the precision tier actually
-produced); ``figures`` runs the Figure 1-3 numerical checks;
+and prints its step count and rows per block (``--describe`` adds the
+step listing with per-step output dtypes/shapes — the view of what the
+precision tier actually produced); ``figures`` runs the Figure 1-3
+numerical checks;
 ``bench`` runs the in-process bit-identity and accuracy pins and emits
 ``BENCH_serve.json`` (``--suite robustness`` is the opt-in shift matrix
 emitting ``BENCH_robustness.json``; speed is perfbench's job);
@@ -260,6 +261,7 @@ def _compile(args: argparse.Namespace) -> int:
     print(f"backbone:  {args.backbone}")
     print(f"precision: {program.precision}")
     print(f"steps:     {len(program)}")
+    print(f"rows per block: {program.block_rows}")
     if args.describe:
         print()
         for line in program.describe():

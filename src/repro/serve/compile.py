@@ -34,6 +34,11 @@ it serves, failing closed: the batch's first two samples (the first one
 twice, for a batch of one) run together must give each sample's rows
 alone, or :class:`~repro.errors.ServeError` names the step that broke (a
 reshape that baked in the batch size, or an op that mixes rows).
+
+That check is also why a large batch may run in pieces: a run with more
+rows than its capture's ``block_rows`` replays as the fewest near-equal
+row blocks, each keeping its steps' outputs within :data:`BUDGET`, and
+concatenates their rows, which are the rows one run would give.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from __future__ import annotations
 import copy
 import os
 import threading
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -57,6 +62,15 @@ PRECISIONS = ("f64", "f32")
 #: it, for a model that declares none (a ResNet runs at any size): the
 #: size of every shipped config's images.
 NOMINAL_IMAGE_SIZE = 16
+
+#: Bytes the largest step output of one row block may take.  A conv's
+#: im2col patch matrix is 9x its activation; a block sized so that the
+#: unfold's output is still in cache when the GEMM reads it back runs
+#: faster than one pass over a whole 64-image request, and holds less
+#: memory.  At 8 MiB a ResNet f64 program gets 56-row blocks, so every
+#: batch the scheduler forms (``max_batch`` 32) stays one block; 4 MiB
+#: split 64 rows into 4x16 blocks that were no faster than 2x32.
+BUDGET = 8 << 20
 
 
 def resolve_precision(precision: str | None) -> str:
@@ -104,23 +118,29 @@ class CompiledProgram:
         snapshot.freeze()
         snapshot.zero_grad()
         self._snapshot = snapshot
-        #: ``((shape[1:], dtype) per input) -> (program, step shapes)``.
-        self._programs: dict[tuple, tuple[ForwardProgram, list[str]]] = {}
+        #: ``((shape[1:], dtype) per input) -> capture``.
+        self._programs: dict[tuple, _Capture] = {}
         self._latest: tuple | None = None
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._listed()[0])
+        return len(self._listed().program)
+
+    @property
+    def block_rows(self) -> int:
+        """Rows per block of the latest captured input shape: a run with
+        more rows replays in near-equal blocks of at most this many."""
+        return self._listed().block_rows
 
     def describe(self) -> list[str]:
         """Step listing of the latest captured input shape, each line with
         the step's output dtype and shape for the first sample (a
         :func:`compile_features` program no request has run is captured on
         a nominal image first; any other must have run)."""
-        program, shapes = self._listed()
-        return program.describe(shapes)
+        capture = self._listed()
+        return capture.program.describe(capture.shapes)
 
-    def _listed(self) -> tuple[ForwardProgram, list[str]]:
+    def _listed(self) -> _Capture:
         if self._latest is None:
             if self._forward is not _features:
                 raise ServeError(f"program {self.source!r} has not run yet")
@@ -145,9 +165,19 @@ class CompiledProgram:
         entry = self._programs.get(key)
         if entry is None:
             entry = self._capture(key, [array[:2] for array in inputs])
-        return entry[0].run(*inputs)
+        rows = len(inputs[0])
+        if rows <= entry.block_rows:
+            return entry.program.run(*inputs)
+        blocks = -(-rows // entry.block_rows)
+        cuts = [rows * index // blocks for index in range(blocks + 1)]
+        return np.concatenate(
+            [
+                entry.program.run(*[array[start:stop] for array in inputs])
+                for start, stop in zip(cuts[:-1], cuts[1:])
+            ]
+        )
 
-    def _capture(self, key: tuple, head: list[np.ndarray]) -> tuple[ForwardProgram, list[str]]:
+    def _capture(self, key: tuple, head: list[np.ndarray]) -> _Capture:
         from repro.obs import OBS, TRACER  # local: keep compile import-light
 
         with self._lock:
@@ -160,9 +190,10 @@ class CompiledProgram:
             self._latest = key
         return entry
 
-    def _record(self, head: list[np.ndarray]) -> tuple[ForwardProgram, list[str]]:
+    def _record(self, head: list[np.ndarray]) -> _Capture:
         """Capture the forward on the first sample of ``head`` (a batch's
-        first one or two), check it, and list its step shapes."""
+        first one or two), check it, list its step shapes and size its
+        row blocks by the largest step output."""
         pair = [array if len(array) == 2 else np.concatenate([array, array]) for array in head]
         first = [array[:1] for array in pair]
         tensors = [Tensor(array) for array in first]
@@ -175,10 +206,10 @@ class CompiledProgram:
         )
         if program is None:
             raise ServeError(f"cannot serve {self.source}: {recorder.failed}")
-        shapes = [
-            f"{out.dtype}({', '.join(str(dim) for dim in out.shape)})"
-            for out in program.stepwise(*first)
-        ]
+        shapes, peak = [], 1
+        for out in program.stepwise(*first):
+            shapes.append(f"{out.dtype}({', '.join(str(dim) for dim in out.shape)})")
+            peak = max(peak, out.nbytes)
         alone = [program.run(*[array[i : i + 1] for array in pair]) for i in range(2)]
         if self.precision == "f64" and not _same(alone[0], output.data):
             raise ServeError(f"{self.source}: the replayed forward differs from the recorded one")
@@ -192,7 +223,16 @@ class CompiledProgram:
                 f"{self.source} does not serve a sample in a batch as it serves "
                 f"it alone: {_divergence(program, first, pair)}"
             )
-        return program, shapes
+        return _Capture(program, shapes, max(1, BUDGET // peak))
+
+
+class _Capture(NamedTuple):
+    """One input shape's program, its step shapes for one sample, and the
+    most rows one replay runs."""
+
+    program: ForwardProgram
+    shapes: list[str]
+    block_rows: int
 
 
 def _same(a: np.ndarray, b: np.ndarray) -> bool:

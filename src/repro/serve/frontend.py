@@ -154,7 +154,7 @@ class ServingFrontend:
         self._server: asyncio.base_events.Server | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
-        self._handlers: set[asyncio.Task] = set()
+        self._handlers: dict[asyncio.Task, _Connection] = {}
         self._pump_armed = False
         # Batches run outside any frame's context (they serve many).
         self._pump_context = contextvars.Context()
@@ -190,10 +190,14 @@ class ServingFrontend:
             # A sharded close blocks on its worker links, whose answers
             # hop back onto this loop: keep the loop live meanwhile.
             await asyncio.get_running_loop().run_in_executor(None, self.scheduler.close)
-        handlers = list(self._handlers)
-        for handler in handlers:
-            handler.cancel()
-        await asyncio.gather(*handlers, return_exceptions=True)
+        # Every admitted request is answered by now.  Closing a handler's
+        # transport ends its read with EOF, so it returns on its own; a
+        # cancelled handler would make the stream protocol's done-callback
+        # log a CancelledError (Python 3.11).
+        handlers = list(self._handlers.items())
+        for __, conn in handlers:
+            conn.writer.close()
+        await asyncio.gather(*(handler for handler, __ in handlers), return_exceptions=True)
 
     # -- batches on the loop --------------------------------------------------
 
@@ -216,8 +220,8 @@ class ServingFrontend:
     ) -> None:
         conn = _Connection(writer)
         handler = asyncio.current_task()
-        self._handlers.add(handler)
-        handler.add_done_callback(self._handlers.discard)
+        self._handlers[handler] = conn
+        handler.add_done_callback(lambda task: self._handlers.pop(task, None))
         try:
             while True:
                 try:

@@ -2,7 +2,8 @@
 
 The serving contract is per request: the same input to the same adapter
 gives the same bits whatever else shares the micro-batch — batch size,
-tenant mix, bulk neighbours or shard.  The oracle is each image served
+tenant mix, bulk neighbours or shard — and whether its tenant's rows run
+in one replay or in several row blocks.  The oracle is each image served
 alone, one single-sample request per ``serve`` call, at the engine's
 tier (``REPRO_SERVE_PRECISION``).
 
@@ -41,6 +42,10 @@ from tests.serve.test_registry import (
 MAX_BATCH = 32
 #: Images per tenant a drawn batch picks from.
 POOL = 6
+#: The most rows a drawn bulk request carries: more than one row block
+#: of a ResNet program (56 rows at f64), so a tenant's rows in a batch may
+#: replay in several blocks, split anywhere between its requests.
+BULK_ROWS = 130
 NAMES = ("static", "meta_a", "meta_b", "mixer")
 
 
@@ -90,11 +95,33 @@ request_specs = st.tuples(
     st.sampled_from(NAMES),
     st.lists(st.integers(0, POOL - 1), min_size=1, max_size=3),
 )
+#: A bulk request of up to ``BULK_ROWS`` pool images, or none.
+bulk_specs = st.none() | st.tuples(
+    st.sampled_from(NAMES),
+    st.lists(st.integers(0, POOL - 1), min_size=40, max_size=BULK_ROWS),
+)
+
+
+def roles(entry):
+    return [entry.program] if entry.kind == "static" else [entry.extractor, entry.body]
+
+
+def test_a_bulk_request_can_span_row_blocks(fleet):
+    """The draw below reaches blocked replay: some tenant's program runs
+    fewer rows per block than a bulk request may carry."""
+    entries = [fleet.engine.registry.get(name) for name in NAMES]
+    assert min(role.block_rows for entry in entries for role in roles(entry)) < BULK_ROWS
 
 
 @settings(max_examples=25, deadline=None)
-@given(batch=st.lists(request_specs, min_size=1, max_size=MAX_BATCH))
-def test_every_row_equals_its_request_served_alone(fleet, batch):
+@given(
+    batch=st.lists(request_specs, min_size=1, max_size=MAX_BATCH),
+    bulk=bulk_specs,
+    position=st.integers(0, MAX_BATCH),
+)
+def test_every_row_equals_its_request_served_alone(fleet, batch, bulk, position):
+    if bulk is not None:
+        batch = batch[:position] + [bulk] + batch[position:]
     requests = [
         ServeRequest(
             sample=fleet.pool[name][picks[0]]

@@ -6,11 +6,12 @@ recording before it serves: the batch's first two samples run together
 must give each one's rows alone.  These tests pin what that buys: image
 sizes that scale a mean (global average pooling's ``1/count``) get their
 own capture, any batch size replays one capture bit-equal to a fresh
-compile, an f32 program computes in float32 at every step, captures on
-different threads do not collide, a forward that bakes its batch size
-in or mixes rows is refused, and a seeded tenant's role programs each
-snapshot only the modules their role reads and list their steps only
-once they ran.
+compile, a batch larger than one row block replays in near-equal blocks
+with the bits of each sample served alone, an f32 program computes in
+float32 at every step, captures on different threads do not collide, a
+forward that bakes its batch size in or mixes rows is refused, and a
+seeded tenant's role programs each snapshot only the modules their role
+reads and list their steps only once they ran.
 """
 
 import sys
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
+from repro.autograd.capture import ForwardProgram
 from repro.errors import ServeError
 from repro.eval.embeddings import extract_embeddings
 from repro.models import FeatureExtractor, mixer_small, resnet_small
@@ -86,6 +88,45 @@ class TestBatchSizes:
         for n in (1, 7, 63):
             x = images(rng, n)
             assert np.array_equal(program.run(x), compile_features(model).run(x))
+
+    @pytest.mark.parametrize("build", (static_model, meta_model), ids=("static", "meta"))
+    def test_a_batch_larger_than_a_block_replays_in_blocks(self, build, rng, monkeypatch):
+        """150 rows replay through each role's program in the fewest
+        near-equal blocks of at most its ``block_rows`` (a ResNet f64
+        program gets 56, so 3 x 50), and give the bits of each sample
+        served alone and of autograd; ``block_rows`` rows run once."""
+        model = build()
+        entry = AdapterRegistry().register("t", model)
+        roles = (
+            [entry.program]
+            if entry.kind == "static"
+            else [entry.extractor, entry.mapping, entry.body]
+        )
+        batch = images(rng, 150)
+        alone = np.concatenate([entry.run(sample[None]) for sample in batch])
+        programs = {id(role._listed().program): role for role in roles}
+        runs: list[tuple[object, int]] = []
+        replay = ForwardProgram.run
+
+        def spy(program, *arrays):
+            runs.append((programs[id(program)], len(arrays[0])))
+            return replay(program, *arrays)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ForwardProgram, "run", spy)
+            rows = entry.run(batch)
+            blocked = list(runs)
+            runs.clear()
+            entry.run(batch[: min(role.block_rows for role in roles)])
+        assert np.array_equal(rows, alone)
+        assert_serving_match(rows, extract_embeddings(model, batch))
+        assert min(role.block_rows for role in roles) < len(batch)
+        for role in roles:
+            sizes = [size for program, size in blocked if program is role]
+            assert len(sizes) == -(-len(batch) // role.block_rows), role.source
+            assert sum(sizes) == len(batch) and max(sizes) <= role.block_rows
+            assert max(sizes) - min(sizes) <= 1, sizes
+            assert [program for program, __ in runs].count(role) == 1, role.source
 
     def test_batch_baked_reshape_is_refused(self, rng):
         class Baked(Module):

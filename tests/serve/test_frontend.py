@@ -10,6 +10,7 @@ each batch on its event loop, so a stall holds admission until the
 batch boundary.
 """
 
+import logging
 import socket
 import threading
 import time
@@ -605,6 +606,26 @@ class TestBatchesOnTheLoop:
             if result.status == ERROR:
                 assert "closed before serving" in result.error
         assert stopped_in < 5.0
+
+    def test_stop_ends_an_idle_connection_without_an_error(self, engine, caplog):
+        """A client connected but idle while the frontend stops: its
+        handler ends on EOF rather than by cancellation, so no exception
+        reaches the loop's exception handler or the ``asyncio`` logger."""
+        frontend = ServingFrontend(engine)
+        frontend.start_in_thread()
+        reported: list[dict] = []
+        frontend._loop.call_soon_threadsafe(
+            frontend._loop.set_exception_handler, lambda loop, context: reported.append(context)
+        )
+        client = ServeClient(*frontend.address, timeout=30.0)
+        try:
+            assert client.ping()  # accepted, handler set: its connection is being read
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                frontend.stop_in_thread(timeout=30.0)
+        finally:
+            client.close()
+        assert not reported, reported
+        assert not [record for record in caplog.records if record.name == "asyncio"]
 
 
 class TestPerRequestTenantResolution:

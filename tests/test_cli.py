@@ -139,6 +139,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "precision: f32" in out
         assert re.search(r"^steps:\s+\d+$", out, re.M)
+        assert re.search(r"^rows per block: \d+$", out, re.M)
         assert "fusion" not in out
         # The listing resolved per-step output dtypes from the dummy run.
         assert "float32(" in out
